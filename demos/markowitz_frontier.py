@@ -11,7 +11,7 @@ import os
 
 import numpy as np
 
-from moprox import SolverConfig, get_problem, pareto_sweep
+from moprox import SolverConfig, get_problem, solve
 from moprox.svg import scatter_svg
 
 OUT = os.path.join(os.path.dirname(__file__), "out", "markowitz")
@@ -22,7 +22,8 @@ def main():
     rng = np.random.default_rng(7)
     starts = rng.dirichlet(np.ones(problem.n), size=60)
 
-    reports = pareto_sweep(problem, starts, SolverConfig(algorithm="bbpgmo"))
+    cfg = SolverConfig(algorithm="bbpgmo")
+    reports = [solve(problem, x0, cfg) for x0 in starts]
     solved = [r for r in reports if r.status == "critical_point"]
     print(f"{len(solved)}/{len(reports)} sweeps reached a critical point")
 

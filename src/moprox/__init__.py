@@ -61,7 +61,6 @@ from .solvers import (
     SolverConfig,
     SolveReport,
     TraceRecord,
-    pareto_sweep,
     solve,
 )
 from .testproblems import (
@@ -121,7 +120,6 @@ __all__ = [
     "markowitz_portfolio",
     "max_feasible_step",
     "merit_gap",
-    "pareto_sweep",
     "project_box",
     "project_simplex",
     "random_quadratic",

@@ -105,14 +105,18 @@ def _parse_quadratic_token(token):
     return QuadraticSpec(n=n, xl=xl, xu=xu, g_kind=g_kind)
 
 
+def _child_seed(spec, i):
+    """Child i of the campaign seed: SeedSequence(seed).spawn(trials + 1)[i],
+    built directly so a campaign does not spawn every child per trial."""
+    return np.random.SeedSequence(spec.seed, spawn_key=(i,))
+
+
 def _campaign_problem(spec):
     """The fixed instance every trial solves; seeded for the random family."""
     token = spec.problem
     if token.startswith("quadratic"):
         qspec = _parse_quadratic_token(token)
-        instance_rng = np.random.default_rng(
-            np.random.SeedSequence(spec.seed).spawn(spec.trials + 1)[0]
-        )
+        instance_rng = np.random.default_rng(_child_seed(spec, 0))
         return random_quadratic(qspec, instance_rng)
     if token == "markowitz" and spec.markowitz_returns:
         return markowitz_portfolio(spec.markowitz_returns)
@@ -139,9 +143,7 @@ def _run_trial(spec, trial, problem=None):
     """One trial: the campaign instance, one start, one solve per algorithm."""
     if problem is None:
         problem = _campaign_problem(spec)
-    rng = np.random.default_rng(
-        np.random.SeedSequence(spec.seed).spawn(spec.trials + 1)[trial + 1]
-    )
+    rng = np.random.default_rng(_child_seed(spec, trial + 1))
     x0 = _sample_start(problem, spec.start_sampling, rng)
     x0_hash = hashlib.sha1(x0.tobytes()).hexdigest()[:12]
 

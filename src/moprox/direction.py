@@ -73,16 +73,16 @@ class SubproblemInput:
             raise ValueError("grads must be (m, n) matching x")
         if alphas.shape != (grads.shape[0],):
             raise ValueError("alphas must be (m,)")
-        if not np.all(np.isfinite(alphas)) or np.any(alphas <= 0):
+        if not np.isfinite(alphas).all() or (alphas <= 0).any():
             raise ValueError("alphas must be finite and positive")
-        if not np.all(np.isfinite(grads)):
+        if not np.isfinite(grads).all():
             raise EvaluationError("nonfinite gradient entry in subproblem input")
         g_at_x = self.g_at_x
         if g_at_x is None:
             g_at_x = g_vector(self.kind, x, grads.shape[0])
         else:
             g_at_x = np.asarray(g_at_x, dtype=float)
-        if not np.all(np.isfinite(g_at_x)):
+        if not np.isfinite(g_at_x).all():
             raise EvaluationError(
                 "g is infinite at the base point (infeasible for indicator kind)"
             )
@@ -105,20 +105,20 @@ class DirectionResult:
     fw_gap: float
     model_decrease: np.ndarray  # (m,), <grad f_i, d> + g_i(x+d) - g_i(x)
     prox_point: np.ndarray
+    d_norm: float = field(init=False)
 
-    @property
-    def d_norm(self):
-        return float(np.linalg.norm(self.d))
+    def __post_init__(self):
+        self.d_norm = float(np.linalg.norm(self.d))
 
 
 def _gdiff_fn(inp):
     """Closure p -> (m,) of g_i(p) - g_i(x), avoiding generic dispatch."""
     if isinstance(inp.kind, WeightedL1):
         coeffs = np.asarray(inp.kind.coeffs)
-        nx1 = float(np.sum(np.abs(inp.x)))
+        nx1 = float(np.add.reduce(np.abs(inp.x)))
 
         def gdiff(p):
-            return coeffs * (float(np.sum(np.abs(p))) - nx1)
+            return coeffs * (float(np.add.reduce(np.abs(p))) - nx1)
 
         return gdiff
     zeros = np.zeros(inp.m)
@@ -131,53 +131,50 @@ def _gdiff_fn(inp):
 
 
 class _Evaluator:
-    """Shared dual-query state: one prox per query, counters threaded."""
+    """Shared dual-query state: one prox per query, counters threaded.
+
+    A query returns the probe (lam, u, base, p, d, q, gap); omega and result
+    take a probe's leading fields instead of recomputing them.
+    """
 
     def __init__(self, inp, counters=None):
-        self.inp = inp
-        self.counters = counters
+        self.inp, self.counters = inp, counters
+        self.x, self.grads, self.alphas = inp.x, inp.grads, inp.alphas
+        self.sgT, self.prox = inp.scaled_grads.T, inp.kind.prox
         self.gdiff = _gdiff_fn(inp)
         self.gx_scaled = inp.g_at_x / inp.alphas
 
-    def query(self, lam):
-        """Returns (prox point, d, q, gap) with q_i = model_i / alpha_i."""
-        inp = self.inp
-        u = inp.scaled_grads.T @ lam
-        base = inp.x - u
-        p = inp.kind.prox(lam / inp.alphas, base)
+    def point(self, lam):
+        """(u, base, p): the combined gradient step and its prox point."""
+        u = self.sgT @ lam
+        base = self.x - u
+        p = self.prox(lam / self.alphas, base)
         if self.counters is not None:
             self.counters.prox_evals += 1
-        d = p - inp.x
-        model = inp.grads @ d + self.gdiff(p)
-        q = model / inp.alphas
-        gap = float(np.max(q) - np.dot(lam, q))
-        return p, d, q, max(gap, 0.0)
+        return u, base, p
 
-    def omega(self, lam, p=None):
-        inp = self.inp
-        u = inp.scaled_grads.T @ lam
-        base = inp.x - u
-        if p is None:
-            p = inp.kind.prox(lam / inp.alphas, base)
-            if self.counters is not None:
-                self.counters.prox_evals += 1
-        w = lam / inp.alphas
-        g_p = g_vector(inp.kind, p, inp.m)
-        envelope = float(np.dot(w, g_p)) + 0.5 * float(np.dot(p - base, p - base))
-        return (
-            0.5 * float(np.dot(u, u))
-            + float(np.dot(lam, self.gx_scaled))
-            - envelope
-        )
+    def query(self, lam):
+        """The probe (lam, u, base, p, d, q, gap), q_i = model_i / alpha_i."""
+        u, base, p = self.point(lam)
+        d = p - self.x
+        q = (self.grads @ d + self.gdiff(p)) / self.alphas
+        gap = float(q.max() - lam.dot(q))
+        return lam, u, base, p, d, q, max(gap, 0.0)
 
-    def result(self, lam):
-        p, d, q, gap = self.query(lam)
+    def omega(self, lam, u, base, p):
+        g_p = g_vector(self.inp.kind, p, self.inp.m)
+        r = p - base
+        envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
+        return 0.5 * float(np.dot(u, u)) + float(np.dot(lam, self.gx_scaled)) - envelope
+
+    def result(self, probe):
+        lam, u, base, p, d, q, gap = probe
         return DirectionResult(
             d=d,
             lam=np.array(lam, dtype=float, copy=True),
-            dual_value=-self.omega(lam, p=p),
+            dual_value=-self.omega(lam, u, base, p),
             fw_gap=gap,
-            model_decrease=q * self.inp.alphas,
+            model_decrease=q * self.alphas,
             prox_point=p,
         )
 
@@ -188,21 +185,20 @@ def dual_objective(inp, lam, counters=None):
     Its negated minimum equals the optimal value of the direction model.
     """
     lam = np.asarray(lam, dtype=float)
-    return _Evaluator(inp, counters).omega(lam)
+    ev = _Evaluator(inp, counters)
+    return ev.omega(lam, *ev.point(lam))
 
 
 def dual_gradient(inp, lam, counters=None):
     """Gradient of omega: -(model decrease)_i / alpha_i at the prox point."""
     lam = np.asarray(lam, dtype=float)
-    _p, _d, q, _gap = _Evaluator(inp, counters).query(lam)
-    return -q
+    return -_Evaluator(inp, counters).query(lam)[5]
 
 
 def recover_direction(inp, lam, counters=None):
     """Primal direction prox(x - sum_i lambda_i grad f_i / alpha_i) - x."""
     lam = np.asarray(lam, dtype=float)
-    _p, d, _q, _gap = _Evaluator(inp, counters).query(lam)
-    return d
+    return _Evaluator(inp, counters).query(lam)[4]
 
 
 def direction_model_value(inp, d):
@@ -211,10 +207,6 @@ def direction_model_value(inp, d):
     p = inp.x + d
     model = inp.grads @ d + g_vector(inp.kind, p, inp.m) - inp.g_at_x
     return float(np.max(model / inp.alphas) + 0.5 * np.dot(d, d))
-
-
-def _solve_m1(ev):
-    return ev.result(np.array([1.0]))
 
 
 def _solve_m2(ev, cfg, warm_t=None):
@@ -227,26 +219,25 @@ def _solve_m2(ev, cfg, warm_t=None):
     bracket before any bisection happens.
     """
 
-    def slope(t):
-        lam = np.array([t, 1.0 - t])
-        _p, _d, q, gap = ev.query(lam)
-        return q[1] - q[0], gap
+    def probe(t):
+        pr = ev.query(np.array([t, 1.0 - t]))
+        return pr, pr[5][1] - pr[5][0]
 
-    h0, gap0 = slope(0.0)
+    pr0, h0 = probe(0.0)
     if h0 >= 0.0:
-        return ev.result(np.array([0.0, 1.0]))
-    h1, gap1 = slope(1.0)
+        return ev.result(pr0)
+    pr1, h1 = probe(1.0)
     if h1 <= 0.0:
-        return ev.result(np.array([1.0, 0.0]))
+        return ev.result(pr1)
 
     a, ha = 0.0, h0
     b, hb = 1.0, h1
-    best_t, best_gap = (0.0, gap0) if gap0 <= gap1 else (1.0, gap1)
+    best = pr0 if pr0[6] <= pr1[6] else pr1
 
-    def note(t, h, gap):
-        nonlocal a, ha, b, hb, best_t, best_gap
-        if gap < best_gap:
-            best_t, best_gap = t, gap
+    def note(t, pr, h):
+        nonlocal a, ha, b, hb, best
+        if pr[6] < best[6]:
+            best = pr
         if h < 0.0 and t > a:
             a, ha = t, h
         elif h > 0.0 and t < b:
@@ -254,9 +245,9 @@ def _solve_m2(ev, cfg, warm_t=None):
         return h == 0.0
 
     if warm_t is not None and 0.0 < warm_t < 1.0:
-        hw, gapw = slope(warm_t)
-        if note(warm_t, hw, gapw):
-            return ev.result(np.array([warm_t, 1.0 - warm_t]))
+        prw, hw = probe(warm_t)
+        if note(warm_t, prw, hw):
+            return ev.result(prw)
 
     def secant():
         # root of the bracketing slopes; exact when h' is linear inside
@@ -270,16 +261,16 @@ def _solve_m2(ev, cfg, warm_t=None):
     # the current linear piece of h', the bisection guarantees the bracket
     # keeps shrinking geometrically across pieces
     use_secant = True
-    while best_gap > cfg.gap_tol:
+    while best[6] > cfg.gap_tol:
         mid = secant() if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
             break  # bracket at float resolution
-        hm, gapm = slope(mid)
-        if note(mid, hm, gapm):
-            best_t = mid
+        prm, hm = probe(mid)
+        if note(mid, prm, hm):
+            best = prm
             break
-    return ev.result(np.array([best_t, 1.0 - best_t]))
+    return ev.result(best)
 
 
 def _segment_minimize(ev, lam, step, eta_max, slope0):
@@ -291,7 +282,7 @@ def _segment_minimize(ev, lam, step, eta_max, slope0):
     """
 
     def phi_slope(eta):
-        _p, _d, q, _gap = ev.query(lam + eta * step)
+        q = ev.query(lam + eta * step)[5]
         return -float(np.dot(q, step))
 
     ha = slope0
@@ -351,7 +342,7 @@ def _dual_hessian(inp, p):
     return None  # unknown kind: no second-order model
 
 
-def _newton_face_step(ev, lam, p, q):
+def _newton_face_step(ev, probe):
     """One equality-constrained Newton step on the face spanned by lam > 0.
 
     Solves min 0.5 d'Hd + g'd subject to sum(d) = 0 over the active
@@ -360,6 +351,7 @@ def _newton_face_step(ev, lam, p, q):
     (in place). Conditioning-immune, which matters because the Gram matrix
     inherits the alpha imbalance squared.
     """
+    lam, u, base, p, _d, q, _gap = probe
     inp = ev.inp
     H = _dual_hessian(inp, p)
     if H is None:
@@ -388,7 +380,7 @@ def _newton_face_step(ev, lam, p, q):
         t = min(1.0, float(np.min(lam[act][neg] / -delta[neg])))
     if t <= 0.0:
         return False
-    omega0 = ev.omega(lam, p=p)
+    omega0 = ev.omega(lam, u, base, p)
     full = np.zeros(lam.size)
     full[act] = delta
     for _ in range(8):
@@ -398,7 +390,7 @@ def _newton_face_step(ev, lam, p, q):
         if s <= 0.0:
             return False
         trial /= s
-        if ev.omega(trial) < omega0 - 1e-15 * max(1.0, abs(omega0)):
+        if ev.omega(trial, *ev.point(trial)) < omega0 - 1e-15 * max(1.0, abs(omega0)):
             lam[:] = trial
             return True
         t *= 0.5
@@ -416,7 +408,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     ev = _Evaluator(inp, counters)
     m = inp.m
     if m == 1:
-        return _solve_m1(ev)
+        return ev.result(ev.query(np.array([1.0])))
     if m == 2:
         warm_t = None
         if warm_lambda is not None:
@@ -435,12 +427,13 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
 
     best = None
     for _ in range(cfg.max_iters):
-        p, _d, q, gap = ev.query(lam)
-        if best is None or gap < best[1]:
-            best = (lam.copy(), gap)
+        probe = ev.query(lam)
+        q, gap = probe[5], probe[6]
+        if best is None or gap < best[6]:
+            best = (lam.copy(),) + probe[1:]  # lam itself moves in place
         if gap <= cfg.gap_tol:
             break
-        if not _newton_face_step(ev, lam, p, q):
+        if not _newton_face_step(ev, probe):
             # pairwise exchange: move mass from the flattest active
             # coordinate straight to the steepest one
             j_to = int(np.argmax(q))
@@ -462,8 +455,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
                 lam[j_from] = 0.0
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum()
-    lam, gap = best
-    res = ev.result(lam)
+    res = ev.result(best)
     if res.fw_gap > 100.0 * cfg.gap_tol:
         raise DualSolveError(
             f"dual gap {res.fw_gap:.3e} above 100x tolerance after "

@@ -130,7 +130,7 @@ class MCOProblem:
         F = f + g
         if counters is not None:
             counters.F_evals += 1
-        bad = np.nonzero(~np.isfinite(F))[0]
+        bad = (~np.isfinite(F)).nonzero()[0]
         if bad.size:
             raise EvaluationError(
                 f"objective {bad[0]} is nonfinite at the queried point",
@@ -148,7 +148,7 @@ class MCOProblem:
                 raise ValueError(
                     f"gradient {i} has shape {gi.shape}, expected ({self.n},)"
                 )
-            if not np.all(np.isfinite(gi)):
+            if not np.isfinite(gi).all():
                 raise EvaluationError(
                     f"objective {i} returned a nonfinite gradient", objective=i
                 )

@@ -36,8 +36,8 @@ def soft_threshold(v, kappa):
 def project_box(v, lower, upper):
     """Componentwise clip onto [lower, upper]."""
     v = np.asarray(v, dtype=float)
-    out = np.clip(v, lower, upper)
-    if np.any(np.asarray(lower) > np.asarray(upper)):
+    out = v.clip(lower, upper)
+    if (np.asarray(lower) > np.asarray(upper)).any():
         raise ValueError("empty box: a lower bound exceeds its upper bound")
     return out
 
@@ -48,12 +48,13 @@ def project_simplex(v):
     n = v.size
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
-    v = v - v.mean()
-    u = np.sort(v)[::-1]
-    css = np.cumsum(u) - 1.0
-    idx = np.arange(1, n + 1)
-    cond = u - css / idx > 0.0
-    rho = np.nonzero(cond)[0][-1]
+    v = v - np.add.reduce(v) / n
+    u = v.copy()
+    u.sort()
+    u = u[::-1]
+    css = np.add.accumulate(u) - 1.0
+    cond = u - css / np.arange(1, n + 1) > 0.0
+    rho = cond.nonzero()[0][-1]
     theta = css[rho] / (rho + 1.0)
     return np.maximum(v - theta, 0.0)
 
@@ -82,7 +83,7 @@ class WeightedL1:
         object.__setattr__(self, "coeffs", c)
 
     def g_values(self, x):
-        nrm = float(np.sum(np.abs(x)))
+        nrm = float(np.add.reduce(np.abs(x)))
         return np.array([ci * nrm for ci in self.coeffs])
 
     def prox(self, weights, v):
@@ -98,29 +99,33 @@ class BoxIndicator:
     upper: tuple
 
     def __post_init__(self):
-        lo = np.asarray(self.lower, dtype=float)
-        hi = np.asarray(self.upper, dtype=float)
-        if np.any(lo > hi):
+        lo = np.array(self.lower, dtype=float)
+        hi = np.array(self.upper, dtype=float)
+        if (lo > hi).any():
             raise ValueError("empty box: a lower bound exceeds its upper bound")
         object.__setattr__(self, "lower", tuple(lo.tolist()))
         object.__setattr__(self, "upper", tuple(hi.tolist()))
+        # the tuples serve eq, hash and repr; prox and contains read arrays
+        # built once, read-only (the _tol pair carries the membership slack)
+        slack = _BOX_FEAS_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
+        for name, arr in (("_lo", lo), ("_hi", hi), ("_lo_tol", lo - slack),
+                          ("_hi_tol", hi + slack)):
+            arr.flags.writeable = False
+            object.__setattr__(self, name, arr)
 
     def arrays(self):
-        return np.asarray(self.lower, dtype=float), np.asarray(self.upper, dtype=float)
+        return self._lo, self._hi
 
     def contains(self, x):
-        lo, hi = self.arrays()
-        slack = _BOX_FEAS_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-        return bool(np.all(x >= lo - slack) and np.all(x <= hi + slack))
+        return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
 
     def g_values(self, x):
         return np.zeros(1) if self.contains(x) else np.full(1, np.inf)
 
     def prox(self, weights, v):
-        if float(np.sum(weights)) <= 0.0:
+        if float(np.add.reduce(weights)) <= 0.0:
             return np.array(v, dtype=float, copy=True)
-        lo, hi = self.arrays()
-        return project_box(v, lo, hi)
+        return project_box(v, self._lo, self._hi)
 
 
 @dataclass(frozen=True)
@@ -129,15 +134,15 @@ class SimplexIndicator:
 
     def contains(self, x):
         return bool(
-            np.all(x >= -_BOX_FEAS_TOL)
-            and abs(float(np.sum(x)) - 1.0) <= _SIMPLEX_FEAS_TOL
+            (x >= -_BOX_FEAS_TOL).all()
+            and abs(float(np.add.reduce(x)) - 1.0) <= _SIMPLEX_FEAS_TOL
         )
 
     def g_values(self, x):
         return np.zeros(1) if self.contains(x) else np.full(1, np.inf)
 
     def prox(self, weights, v):
-        if float(np.sum(weights)) <= 0.0:
+        if float(np.add.reduce(weights)) <= 0.0:
             return np.array(v, dtype=float, copy=True)
         return project_simplex(v)
 
@@ -164,4 +169,4 @@ def g_vector(kind, x, m):
     if vals.size == m:
         return vals
     # indicator kinds and Zero report one shared value
-    return np.full(m, vals[0])
+    return vals[:1].repeat(m)

@@ -329,7 +329,7 @@ def solve(problem, x0, cfg=None):
 
         if bounds is not None:
             np.clip(x_new, bounds[0], bounds[1], out=x_new)
-        if not np.any(x_new != state.x):
+        if not (x_new != state.x).any():
             status = "line_search_failure"
             warnings.append("accepted step underflowed; iterate unchanged")
             final_direction = res
@@ -419,8 +419,3 @@ def _abbpgmo_step(problem, state, alphas, res, t_cap, cfg, counters, warnings):
             t_cap = max_feasible_step(state.x, res.d, *problem.bounds)
             if t_cap < 1e-12:
                 return res, alphas, 0.0, state.x, f_at_x, state.F, inflations, True
-
-
-def pareto_sweep(problem, starts, cfg=None):
-    """Independent solves from each start, in order; returns the reports."""
-    return [solve(problem, x0, cfg) for x0 in starts]

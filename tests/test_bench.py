@@ -8,6 +8,7 @@ import pytest
 from moprox import testproblems
 from moprox.bench import (
     ExperimentSpec,
+    _child_seed,
     algo_config,
     export_results,
     main,
@@ -171,6 +172,35 @@ class TestCampaign:
         for trial_reports in summary.reports:
             report = trial_reports["bbpgmo"]
             assert not report.x0_projected  # Dirichlet starts are feasible
+
+    def test_child_seed_matches_full_spawn(self):
+        for seed in (0, 5, 123456789):
+            spec = ExperimentSpec(
+                problem="BK1", algorithms=("bbpgmo",), trials=200, seed=seed
+            )
+            spawned = np.random.SeedSequence(seed).spawn(spec.trials + 1)
+            for i in (0, 1, 57, 200):
+                child = _child_seed(spec, i)
+                np.testing.assert_array_equal(
+                    child.generate_state(8), spawned[i].generate_state(8)
+                )
+                np.testing.assert_array_equal(
+                    np.random.default_rng(child).random(4),
+                    np.random.default_rng(spawned[i]).random(4),
+                )
+
+    def test_jobs_do_not_change_results(self):
+        spec = ExperimentSpec(
+            problem="quadratic:n=3", algorithms=("bbpgmo", "pgmo_mu"), trials=4, seed=3
+        )
+        serial = run_campaign(spec)
+        pooled = run_campaign(ExperimentSpec(**{**vars(spec), "jobs": 2}))
+
+        def untimed(rows):
+            return [{k: v for k, v in r.items() if k != "time_ms"} for r in rows]
+
+        assert untimed(pooled.raw) == untimed(serial.raw)
+        assert pooled.pareto == serial.pareto
 
     def test_hard_failures_counted(self, bad_gradient_problem):
         spec = ExperimentSpec(

@@ -18,6 +18,7 @@ from moprox.direction import (
     recover_direction,
 )
 from moprox.exceptions import DualSolveError, EvaluationError
+from moprox.problems import EvalCounters
 from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
 
 
@@ -102,6 +103,21 @@ class TestClosedForms:
         assert res.dual_value == pytest.approx(-2.0, abs=1e-12)
         np.testing.assert_allclose(res.lam, [1.0])
 
+    def test_vertex_solution_costs_one_prox(self):
+        """A cold m = 2 solve settled by the sign at t = 0 reuses that probe."""
+        inp = SubproblemInput(
+            x=np.zeros(2),
+            grads=np.array([[2.0, 0.0], [1.0, 0.0]]),
+            alphas=np.ones(2),
+            kind=Zero(),
+        )
+        counters = EvalCounters()
+        res = frank_wolfe_solve(inp, counters=counters)
+        assert counters.prox_evals == 1
+        np.testing.assert_array_equal(res.lam, [0.0, 1.0])
+        np.testing.assert_array_equal(res.d, [-1.0, 0.0])
+        assert res.d_norm == 1.0
+
     def test_two_objectives_unconstrained_closed_form(self):
         """m = 2, g = 0, unit alphas: lambda* clips the projection ratio."""
         rng = np.random.default_rng(12)
@@ -178,7 +194,7 @@ class TestDualFunction:
             # the gap computed at lam certifies the suboptimality of d(lam)
             from moprox.direction import _Evaluator
 
-            _p, _d, q, gap = _Evaluator(inp).query(lam)
+            gap = _Evaluator(inp).query(lam)[-1]
             assert primal >= -omega - 1e-10
             assert primal + omega <= gap + 1e-10
 

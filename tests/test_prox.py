@@ -129,6 +129,30 @@ class TestProjectSimplex:
             assert np.all(x >= 0.0)
             assert abs(x.sum() - 1.0) <= 1e-9
 
+    def test_bit_identical_to_wrapper_form(self):
+        """The ufunc/method body returns exactly what the np.* wrapper form did."""
+
+        def wrapper_form(v):
+            v = np.asarray(v, dtype=float)
+            n = v.size
+            v = v - v.mean()
+            u = np.sort(v)[::-1]
+            css = np.cumsum(u) - 1.0
+            idx = np.arange(1, n + 1)
+            cond = u - css / idx > 0.0
+            rho = np.nonzero(cond)[0][-1]
+            theta = css[rho] / (rho + 1.0)
+            return np.maximum(v - theta, 0.0)
+
+        rng = np.random.default_rng(7)
+        cases = [[0.3, -1.2, 2.5], [0.5, 0.5, 0.5, 0.5], [1.0, 1.0, -3.0, 1.0]]
+        for n in (1, 2, 8, 100):
+            for _ in range(50):
+                v = rng.normal(size=n) * rng.uniform(0.1, 10.0)
+                cases += [v, v + 1e6, np.round(v)]  # offset, then ties
+        for v in cases:
+            assert np.array_equal(project_simplex(v), wrapper_form(v))
+
 
 class TestKinds:
     def test_zero_kind(self):

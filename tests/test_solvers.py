@@ -5,7 +5,7 @@ import pytest
 
 from moprox.bb import BBConfig
 from moprox.problems import MCOProblem, SmoothComponent
-from moprox.solvers import SolverConfig, pareto_sweep, solve
+from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
 ALL_MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
@@ -276,7 +276,8 @@ class TestParetoSweep:
     def test_reports_in_order(self):
         problem = get_problem("JOS1a")
         starts = [np.full(problem.n, v) for v in (-1.0, 0.5, 1.9)]
-        reports = pareto_sweep(problem, starts, SolverConfig(algorithm="bbpgmo"))
+        cfg = SolverConfig(algorithm="bbpgmo")
+        reports = [solve(problem, x0, cfg) for x0 in starts]
         assert len(reports) == 3
         for report in reports:
             assert report.status == "critical_point"
