@@ -51,13 +51,11 @@ from .prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    combined_prox,
     project_box,
     project_simplex,
     soft_threshold,
 )
 from .solvers import (
-    IterateState,
     SolverConfig,
     SolveReport,
     TraceRecord,
@@ -89,7 +87,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentSummary",
     "FWConfig",
-    "IterateState",
     "LineSearchConfig",
     "LineSearchError",
     "MCOProblem",
@@ -108,7 +105,6 @@ __all__ = [
     "bb_stepsizes",
     "bk1",
     "check_jacobian",
-    "combined_prox",
     "direction_model_value",
     "dual_gradient",
     "dual_objective",

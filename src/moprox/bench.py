@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 
 import numpy as np
 
@@ -289,17 +289,9 @@ def export_results(summary, out_dir):
     _write_csv(path, pareto_fields, summary.pareto)
     written.append(path)
 
+    scatters = []
     if summary.m == 2:
-        series = {}
-        for token in summary.spec.algorithms:
-            pts = [r for r in summary.pareto if r["algo"] == token]
-            series[token] = ([r["F1"] for r in pts], [r["F2"] for r in pts])
-        path = os.path.join(out_dir, "pareto_values.svg")
-        with open(path, "w") as fh:
-            fh.write(
-                scatter_svg(series, "F1", "F2", f"{summary.problem_name}: value space")
-            )
-        written.append(path)
+        scatters.append(("values", "F1", "F2", "value space"))
     else:
         print(
             f"note: {summary.m} objectives; value-space scatter is only drawn "
@@ -307,17 +299,15 @@ def export_results(summary, out_dir):
             file=sys.stderr,
         )
     if summary.n == 2:
+        scatters.append(("variables", "x1", "x2", "variable space"))
+    for stem, xkey, ykey, title in scatters:
         series = {}
         for token in summary.spec.algorithms:
             pts = [r for r in summary.pareto if r["algo"] == token]
-            series[token] = ([r["x1"] for r in pts], [r["x2"] for r in pts])
-        path = os.path.join(out_dir, "pareto_variables.svg")
+            series[token] = ([r[xkey] for r in pts], [r[ykey] for r in pts])
+        path = os.path.join(out_dir, f"pareto_{stem}.svg")
         with open(path, "w") as fh:
-            fh.write(
-                scatter_svg(
-                    series, "x1", "x2", f"{summary.problem_name}: variable space"
-                )
-            )
+            fh.write(scatter_svg(series, xkey, ykey, f"{summary.problem_name}: {title}"))
         written.append(path)
     return written
 
@@ -368,6 +358,12 @@ _CONFIG_KEYS = {
 }
 
 
+# unset options fall back to ExperimentSpec's defaults; the rest to None
+_SPEC_DEFAULTS = {
+    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
+}
+
+
 def _merged_options(args):
     """CLI flags override config-file values; both override defaults."""
     config = _load_config_file(args.config) if args.config else {}
@@ -375,18 +371,6 @@ def _merged_options(args):
     if unknown:
         raise ValueError(f"unknown config keys: {sorted(unknown)}")
     merged = {}
-    defaults = {
-        "problem": None,
-        "algos": None,
-        "trials": 200,
-        "seed": 0,
-        "out": None,
-        "jobs": 1,
-        "d_tol": 1e-6,
-        "max_iters": 500,
-        "start_sampling": "auto",
-        "markowitz_returns": None,
-    }
     for key, cast in _CONFIG_KEYS.items():
         cli_value = getattr(args, key)
         if cli_value is not None:
@@ -394,7 +378,7 @@ def _merged_options(args):
         elif key in config:
             merged[key] = cast(config[key])
         else:
-            merged[key] = defaults[key]
+            merged[key] = _SPEC_DEFAULTS.get(key)
     if not merged["problem"]:
         raise ValueError("a problem is required (flag --problem or config)")
     if not merged["algos"]:

@@ -104,7 +104,6 @@ class DirectionResult:
     dual_value: float          # primal optimum: -omega(lam) at the solution
     fw_gap: float
     model_decrease: np.ndarray  # (m,), <grad f_i, d> + g_i(x+d) - g_i(x)
-    prox_point: np.ndarray
     d_norm: float = field(init=False)
 
     def __post_init__(self):
@@ -175,7 +174,6 @@ class _Evaluator:
             dual_value=-self.omega(lam, u, base, p),
             fw_gap=gap,
             model_decrease=q * self.alphas,
-            prox_point=p,
         )
 
 

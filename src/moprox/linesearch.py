@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .exceptions import LineSearchError
+from .exceptions import EvaluationError, LineSearchError
 
 
 @dataclass(frozen=True)
@@ -56,7 +56,7 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg=None, t_cap=1.0, counters=None
     """Returns (t, F_new, backtracks); raises LineSearchError on exhaustion.
 
     ``backtracks`` counts rejected trials; every trial costs one F evaluation
-    on the counters.
+    on the counters. A trial with a nonfinite F is rejected like any other.
     """
     cfg = cfg or LineSearchConfig()
     rhs = np.asarray(rhs, dtype=float)
@@ -73,9 +73,13 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg=None, t_cap=1.0, counters=None
 
     t = t_cap
     for backtracks in range(cfg.max_backtracks + 1):
-        F_new = problem.evaluate_F(x + t * d, counters)
-        if np.all(F_new - F_at_x <= t * cfg.sigma * rhs):
-            return t, F_new, backtracks
+        try:
+            F_new = problem.evaluate_F(x + t * d, counters)
+        except EvaluationError:
+            pass  # nonfinite F (e.g. a trial outside a domain): reject it
+        else:
+            if np.all(F_new - F_at_x <= t * cfg.sigma * rhs):
+                return t, F_new, backtracks
         t *= cfg.gamma
     raise LineSearchError(
         f"no acceptable step within {cfg.max_backtracks} backtracks",

@@ -121,15 +121,14 @@ class MCOProblem:
     def evaluate_F(self, x, counters=None):
         """Full objective vector F(x) = f(x) + g(x).
 
-        Counts one F evaluation (and m smooth evaluations) when counters are
-        given. Raises EvaluationError if any component is nonfinite, which
-        includes querying an indicator kind outside its set.
+        Counts one F evaluation per call, also one that raises (and m smooth
+        evaluations) when counters are given. Raises EvaluationError if any
+        component is nonfinite, which includes querying an indicator kind
+        outside its set.
         """
-        f = self.smooth_values(x, counters)
-        g = self.g_values(x)
-        F = f + g
         if counters is not None:
             counters.F_evals += 1
+        F = self.smooth_values(x, counters) + self.g_values(x)
         bad = (~np.isfinite(F)).nonzero()[0]
         if bad.size:
             raise EvaluationError(

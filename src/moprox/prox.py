@@ -147,22 +147,6 @@ class SimplexIndicator:
         return project_simplex(v)
 
 
-def combined_prox(kind, weights, v):
-    """Prox of sum_i weights[i] * g_i at v for any supported kind.
-
-    Weights must be nonnegative; they are NOT normalized here because the
-    direction subproblem calls this with lambda_i / alpha_i.
-    """
-    weights = np.asarray(weights, dtype=float)
-    if np.any(weights < 0):
-        raise ValueError("prox weights must be nonnegative")
-    if isinstance(kind, WeightedL1) and weights.size != len(kind.coeffs):
-        raise ValueError(
-            f"got {weights.size} weights for {len(kind.coeffs)} l1 coefficients"
-        )
-    return kind.prox(weights, np.asarray(v, dtype=float))
-
-
 def g_vector(kind, x, m):
     """Per-objective values (g_1(x), ..., g_m(x)) as an (m,) array."""
     vals = kind.g_values(np.asarray(x, dtype=float))

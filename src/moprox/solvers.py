@@ -29,7 +29,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import DirectionResult, FWConfig, SubproblemInput, frank_wolfe_solve
+from .direction import FWConfig, SubproblemInput, frank_wolfe_solve
 from .exceptions import DualSolveError, LineSearchError
 from .linesearch import LineSearchConfig, armijo_search, max_feasible_step
 from .problems import EvalCounters
@@ -67,16 +67,6 @@ class SolverConfig:
 
 
 @dataclass
-class IterateState:
-    """Mutable loop state: current point, objective values, Jacobian."""
-
-    x: np.ndarray
-    F: np.ndarray
-    f: np.ndarray          # smooth parts only (abbpgmo decrease checks)
-    grads: np.ndarray
-
-
-@dataclass
 class TraceRecord:
     k: int
     d_norm: float
@@ -102,7 +92,6 @@ class SolveReport:
     trace: list
     total_time: float
     warnings: list
-    final_direction: DirectionResult | None
     x0_projected: bool
 
     @property
@@ -232,70 +221,76 @@ def solve(problem, x0, cfg=None):
     counters = EvalCounters()
 
     x, x0_projected = _prepare_start(problem, x0)
-    f = problem.smooth_values(x)
+    f = problem.smooth_values(x)  # smooth parts; only abbpgmo keeps them current
     F = f + problem.g_values(x)
     grads = problem.jacobian(x, counters)
-    state = IterateState(x=x, F=F, f=f, grads=grads)
 
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
     memory = None
     if mode in ("bbpgmo", "abbpgmo"):
-        x_prev = state.x - cfg.x_minus_offset
+        x_prev = x - cfg.x_minus_offset
         memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
 
     bounds = problem.bounds
     trace = []
     warnings = []
-    status = "max_iters"
-    final_direction = None
-    prev_lambda = None
+    status = None
+    warm_lambda = None
 
     for k in range(cfg.max_iters):
         iter_started = time.perf_counter()
         if alphas_fixed is None:
-            alphas = bb_stepsizes(memory, state.x, state.grads, cfg.bb)
+            alphas = bb_stepsizes(memory, x, grads, cfg.bb)
         else:
             alphas = alphas_fixed
+        g_at_x = problem.g_values(x)
+        inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
 
-        inp = SubproblemInput(
-            x=state.x,
-            grads=state.grads,
-            alphas=alphas,
-            kind=problem.nonsmooth,
-            g_at_x=problem.g_values(state.x),
-        )
-        res, ok = _solve_direction(
-            inp, cfg, counters, warnings, warm_lambda=prev_lambda
-        )
-        if not ok:
-            status = "dual_failure"
-            final_direction = res
-            break
-        if res.d_norm <= cfg.d_tol:
-            status = "critical_point"
-            final_direction = res
-            break
-
-        t_cap = 1.0
-        if bounds is not None:
-            t_cap = max_feasible_step(state.x, res.d, bounds[0], bounds[1])
-            if t_cap < 1e-12:
-                # pinned on a box face with the direction pointing outward:
-                # no feasible progress exists along d
-                status = "critical_point"
-                final_direction = res
-                warnings.append("stopped on a box face with an outward direction")
+        # one pass for every mode; abbpgmo repeats it, warm-started, with the
+        # alphas of the smooth parts that break their quadratic bound inflated
+        while True:
+            inp = SubproblemInput(
+                x=x, grads=grads, alphas=alphas, kind=problem.nonsmooth, g_at_x=g_at_x
+            )
+            res, ok = _solve_direction(
+                inp, cfg, counters, warnings, warm_lambda=warm_lambda
+            )
+            if not ok:
+                status = "dual_failure"
                 break
+            if res.d_norm <= cfg.d_tol:
+                status = "critical_point"
+                break
+            t_cap = 1.0
+            if bounds is not None:
+                t_cap = max_feasible_step(x, res.d, bounds[0], bounds[1])
+                if t_cap < 1e-12:
+                    # pinned on a box face with the direction pointing outward:
+                    # no feasible progress exists along d
+                    status = "critical_point"
+                    warnings.append("stopped on a box face with an outward direction")
+                    break
+            if mode != "abbpgmo":
+                break
+            violated, f_new = _quadratic_bound_violations(
+                problem, x, f, grads, alphas, t_cap * res.d, counters
+            )
+            if not violated.any():
+                break
+            alphas = np.where(violated, alphas * cfg.tau, alphas)
+            inflations += violated
+            warm_lambda = res.lam
+        if status is not None:
+            break
 
-        inflations = None
         backtracks = 0
         if mode in _LINE_SEARCH_MODES:
             try:
                 t, F_new, backtracks = armijo_search(
                     problem,
-                    state.x,
+                    x,
                     res.d,
-                    state.F,
+                    F,
                     res.model_decrease,
                     cfg.ls,
                     t_cap=t_cap,
@@ -304,56 +299,42 @@ def solve(problem, x0, cfg=None):
             except LineSearchError as err:
                 status = "line_search_failure"
                 warnings.append(str(err))
-                final_direction = res
                 break
-            x_new = state.x + t * res.d
-            f_new = None
-        elif mode in ("pgmo_fixed", "pgmo_separate"):
+            x_new = x + t * res.d
+        else:
             t = t_cap
-            x_new = state.x + t * res.d
-            F_new = problem.evaluate_F(x_new, counters)
-            f_new = None
-        else:  # abbpgmo
-            stepped = _abbpgmo_step(
-                problem, state, alphas, res, t_cap, cfg, counters, warnings
-            )
-            if stepped is None:
-                status = "dual_failure"
-                final_direction = res
-                break
-            res, alphas, t, x_new, f_new, F_new, inflations, crit = stepped
-            if crit:
-                status = "critical_point"
-                final_direction = res
-                break
+            x_new = x + t * res.d
+            if mode == "abbpgmo":
+                f = f_new
+                F_new = f + problem.g_values(x_new)
+            else:
+                F_new = problem.evaluate_F(x_new, counters)
 
         if bounds is not None:
             np.clip(x_new, bounds[0], bounds[1], out=x_new)
-        if not (x_new != state.x).any():
+        if not (x_new != x).any():
             status = "line_search_failure"
             warnings.append("accepted step underflowed; iterate unchanged")
-            final_direction = res
             break
 
         if memory is not None:
-            memory.update(state.x, state.grads)
-        prev_lambda = res.lam
-        state.x = x_new
-        state.F = F_new
-        if f_new is not None:
-            state.f = f_new  # only abbpgmo keeps smooth parts current
-        state.grads = problem.jacobian(state.x, counters)
+            memory.update(x, grads)
+        warm_lambda = res.lam
+        x, F = x_new, F_new
+        grads = problem.jacobian(x, counters)
+        # x, F and model_decrease are fresh arrays every iteration; only the
+        # fixed modes share one alphas vector across iterations
         trace.append(
             TraceRecord(
                 k=k,
                 d_norm=res.d_norm,
                 t=t,
-                alphas=np.array(alphas, copy=True),
+                alphas=alphas if alphas_fixed is None else alphas.copy(),
                 lam=res.lam,
-                x=state.x.copy(),
-                F=state.F.copy(),
+                x=x,
+                F=F,
                 fw_gap=res.fw_gap,
-                model_decrease=res.model_decrease.copy(),
+                model_decrease=res.model_decrease,
                 backtracks=backtracks,
                 inflations=inflations,
                 time_s=time.perf_counter() - iter_started,
@@ -361,61 +342,28 @@ def solve(problem, x0, cfg=None):
         )
 
     return SolveReport(
-        status=status,
-        x=state.x,
-        F=state.F,
+        status=status or "max_iters",
+        x=x,
+        F=F,
         iterations=len(trace),
         counters=counters,
         trace=trace,
         total_time=time.perf_counter() - started,
         warnings=warnings,
-        final_direction=final_direction,
         x0_projected=x0_projected,
     )
 
 
-def _abbpgmo_step(problem, state, alphas, res, t_cap, cfg, counters, warnings):
-    """Inflate alphas until every smooth part obeys its quadratic bound.
+def _quadratic_bound_violations(problem, x, f, grads, alphas, delta, counters):
+    """(violated, f_trial) for the abbpgmo test at the trial point x + delta.
 
-    Checks f_i(x + t d) - f_i(x) <= t <grad f_i, d> + (alpha_i / 2) ||t d||^2
-    at the candidate iterate, multiplying the violators' alpha by tau and
-    re-solving the direction subproblem (lambda warm-started) until all hold.
-    Each check costs one feval. Termination is guaranteed because a violation
-    implies alpha_i < L_i, so alpha_i stays below tau * L_i forever.
+    Smooth part i is violated when
+    f_i(x + delta) - f_i(x) > <grad f_i, delta> + (alpha_i / 2) ||delta||^2.
+    Each check costs one feval. Inflating a violator's alpha by tau always
+    ends: a violation implies alpha_i < L_i, so alpha_i stays below tau * L_i.
     """
-    alphas = np.array(alphas, copy=True)
-    inflations = np.zeros(problem.m, dtype=int)
-    f_at_x = state.f
-    g_at_x = problem.g_values(state.x)
-    while True:
-        t = t_cap
-        delta = t * res.d
-        x_trial = state.x + delta
-        f_trial = problem.smooth_values(x_trial, counters)
-        counters.F_evals += 1
-        quad = state.grads @ delta + 0.5 * alphas * float(np.dot(delta, delta))
-        slack = _ABB_CHECK_SLACK * np.maximum(
-            1.0, np.maximum(np.abs(f_trial), np.abs(f_at_x))
-        )
-        violated = f_trial - f_at_x > quad + slack
-        if not violated.any():
-            F_new = f_trial + problem.g_values(x_trial)
-            return res, alphas, t, x_trial, f_trial, F_new, inflations, False
-        alphas[violated] *= cfg.tau
-        inflations[violated] += 1
-        inp = SubproblemInput(
-            x=state.x,
-            grads=state.grads,
-            alphas=alphas,
-            kind=problem.nonsmooth,
-            g_at_x=g_at_x,
-        )
-        res, ok = _solve_direction(inp, cfg, counters, warnings, warm_lambda=res.lam)
-        if not ok:
-            return None
-        if res.d_norm <= cfg.d_tol:
-            return res, alphas, 0.0, state.x, f_at_x, state.F, inflations, True
-        if problem.bounds is not None:
-            t_cap = max_feasible_step(state.x, res.d, *problem.bounds)
-            if t_cap < 1e-12:
-                return res, alphas, 0.0, state.x, f_at_x, state.F, inflations, True
+    f_trial = problem.smooth_values(x + delta, counters)
+    counters.F_evals += 1
+    quad = grads @ delta + 0.5 * alphas * float(np.dot(delta, delta))
+    slack = _ABB_CHECK_SLACK * np.maximum(1.0, np.maximum(np.abs(f_trial), np.abs(f)))
+    return f_trial - f > quad + slack, f_trial

@@ -140,6 +140,24 @@ class TestArmijoSearch:
         assert backtracks > 0
         assert counters.F_evals == backtracks + 1
 
+    def test_trial_outside_the_domain_is_rejected_and_counted(self):
+        """sqrt(x) is nan at the first trial x + d = -0.5: that trial is
+        rejected like any other and still costs one F evaluation."""
+        comp = SmoothComponent(
+            value=lambda x: float(np.sqrt(x[0])), gradient=lambda x: 0.5 / np.sqrt(x)
+        )
+        problem = MCOProblem(n=1, smooth=(comp,))
+        x, d = np.array([1.0]), np.array([-1.5])
+        rhs = problem.jacobian(x)[:, 0] * d
+        counters = EvalCounters()
+        with np.errstate(invalid="ignore"):
+            t, F, backtracks = armijo_search(
+                problem, x, d, problem.evaluate_F(x), rhs, counters=counters
+            )
+        assert (t, backtracks) == (0.5, 1)
+        np.testing.assert_allclose(F, [0.5])
+        assert counters.F_evals == 2
+
     def test_trials_start_at_cap(self):
         """A box cap below 1 is the first trial stepsize."""
         problem = _quadratic_problem([1.0])

@@ -10,7 +10,6 @@ from moprox.prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    combined_prox,
     g_vector,
     project_box,
     project_simplex,
@@ -167,7 +166,7 @@ class TestKinds:
         w = np.array([2.0, 4.0])
         v = np.array([3.0, -0.5, 1.9])
         expect = soft_threshold(v, 0.5 * 2.0 + 0.25 * 4.0)
-        np.testing.assert_allclose(combined_prox(kind, w, v), expect, atol=1e-15)
+        np.testing.assert_allclose(kind.prox(w, v), expect, atol=1e-15)
 
     def test_weighted_l1_g_values(self):
         kind = WeightedL1(coeffs=(1.0, 0.5))
@@ -194,19 +193,11 @@ class TestKinds:
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
     def test_zero_total_weight_is_identity(self):
-        """With all-zero weights the combined prox degenerates to a copy."""
+        """With all-zero weights every kind's prox degenerates to a copy."""
         v = np.array([2.0, -3.0])
         for kind in (BoxIndicator(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
                      SimplexIndicator(), WeightedL1(coeffs=(1.0, 1.0))):
-            np.testing.assert_array_equal(combined_prox(kind, [0.0, 0.0], v), v)
-
-    def test_negative_weights_rejected(self):
-        with pytest.raises(ValueError):
-            combined_prox(Zero(), [-1.0], np.array([1.0]))
-
-    def test_l1_weight_count_mismatch_rejected(self):
-        with pytest.raises(ValueError):
-            combined_prox(WeightedL1(coeffs=(1.0, 1.0)), [1.0], np.array([1.0]))
+            np.testing.assert_array_equal(kind.prox([0.0, 0.0], v), v)
 
     def test_g_vector_broadcasts_shared_value(self):
         box = BoxIndicator(lower=(0.0,), upper=(1.0,))
@@ -228,7 +219,7 @@ class TestProxOptimality:
         for _ in range(50):
             v = rng.normal(size=5) * 2.0
             w = rng.uniform(0.1, 2.0, size=2)
-            p = combined_prox(kind, w, v)
+            p = kind.prox(w, v)
             base = self._objective(kind, w, v, p)
             for _ in range(20):
                 z = p + rng.normal(size=5) * rng.uniform(1e-4, 1.0)
@@ -242,12 +233,12 @@ class TestProxOptimality:
             v = rng.normal(size=4) * 3.0
             w = rng.uniform(0.1, 2.0, size=2)
 
-            p = combined_prox(box, w, v)
+            p = box.prox(w, v)
             assert box.contains(p)
             z = rng.uniform(-1.0, 1.0, size=4)
             assert np.linalg.norm(p - v) <= np.linalg.norm(z - v) + 1e-10
 
-            q = combined_prox(simplex, w, v)
+            q = simplex.prox(w, v)
             assert simplex.contains(q)
             y = rng.dirichlet(np.ones(4))
             assert np.linalg.norm(q - v) <= np.linalg.norm(y - v) + 1e-10

@@ -196,6 +196,42 @@ class TestTermination:
         assert not inside.x0_projected
 
 
+class TestStopsThatReturnAStatus:
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_box_face_with_outward_direction(self, mode):
+        """f1 = (x - 3)^2, f2 = (x - 4)^2 on [-1, 1] from the face x0 = 1:
+        every direction points out of the box, so no mode can step."""
+        problem = _diag_quadratic(
+            [[2.0], [2.0]], bs=[[-6.0], [-8.0]], bounds=(np.array([-1.0]), np.array([1.0]))
+        )
+        report = solve(problem, np.array([1.0]), SolverConfig(algorithm=mode))
+        assert report.status == "critical_point"
+        assert report.iterations == 0
+        assert report.warnings == ["stopped on a box face with an outward direction"]
+        np.testing.assert_array_equal(report.x, [1.0])
+
+    @pytest.mark.parametrize("mode", ("bbpgmo", "pgmo_ls"))
+    def test_armijo_trial_outside_the_domain(self, mode):
+        """f1 = sqrt(x), f2 = sqrt(x) + x from x0 = 0.2: trials at x < 0 give a
+        nan F. Armijo rejects them, so the solve ends with a status near the
+        minimizer x = 0 instead of raising, and counts every trial."""
+        sqrt = SmoothComponent(
+            value=lambda x: float(np.sqrt(x[0])), gradient=lambda x: 0.5 / np.sqrt(x)
+        )
+        shifted = SmoothComponent(
+            value=lambda x: float(np.sqrt(x[0]) + x[0]),
+            gradient=lambda x: 0.5 / np.sqrt(x) + 1.0,
+        )
+        problem = MCOProblem(n=1, smooth=(sqrt, shifted))
+        cfg = SolverConfig(algorithm=mode)
+        with np.errstate(invalid="ignore"):
+            report = solve(problem, np.array([0.2]), cfg)
+        assert report.status == "line_search_failure"
+        assert 0.0 <= report.x[0] < 1e-6
+        trials = sum(rec.backtracks + 1 for rec in report.trace)
+        assert report.counters.F_evals == trials + cfg.ls.max_backtracks + 1
+
+
 class TestAdaptiveMode:
     def test_inflation_on_underestimated_curvature(self):
         """The synthetic first secant pair averages the diagonal (alpha =
@@ -208,6 +244,20 @@ class TestAdaptiveMode:
         first = report.trace[0]
         np.testing.assert_array_equal(first.inflations, [1])
         np.testing.assert_allclose(first.alphas, [100.01], rtol=1e-12)
+
+    def test_box_face_stop_after_an_inflation_is_reported(self):
+        """From the face x1 = 1 the first direction points inward, but breaks
+        a quadratic bound (the one F evaluation); the re-solved direction
+        points out of the box, so abbpgmo stops there, as every mode does."""
+        problem = _diag_quadratic(
+            [[13.0, 45.0], [45.0, 1.0]],
+            bs=[[-20.0, -7.0], [17.0, 12.0]],
+            bounds=(np.full(2, -1.0), np.full(2, 1.0)),
+        )
+        report = solve(problem, np.array([1.0, 0.7]), SolverConfig(algorithm="abbpgmo"))
+        assert report.status == "critical_point"
+        assert (report.iterations, report.counters.F_evals) == (0, 1)
+        assert report.warnings == ["stopped on a box face with an outward direction"]
 
     def test_alphas_stay_below_inflated_lipschitz(self):
         spec = QuadraticSpec(n=5, n_objectives=2, diag_low=0.5, diag_high=60.0)
