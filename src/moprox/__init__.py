@@ -20,7 +20,6 @@ battery over random instances.
 """
 
 from .bb import BBConfig, BBMemory, bb_stepsizes
-from .bench import ExperimentSpec, ExperimentSummary, export_results, run_campaign
 from .direction import (
     DirectionResult,
     FWConfig,
@@ -74,6 +73,19 @@ from .testproblems import (
 )
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # bench's names load on first use: bench imports argparse, csv, hashlib
+    # and a process pool, and ``python -m moprox.bench`` warns if the package
+    # imported it already
+    if name in ("ExperimentSpec", "ExperimentSummary", "export_results",
+                "run_campaign"):
+        from . import bench
+
+        return getattr(bench, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "BBConfig",

@@ -31,7 +31,7 @@ from .testproblems import (
     random_quadratic,
 )
 
-_HARD_FAILURES = ("line_search_failure", "dual_failure")
+_HARD_FAILURES = ("line_search_failure", "dual_failure", "evaluation_failure")
 
 
 @dataclass(frozen=True)

@@ -39,7 +39,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import DualSolveError, EvaluationError
-from .prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero, g_vector
 
 
 @dataclass(frozen=True)
@@ -61,8 +60,8 @@ class SubproblemInput:
     x: np.ndarray
     grads: np.ndarray     # (m, n)
     alphas: np.ndarray    # (m,) positive
-    kind: object
-    g_at_x: np.ndarray | None = None
+    kind: object          # one of prox.KINDS
+    g_at_x: np.ndarray = field(init=False)
     scaled_grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
@@ -77,11 +76,7 @@ class SubproblemInput:
             raise ValueError("alphas must be finite and positive")
         if not np.isfinite(grads).all():
             raise EvaluationError("nonfinite gradient entry in subproblem input")
-        g_at_x = self.g_at_x
-        if g_at_x is None:
-            g_at_x = g_vector(self.kind, x, grads.shape[0])
-        else:
-            g_at_x = np.asarray(g_at_x, dtype=float)
+        g_at_x = self.kind.g_values(x, grads.shape[0])
         if not np.isfinite(g_at_x).all():
             raise EvaluationError(
                 "g is infinite at the base point (infeasible for indicator kind)"
@@ -110,25 +105,6 @@ class DirectionResult:
         self.d_norm = float(np.linalg.norm(self.d))
 
 
-def _gdiff_fn(inp):
-    """Closure p -> (m,) of g_i(p) - g_i(x), avoiding generic dispatch."""
-    if isinstance(inp.kind, WeightedL1):
-        coeffs = np.asarray(inp.kind.coeffs)
-        nx1 = float(np.add.reduce(np.abs(inp.x)))
-
-        def gdiff(p):
-            return coeffs * (float(np.add.reduce(np.abs(p))) - nx1)
-
-        return gdiff
-    zeros = np.zeros(inp.m)
-
-    def gdiff(_p):
-        # indicator kinds: prox output is feasible, so g vanishes at both ends
-        return zeros
-
-    return gdiff
-
-
 class _Evaluator:
     """Shared dual-query state: one prox per query, counters threaded.
 
@@ -140,7 +116,7 @@ class _Evaluator:
         self.inp, self.counters = inp, counters
         self.x, self.grads, self.alphas = inp.x, inp.grads, inp.alphas
         self.sgT, self.prox = inp.scaled_grads.T, inp.kind.prox
-        self.gdiff = _gdiff_fn(inp)
+        self.gdiff = inp.kind.model_change(inp.x, inp.m)
         self.gx_scaled = inp.g_at_x / inp.alphas
 
     def point(self, lam):
@@ -161,7 +137,7 @@ class _Evaluator:
         return lam, u, base, p, d, q, max(gap, 0.0)
 
     def omega(self, lam, u, base, p):
-        g_p = g_vector(self.inp.kind, p, self.inp.m)
+        g_p = self.inp.kind.g_values(p, self.inp.m)
         r = p - base
         envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
         return 0.5 * float(np.dot(u, u)) + float(np.dot(lam, self.gx_scaled)) - envelope
@@ -203,7 +179,7 @@ def direction_model_value(inp, d):
     """Primal objective max_i model_i / alpha_i + ||d||^2 / 2 at a given d."""
     d = np.asarray(d, dtype=float)
     p = inp.x + d
-    model = inp.grads @ d + g_vector(inp.kind, p, inp.m) - inp.g_at_x
+    model = inp.grads @ d + inp.kind.g_values(p, inp.m) - inp.g_at_x
     return float(np.max(model / inp.alphas) + 0.5 * np.dot(d, d))
 
 
@@ -306,40 +282,6 @@ def _segment_minimize(ev, lam, step, eta_max, slope0):
     return 0.5 * (a + b)
 
 
-def _dual_hessian(inp, p):
-    """Hessian of omega on the smooth piece containing the prox point p.
-
-    Every supported prox is piecewise affine, p = x + d with d affine in u
-    on the active piece, so q is affine in lambda and the Hessian is a Gram
-    matrix S M S^T: positive semidefinite, exact on the piece.
-    """
-    V = inp.scaled_grads
-    kind = inp.kind
-    if isinstance(kind, Zero):
-        return V @ V.T
-    if isinstance(kind, BoxIndicator):
-        lo, hi = kind.arrays()
-        free = (p > lo) & (p < hi)  # clamped coordinates do not move
-        Vf = V[:, free]
-        return Vf @ Vf.T
-    if isinstance(kind, SimplexIndicator):
-        S = p > 0.0
-        Vs = V[:, S]
-        k = int(S.sum())
-        if k == 0:
-            return np.zeros((inp.m, inp.m))
-        row = Vs @ np.ones(k)
-        # support coordinates move through the centered projector I - 11'/k
-        return Vs @ Vs.T - np.outer(row, row) / k
-    if isinstance(kind, WeightedL1):
-        coeffs = np.asarray(kind.coeffs, dtype=float)
-        sgn = np.sign(p)
-        S = V + np.outer(coeffs / inp.alphas, sgn)
-        Sf = S[:, p != 0.0]
-        return Sf @ Sf.T
-    return None  # unknown kind: no second-order model
-
-
 def _newton_face_step(ev, probe):
     """One equality-constrained Newton step on the face spanned by lam > 0.
 
@@ -351,9 +293,7 @@ def _newton_face_step(ev, probe):
     """
     lam, u, base, p, _d, q, _gap = probe
     inp = ev.inp
-    H = _dual_hessian(inp, p)
-    if H is None:
-        return False
+    H = inp.kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
     act = np.nonzero(lam > 0.0)[0]
     k = act.size
     if k < 2:

@@ -39,7 +39,6 @@ def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
         grads=problem.jacobian(x, counters),
         alphas=ell * alphas,
         kind=problem.nonsmooth,
-        g_at_x=problem.g_values(x),
     )
     res = frank_wolfe_solve(inp, fw or FWConfig(), counters)
     # dual_value is the primal optimum (a min), so its negation is the merit

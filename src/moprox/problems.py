@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import EvaluationError
-from .prox import BoxIndicator, SimplexIndicator, Zero, g_vector
+from .prox import KINDS, Zero
 
 
 @dataclass
@@ -31,12 +31,6 @@ class EvalCounters:
     f_evals: int = 0
     grad_evals: int = 0
     prox_evals: int = 0
-
-    def merge(self, other):
-        self.F_evals += other.F_evals
-        self.f_evals += other.f_evals
-        self.grad_evals += other.grad_evals
-        self.prox_evals += other.prox_evals
 
 
 @dataclass(frozen=True)
@@ -67,7 +61,7 @@ class MCOProblem:
 
     n: int
     smooth: tuple
-    nonsmooth: object = field(default_factory=Zero)
+    nonsmooth: object = field(default_factory=Zero)  # one of prox.KINDS
     bounds: tuple | None = None  # (lower (n,), upper (n,)) or None
     name: str = ""
 
@@ -76,6 +70,9 @@ class MCOProblem:
             raise ValueError("n must be positive")
         if len(self.smooth) == 0:
             raise ValueError("need at least one objective")
+        if not isinstance(self.nonsmooth, KINDS):
+            kinds = ", ".join(k.__name__ for k in KINDS)
+            raise ValueError(f"nonsmooth must be one of {kinds}, not {self.nonsmooth}")
         if self.bounds is not None:
             lo = np.asarray(self.bounds[0], dtype=float)
             hi = np.asarray(self.bounds[1], dtype=float)
@@ -116,7 +113,7 @@ class MCOProblem:
 
     def g_values(self, x):
         """(g_1(x), ..., g_m(x)) as extended reals (+inf when infeasible)."""
-        return g_vector(self.nonsmooth, self._check_point(x), self.m)
+        return self.nonsmooth.g_values(self._check_point(x), self.m)
 
     def evaluate_F(self, x, counters=None):
         """Full objective vector F(x) = f(x) + g(x).
@@ -173,9 +170,8 @@ class MCOProblem:
     def is_feasible(self, x):
         """Membership in the indicator set and the box (within tiny slack)."""
         x = self._check_point(x)
-        if isinstance(self.nonsmooth, (BoxIndicator, SimplexIndicator)):
-            if not self.nonsmooth.contains(x):
-                return False
+        if not self.nonsmooth.contains(x):
+            return False
         if self.bounds is not None:
             lo, hi = self.bounds
             slack = 1e-12 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))

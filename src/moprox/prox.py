@@ -11,6 +11,20 @@ weighted prox of sum_i w_i g_i stays a closed-form operation:
 For the two indicator kinds all objectives share the same set, so the weighted
 sum is again the indicator (scaled by sum w_i) and the prox is the projection
 whenever sum w_i > 0, the identity when the weights vanish.
+
+A kind is the only place that knows its math; ``KINDS`` lists the four, and a
+problem accepts no other nonsmooth term. Every kind implements
+
+* ``g_values(x, m)``: (g_1(x), ..., g_m(x)), +inf outside an indicator's set;
+* ``contains(x)`` and ``project(x)``: membership in, and the closest point
+  of, the domain of g;
+* ``prox(weights, v)``: the prox of sum_i weights_i g_i at v;
+* ``model_change(x, m)``: p -> (g_i(p) - g_i(x))_i for prox outputs p, the
+  nonsmooth part of the direction model;
+* ``dual_hessian(V, p, alphas)``: the Hessian of the direction dual on the
+  piece of the prox that holds the prox point p (V has rows grad f_i /
+  alpha_i). Every prox here is piecewise affine, so it is a Gram matrix,
+  exact on the piece.
 """
 
 from __future__ import annotations
@@ -59,19 +73,38 @@ def project_simplex(v):
     return np.maximum(v - theta, 0.0)
 
 
-@dataclass(frozen=True)
-class Zero:
-    """All nonsmooth terms vanish."""
+class _Kind:
+    """Defaults for a g that is 0 on its domain and +inf off it; the domain
+    is all of R^n unless a kind says otherwise. Prox outputs lie in the
+    domain, so the model terms g_i(p) - g_i(x) vanish at feasible x."""
 
-    def g_values(self, x):
-        return np.zeros(1)
+    def contains(self, x):
+        return True
+
+    def project(self, x):
+        return x
+
+    def g_values(self, x, m):
+        return np.zeros(m) if self.contains(x) else np.full(m, np.inf)
+
+    def model_change(self, x, m):
+        zeros = np.zeros(m)
+        return lambda _p: zeros
+
+
+@dataclass(frozen=True)
+class Zero(_Kind):
+    """All nonsmooth terms vanish."""
 
     def prox(self, weights, v):
         return np.array(v, dtype=float, copy=True)
 
+    def dual_hessian(self, V, p, alphas):
+        return V @ V.T
+
 
 @dataclass(frozen=True)
-class WeightedL1:
+class WeightedL1(_Kind):
     """g_i(x) = coeffs[i] * ||x||_1."""
 
     coeffs: tuple
@@ -82,7 +115,7 @@ class WeightedL1:
             raise ValueError("l1 coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", c)
 
-    def g_values(self, x):
+    def g_values(self, x, m):
         nrm = float(np.add.reduce(np.abs(x)))
         return np.array([ci * nrm for ci in self.coeffs])
 
@@ -90,9 +123,22 @@ class WeightedL1:
         kappa = float(np.dot(weights, self.coeffs))
         return soft_threshold(v, kappa)
 
+    def model_change(self, x, m):
+        coeffs = np.asarray(self.coeffs)
+        nx1 = float(np.add.reduce(np.abs(x)))
+        return lambda p: coeffs * (float(np.add.reduce(np.abs(p))) - nx1)
+
+    def dual_hessian(self, V, p, alphas):
+        # off the zero set p_j = x_j - u_j - kappa sign(p_j), and the
+        # threshold kappa = sum_i lambda_i c_i / alpha_i moves with lambda too
+        coeffs = np.asarray(self.coeffs, dtype=float)
+        S = V + np.outer(coeffs / alphas, np.sign(p))
+        Sf = S[:, p != 0.0]
+        return Sf @ Sf.T
+
 
 @dataclass(frozen=True)
-class BoxIndicator:
+class BoxIndicator(_Kind):
     """g_i = indicator of [lower, upper], identical for every objective."""
 
     lower: tuple
@@ -105,31 +151,32 @@ class BoxIndicator:
             raise ValueError("empty box: a lower bound exceeds its upper bound")
         object.__setattr__(self, "lower", tuple(lo.tolist()))
         object.__setattr__(self, "upper", tuple(hi.tolist()))
-        # the tuples serve eq, hash and repr; prox and contains read arrays
-        # built once, read-only (the _tol pair carries the membership slack)
+        # the tuples serve eq, hash and repr; the methods read arrays built
+        # once, read-only (the _tol pair carries the membership slack)
         slack = _BOX_FEAS_TOL * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
         for name, arr in (("_lo", lo), ("_hi", hi), ("_lo_tol", lo - slack),
                           ("_hi_tol", hi + slack)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
 
-    def arrays(self):
-        return self._lo, self._hi
-
     def contains(self, x):
         return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
 
-    def g_values(self, x):
-        return np.zeros(1) if self.contains(x) else np.full(1, np.inf)
+    def project(self, x):
+        return project_box(x, self._lo, self._hi)
 
     def prox(self, weights, v):
         if float(np.add.reduce(weights)) <= 0.0:
             return np.array(v, dtype=float, copy=True)
         return project_box(v, self._lo, self._hi)
 
+    def dual_hessian(self, V, p, alphas):
+        Vf = V[:, (p > self._lo) & (p < self._hi)]  # clamped coordinates do not move
+        return Vf @ Vf.T
+
 
 @dataclass(frozen=True)
-class SimplexIndicator:
+class SimplexIndicator(_Kind):
     """g_i = indicator of the unit simplex, identical for every objective."""
 
     def contains(self, x):
@@ -138,19 +185,23 @@ class SimplexIndicator:
             and abs(float(np.add.reduce(x)) - 1.0) <= _SIMPLEX_FEAS_TOL
         )
 
-    def g_values(self, x):
-        return np.zeros(1) if self.contains(x) else np.full(1, np.inf)
+    def project(self, x):
+        return project_simplex(x)
 
     def prox(self, weights, v):
         if float(np.add.reduce(weights)) <= 0.0:
             return np.array(v, dtype=float, copy=True)
         return project_simplex(v)
 
+    def dual_hessian(self, V, p, alphas):
+        S = p > 0.0
+        Vs = V[:, S]
+        k = int(S.sum())
+        if k == 0:
+            return np.zeros((V.shape[0], V.shape[0]))
+        row = Vs @ np.ones(k)
+        # support coordinates move through the centered projector I - 11'/k
+        return Vs @ Vs.T - np.outer(row, row) / k
 
-def g_vector(kind, x, m):
-    """Per-objective values (g_1(x), ..., g_m(x)) as an (m,) array."""
-    vals = kind.g_values(np.asarray(x, dtype=float))
-    if vals.size == m:
-        return vals
-    # indicator kinds and Zero report one shared value
-    return vals[:1].repeat(m)
+
+KINDS = (Zero, WeightedL1, BoxIndicator, SimplexIndicator)

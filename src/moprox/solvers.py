@@ -30,10 +30,9 @@ import numpy as np
 
 from .bb import BBConfig, BBMemory, bb_stepsizes
 from .direction import FWConfig, SubproblemInput, frank_wolfe_solve
-from .exceptions import DualSolveError, LineSearchError
+from .exceptions import DualSolveError, EvaluationError, LineSearchError
 from .linesearch import LineSearchConfig, armijo_search, max_feasible_step
 from .problems import EvalCounters
-from .prox import BoxIndicator, SimplexIndicator, project_box, project_simplex
 
 _MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
 _ALIASES = {"pgmo_L": "pgmo_separate"}
@@ -41,6 +40,7 @@ _LINE_SEARCH_MODES = ("pgmo_ls", "pgmo_mu", "bbpgmo")
 # slack for accepting a soft-failed dual solve: the per-objective descent
 # certificate model_i <= -alpha_i ||d||^2 must hold within this tolerance
 _DESCENT_SLACK = 1e-8
+_X_MINUS_OFFSET = 1e-4  # the first BB pair's previous iterate is x0 - offset
 # relative slack for the abbpgmo sufficient decrease test, so fp noise cannot
 # trigger inflation once alpha_i already dominates the true curvature
 _ABB_CHECK_SLACK = 1e-12
@@ -56,7 +56,6 @@ class SolverConfig:
     fw: FWConfig = field(default_factory=FWConfig)
     d_tol: float = 1e-6
     max_iters: int = 500
-    x_minus_offset: float = 1e-4
 
     def __post_init__(self):
         _canonical_mode(self.algorithm)
@@ -84,7 +83,8 @@ class TraceRecord:
 
 @dataclass
 class SolveReport:
-    status: str       # critical_point | max_iters | line_search_failure | dual_failure
+    status: str  # critical_point | max_iters | line_search_failure |
+    #              dual_failure | evaluation_failure
     x: np.ndarray
     F: np.ndarray
     iterations: int
@@ -150,19 +150,12 @@ def _prepare_start(problem, x0):
     x = np.array(x0, dtype=float, copy=True)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},)")
-    projected = False
-    kind = problem.nonsmooth
-    if isinstance(kind, SimplexIndicator) and not kind.contains(x):
-        x = project_simplex(x)
-        projected = True
-    elif isinstance(kind, BoxIndicator) and not kind.contains(x):
-        x = project_box(x, *kind.arrays())
-        projected = True
+    projected = not problem.nonsmooth.contains(x)
+    if projected:
+        x = problem.nonsmooth.project(x)
     if problem.bounds is not None:
-        lo, hi = problem.bounds
-        clipped = np.clip(x, lo, hi)
-        if np.any(clipped != x):
-            projected = True
+        clipped = np.clip(x, *problem.bounds)
+        projected |= bool((clipped != x).any())
         x = clipped
     return x, projected
 
@@ -228,7 +221,7 @@ def solve(problem, x0, cfg=None):
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
     memory = None
     if mode in ("bbpgmo", "abbpgmo"):
-        x_prev = x - cfg.x_minus_offset
+        x_prev = x - _X_MINUS_OFFSET
         memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
 
     bounds = problem.bounds
@@ -237,109 +230,116 @@ def solve(problem, x0, cfg=None):
     status = None
     warm_lambda = None
 
-    for k in range(cfg.max_iters):
-        iter_started = time.perf_counter()
-        if alphas_fixed is None:
-            alphas = bb_stepsizes(memory, x, grads, cfg.bb)
-        else:
-            alphas = alphas_fixed
-        g_at_x = problem.g_values(x)
-        inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
-
-        # one pass for every mode; abbpgmo repeats it, warm-started, with the
-        # alphas of the smooth parts that break their quadratic bound inflated
-        while True:
-            inp = SubproblemInput(
-                x=x, grads=grads, alphas=alphas, kind=problem.nonsmooth, g_at_x=g_at_x
-            )
-            res, ok = _solve_direction(
-                inp, cfg, counters, warnings, warm_lambda=warm_lambda
-            )
-            if not ok:
-                status = "dual_failure"
-                break
-            if res.d_norm <= cfg.d_tol:
-                status = "critical_point"
-                break
-            t_cap = 1.0
-            if bounds is not None:
-                t_cap = max_feasible_step(x, res.d, bounds[0], bounds[1])
-                if t_cap < 1e-12:
-                    # pinned on a box face with the direction pointing outward:
-                    # no feasible progress exists along d
-                    status = "critical_point"
-                    warnings.append("stopped on a box face with an outward direction")
-                    break
-            if mode != "abbpgmo":
-                break
-            violated, f_new = _quadratic_bound_violations(
-                problem, x, f, grads, alphas, t_cap * res.d, counters
-            )
-            if not violated.any():
-                break
-            alphas = np.where(violated, alphas * cfg.tau, alphas)
-            inflations += violated
-            warm_lambda = res.lam
-        if status is not None:
-            break
-
-        backtracks = 0
-        if mode in _LINE_SEARCH_MODES:
-            try:
-                t, F_new, backtracks = armijo_search(
-                    problem,
-                    x,
-                    res.d,
-                    F,
-                    res.model_decrease,
-                    cfg.ls,
-                    t_cap=t_cap,
-                    counters=counters,
-                )
-            except LineSearchError as err:
-                status = "line_search_failure"
-                warnings.append(str(err))
-                break
-            x_new = x + t * res.d
-        else:
-            t = t_cap
-            x_new = x + t * res.d
-            if mode == "abbpgmo":
-                f = f_new
-                F_new = f + problem.g_values(x_new)
+    # an EvaluationError ends the solve at the last accepted iterate
+    try:
+        for k in range(cfg.max_iters):
+            iter_started = time.perf_counter()
+            if alphas_fixed is None:
+                alphas = bb_stepsizes(memory, x, grads, cfg.bb)
             else:
-                F_new = problem.evaluate_F(x_new, counters)
+                alphas = alphas_fixed
+            inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
 
-        if bounds is not None:
-            np.clip(x_new, bounds[0], bounds[1], out=x_new)
-        if not (x_new != x).any():
-            status = "line_search_failure"
-            warnings.append("accepted step underflowed; iterate unchanged")
-            break
+            # one pass for every mode; abbpgmo repeats it, warm-started, with
+            # the alphas of the parts that break their quadratic bound inflated
+            while True:
+                inp = SubproblemInput(
+                    x=x, grads=grads, alphas=alphas, kind=problem.nonsmooth
+                )
+                res, ok = _solve_direction(
+                    inp, cfg, counters, warnings, warm_lambda=warm_lambda
+                )
+                if not ok:
+                    status = "dual_failure"
+                    break
+                if res.d_norm <= cfg.d_tol:
+                    status = "critical_point"
+                    break
+                t_cap = 1.0
+                if bounds is not None:
+                    t_cap = max_feasible_step(x, res.d, bounds[0], bounds[1])
+                    if t_cap < 1e-12:
+                        # pinned on a box face with the direction pointing
+                        # outward: no feasible progress exists along d
+                        status = "critical_point"
+                        warnings.append(
+                            "stopped on a box face with an outward direction"
+                        )
+                        break
+                if mode != "abbpgmo":
+                    break
+                violated, f_new = _quadratic_bound_violations(
+                    problem, x, f, grads, alphas, t_cap * res.d, counters
+                )
+                if not violated.any():
+                    break
+                alphas = np.where(violated, alphas * cfg.tau, alphas)
+                inflations += violated
+                warm_lambda = res.lam
+            if status is not None:
+                break
 
-        if memory is not None:
-            memory.update(x, grads)
-        warm_lambda = res.lam
-        x, F = x_new, F_new
-        grads = problem.jacobian(x, counters)
-        # x, F and model_decrease are fresh arrays every iteration; only the
-        # fixed modes share one alphas vector across iterations
-        trace.append(
-            TraceRecord(
-                k=k,
-                d_norm=res.d_norm,
-                t=t,
-                alphas=alphas if alphas_fixed is None else alphas.copy(),
-                lam=res.lam,
-                x=x,
-                F=F,
-                fw_gap=res.fw_gap,
-                model_decrease=res.model_decrease,
-                backtracks=backtracks,
-                inflations=inflations,
-                time_s=time.perf_counter() - iter_started,
+            backtracks = 0
+            if mode in _LINE_SEARCH_MODES:
+                try:
+                    t, F_new, backtracks = armijo_search(
+                        problem,
+                        x,
+                        res.d,
+                        F,
+                        res.model_decrease,
+                        cfg.ls,
+                        t_cap=t_cap,
+                        counters=counters,
+                    )
+                except LineSearchError as err:
+                    status = "line_search_failure"
+                    warnings.append(str(err))
+                    break
+                x_new = x + t * res.d
+            else:
+                t = t_cap
+                x_new = x + t * res.d
+                if mode == "abbpgmo":
+                    f = f_new
+                    F_new = f + problem.g_values(x_new)
+                else:
+                    F_new = problem.evaluate_F(x_new, counters)
+
+            if bounds is not None:
+                np.clip(x_new, bounds[0], bounds[1], out=x_new)
+            if not (x_new != x).any():
+                status = "line_search_failure"
+                warnings.append("accepted step underflowed; iterate unchanged")
+                break
+
+            # a failing gradient leaves the last accepted x, F and grads
+            grads_new = problem.jacobian(x_new, counters)
+            if memory is not None:
+                memory.update(x, grads)
+            warm_lambda = res.lam
+            x, F, grads = x_new, F_new, grads_new
+            # x, F and model_decrease are fresh arrays every iteration; only
+            # the fixed modes share one alphas vector across iterations
+            trace.append(
+                TraceRecord(
+                    k=k,
+                    d_norm=res.d_norm,
+                    t=t,
+                    alphas=alphas if alphas_fixed is None else alphas.copy(),
+                    lam=res.lam,
+                    x=x,
+                    F=F,
+                    fw_gap=res.fw_gap,
+                    model_decrease=res.model_decrease,
+                    backtracks=backtracks,
+                    inflations=inflations,
+                    time_s=time.perf_counter() - iter_started,
+                )
             )
-        )
+    except EvaluationError as err:
+        status = "evaluation_failure"
+        warnings.append(str(err))
 
     return SolveReport(
         status=status or "max_iters",
@@ -359,11 +359,12 @@ def _quadratic_bound_violations(problem, x, f, grads, alphas, delta, counters):
 
     Smooth part i is violated when
     f_i(x + delta) - f_i(x) > <grad f_i, delta> + (alpha_i / 2) ||delta||^2.
-    Each check costs one feval. Inflating a violator's alpha by tau always
-    ends: a violation implies alpha_i < L_i, so alpha_i stays below tau * L_i.
+    Each check costs one feval, also one that raises. Inflating a violator's
+    alpha by tau always ends: a violation implies alpha_i < L_i, so alpha_i
+    stays below tau * L_i.
     """
-    f_trial = problem.smooth_values(x + delta, counters)
     counters.F_evals += 1
+    f_trial = problem.smooth_values(x + delta, counters)
     quad = grads @ delta + 0.5 * alphas * float(np.dot(delta, delta))
     slack = _ABB_CHECK_SLACK * np.maximum(1.0, np.maximum(np.abs(f_trial), np.abs(f)))
     return f_trial - f > quad + slack, f_trial

@@ -65,7 +65,6 @@ def _check_dual_gradient(rng):
             grads=problem.jacobian(x),
             alphas=rng.uniform(0.5, 2.0, size=2),
             kind=problem.nonsmooth,
-            g_at_x=problem.g_values(x),
         )
         lam = rng.dirichlet(np.ones(2)) * 0.8 + 0.1
         lam = lam / lam.sum()
@@ -89,7 +88,6 @@ def _check_descent_certificate(rng):
             grads=problem.jacobian(x),
             alphas=rng.uniform(0.1, 10.0, size=2),
             kind=problem.nonsmooth,
-            g_at_x=problem.g_values(x),
         )
         res = frank_wolfe_solve(inp, FWConfig())
         d_sq = float(np.dot(res.d, res.d))

@@ -21,7 +21,7 @@ from moprox.direction import (
 )
 from moprox.linesearch import LineSearchConfig
 from moprox.merit import merit_gap, weak_pareto_gap_grid
-from moprox.prox import WeightedL1, Zero, g_vector
+from moprox.prox import WeightedL1, Zero
 from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
@@ -337,7 +337,6 @@ def test_criterion_06_dual_correctness():
             grads=problem.jacobian(x),
             alphas=rng.uniform(0.1, 10.0, size=m),
             kind=problem.nonsmooth,
-            g_at_x=problem.g_values(x),
         )
         instances.append(inp)
         for _ in range(5):
@@ -384,7 +383,6 @@ def test_criterion_06_dual_correctness():
             grads=rng.normal(size=(m, 2)) * 2.0,
             alphas=rng.uniform(0.5, 3.0, size=m),
             kind=kind,
-            g_at_x=g_vector(kind, x, m),
         )
         res = frank_wolfe_solve(inp)
         oracle, grid_ref, grid_slack = _planar_primal_min(inp)
@@ -497,7 +495,6 @@ def test_criterion_08_merit_properties():
                 grads=problem.jacobian(x),
                 alphas=ell * alphas,
                 kind=problem.nonsmooth,
-                g_at_x=problem.g_values(x),
             )
             res = frank_wolfe_solve(inp)
             w_ell = merit_gap(problem, x, alphas, ell=ell)

@@ -1,13 +1,18 @@
 """Tests for campaign execution, CSV/SVG export, and the bench CLI."""
 
 import csv
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import moprox
 from moprox import testproblems
 from moprox.bench import (
     ExperimentSpec,
+    ExperimentSummary,
     _child_seed,
     algo_config,
     export_results,
@@ -210,6 +215,15 @@ class TestCampaign:
         assert summary.hard_failures == 2
         assert summary.rows[0]["failures"] == 2
 
+    def test_evaluation_failure_is_hard(self):
+        statuses = ("evaluation_failure", "max_iters", "critical_point")
+        raw = [{"status": s} for s in statuses]
+        summary = ExperimentSummary(
+            spec=ExperimentSpec(problem="BK1", algorithms=("bbpgmo",)),
+            problem_name="BK1", n=2, m=2, rows=[], raw=raw, pareto=[],
+        )
+        assert summary.hard_failures == 1
+
 
 class TestExport:
     def _read(self, path):
@@ -358,3 +372,24 @@ class TestCLI:
         printed = capsys.readouterr().out
         assert printed.count("[PASS]") == 7
         assert "all checks passed" in printed
+
+
+def test_package_import_defers_bench():
+    """``import moprox`` loads neither bench nor its command-line imports;
+    the bench names load on first use, and ``python -m moprox.bench`` runs
+    without runpy's warning about a module the package already imported."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moprox.__file__)))
+    probe = (
+        "import sys; before = set(sys.modules); import moprox; "
+        "heavy = {'moprox.bench', 'argparse', 'csv', 'hashlib', 'concurrent.futures'}; "
+        "assert not heavy & (set(sys.modules) - before), heavy & set(sys.modules); "
+        "from moprox import ExperimentSpec, bench; "
+        "assert ExperimentSpec is bench.ExperimentSpec is moprox.ExperimentSpec"
+    )
+    subprocess.run([sys.executable, "-c", probe], env=env, check=True)
+    listed = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "moprox.bench",
+         "run", "--list"],
+        env=env, check=True, capture_output=True, text=True,
+    )
+    assert "markowitz" in listed.stdout.split()

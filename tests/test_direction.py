@@ -30,8 +30,7 @@ def _random_input(rng, n=4, m=3, kind=None, x=None):
         if isinstance(kind, SimplexIndicator):
             x = rng.dirichlet(np.ones(n))
         elif isinstance(kind, BoxIndicator):
-            lo, hi = kind.arrays()
-            x = rng.uniform(lo, hi)
+            x = rng.uniform(kind.lower, kind.upper)
     grads = rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0)
     alphas = rng.uniform(0.05, 20.0, size=m)
     return SubproblemInput(x=x, grads=grads, alphas=alphas, kind=kind)
@@ -59,10 +58,6 @@ def primal_grid_min(inp, span=4.0, points=241, refinements=2):
     coarse cell around the incumbent, so the final resolution is
     span / points^refinements.
     """
-    from moprox.prox import g_vector
-
-    g_at_x = g_vector(inp.kind, inp.x, inp.m)
-
     def scan(c1, c2, half):
         xs = np.linspace(c1 - half, c1 + half, points)
         ys = np.linspace(c2 - half, c2 + half, points)
@@ -75,7 +70,7 @@ def primal_grid_min(inp, span=4.0, points=241, refinements=2):
             l1 = np.abs(P1) + np.abs(P2)
             gdiff = coeffs[:, None, None] * (l1 - np.abs(inp.x).sum())
         else:
-            gdiff = (g_at_x * 0.0)[:, None, None]
+            gdiff = (inp.g_at_x * 0.0)[:, None, None]
         vals = np.max(
             (lin + gdiff) / inp.alphas[:, None, None], axis=0
         ) + 0.5 * (D1**2 + D2**2)
@@ -177,6 +172,31 @@ class TestDualFunction:
                         assert fd == pytest.approx(
                             an, rel=1e-5, abs=1e-7
                         ), (trial, type(kind).__name__)
+
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_dual_hessian_matches_gradient_differences(self, k):
+        """Each kind's dual_hessian is the derivative of the dual gradient:
+        central differences of the gradient along the simplex directions
+        e_i - e_m at interior multipliers, m = 3. The gradient is affine on
+        each piece of the prox, so both agree to rounding."""
+        rng = np.random.default_rng(33)
+        h = 1e-7
+        m, n = 3, 6
+        for trial in range(10):
+            kind = _kinds_for(rng, n, m)[k]
+            inp = _random_input(rng, n=n, m=m, kind=kind)
+            lam = _interior_lambda(rng, m)
+            p = inp.x + recover_direction(inp, lam)
+            H = kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
+            scale = max(1.0, float(np.abs(H).max()))
+            for i in range(m - 1):
+                e = np.zeros(m)
+                e[i], e[-1] = 1.0, -1.0
+                diff = dual_gradient(inp, lam + h * e) - dual_gradient(inp, lam - h * e)
+                np.testing.assert_allclose(
+                    diff / (2.0 * h), H @ e, rtol=1e-6, atol=1e-6 * scale,
+                    err_msg=str(trial),
+                )
 
     def test_weak_duality_and_gap_bound(self):
         """primal(d(lam)) sits within fw_gap above -omega(lam), for any lam."""

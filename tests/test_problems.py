@@ -5,7 +5,7 @@ import pytest
 
 from moprox.exceptions import EvaluationError, UnknownProblemError
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent, check_jacobian
-from moprox.prox import WeightedL1
+from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
 from moprox.testproblems import (
     PORTFOLIO_COV,
     PORTFOLIO_MEAN,
@@ -68,12 +68,6 @@ class TestMCOProblem:
         assert c.f_evals == 2 * p.m
         assert c.grad_evals == p.m
 
-    def test_counter_merge(self):
-        a = EvalCounters(F_evals=1, f_evals=2, grad_evals=3, prox_evals=4)
-        b = EvalCounters(F_evals=10, f_evals=20, grad_evals=30, prox_evals=40)
-        a.merge(b)
-        assert (a.F_evals, a.f_evals, a.grad_evals, a.prox_evals) == (11, 22, 33, 44)
-
     def test_wrong_shape_rejected(self):
         p = self._two_quadratics()
         with pytest.raises(ValueError):
@@ -102,6 +96,22 @@ class TestMCOProblem:
         with pytest.raises(ValueError):
             MCOProblem(n=2, smooth=(), nonsmooth=WeightedL1(coeffs=(1.0,)))
 
+    def test_unknown_nonsmooth_kind_rejected(self):
+        """A user-written l1 term with g_values and prox is refused: the
+        solvers reach g only through the methods of prox's four kinds."""
+
+        class OwnL1:
+            def g_values(self, x):
+                return 0.3 * np.abs(x).sum() * np.ones(2)
+
+            def prox(self, weights, v):
+                kappa = 0.3 * float(np.sum(weights))
+                return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match="nonsmooth must be one of"):
+            MCOProblem(n=2, smooth=(comp, comp), nonsmooth=OwnL1())
+
     def test_bounds_validation(self):
         comp = SmoothComponent(
             value=lambda x: 0.0, gradient=lambda x: np.zeros(2)
@@ -115,6 +125,30 @@ class TestMCOProblem:
         p = get_problem("BK1")
         assert p.is_feasible(np.array([0.0, 0.0]))
         assert not p.is_feasible(np.array([11.0, 0.0]))
+
+    @pytest.mark.parametrize(
+        "kind, kind_only, outside_kind",
+        [
+            (Zero(), [5.0, -7.0], None),
+            (WeightedL1(coeffs=(1.0,)), [5.0, -7.0], None),
+            (BoxIndicator((-1.0, -1.0), (1.0, 1.0)), [0.5, -1.0], [1.5, 0.0]),
+            (SimplexIndicator(), [0.25, 0.75], [0.5, 0.75]),
+        ],
+    )
+    def test_is_feasible_per_kind(self, kind, kind_only, outside_kind):
+        """Feasible means inside the kind's domain and, when given, the bounds."""
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        alone = MCOProblem(n=2, smooth=(comp,), nonsmooth=kind)
+        boxed = MCOProblem(
+            n=2, smooth=(comp,), nonsmooth=kind, bounds=(np.zeros(2), np.full(2, 0.6))
+        )
+        inside_both = np.array([0.4, 0.6])
+        assert alone.is_feasible(inside_both) and boxed.is_feasible(inside_both)
+        assert alone.is_feasible(np.array(kind_only))
+        assert not boxed.is_feasible(np.array(kind_only))
+        if outside_kind is not None:
+            assert not alone.is_feasible(np.array(outside_kind))
+            assert not boxed.is_feasible(np.array(outside_kind))
 
 
 class TestBundledProblems:

@@ -10,7 +10,6 @@ from moprox.prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    g_vector,
     project_box,
     project_simplex,
     soft_threshold,
@@ -156,7 +155,7 @@ class TestProjectSimplex:
 class TestKinds:
     def test_zero_kind(self):
         z = Zero()
-        assert z.g_values(np.zeros(3))[0] == 0.0
+        assert z.g_values(np.zeros(3), 2)[0] == 0.0
         v = np.array([1.0, -2.0])
         np.testing.assert_array_equal(z.prox([1.0, 1.0], v), v)
 
@@ -170,14 +169,14 @@ class TestKinds:
 
     def test_weighted_l1_g_values(self):
         kind = WeightedL1(coeffs=(1.0, 0.5))
-        vals = kind.g_values(np.array([1.0, -2.0]))
+        vals = kind.g_values(np.array([1.0, -2.0]), 2)
         np.testing.assert_allclose(vals, [3.0, 1.5])
 
     def test_box_indicator(self):
         box = BoxIndicator(lower=(-1.0, -1.0), upper=(1.0, 2.0))
         assert box.contains(np.array([0.0, 1.5]))
         assert not box.contains(np.array([0.0, 2.5]))
-        assert box.g_values(np.array([0.0, 2.5]))[0] == np.inf
+        assert box.g_values(np.array([0.0, 2.5]), 2)[0] == np.inf
         out = box.prox([1.0, 1.0], np.array([-3.0, 5.0]))
         np.testing.assert_array_equal(out, [-1.0, 2.0])
 
@@ -199,9 +198,9 @@ class TestKinds:
                      SimplexIndicator(), WeightedL1(coeffs=(1.0, 1.0))):
             np.testing.assert_array_equal(kind.prox([0.0, 0.0], v), v)
 
-    def test_g_vector_broadcasts_shared_value(self):
+    def test_g_values_broadcasts_shared_value(self):
         box = BoxIndicator(lower=(0.0,), upper=(1.0,))
-        vals = g_vector(box, np.array([0.5]), 3)
+        vals = box.g_values(np.array([0.5]), 3)
         np.testing.assert_array_equal(vals, np.zeros(3))
 
 
@@ -209,7 +208,7 @@ class TestProxOptimality:
     """The prox point minimizes w^T g(.) plus half squared distance."""
 
     def _objective(self, kind, weights, v, z):
-        return float(np.dot(weights, g_vector(kind, z, len(weights)))) + 0.5 * float(
+        return float(np.dot(weights, kind.g_values(z, len(weights)))) + 0.5 * float(
             np.sum((z - v) ** 2)
         )
 

@@ -29,6 +29,21 @@ def _diag_quadratic(diags, bs=None, bounds=None):
     return MCOProblem(n=n, smooth=comps, bounds=bounds)
 
 
+def _sqrt_problem(**known):
+    """f1 = sqrt(x), f2 = sqrt(x) + x on x >= 0; F is nan at x < 0."""
+    sqrt = SmoothComponent(
+        value=lambda x: float(np.sqrt(x[0])),
+        gradient=lambda x: 0.5 / np.sqrt(x),
+        **known,
+    )
+    shifted = SmoothComponent(
+        value=lambda x: float(np.sqrt(x[0]) + x[0]),
+        gradient=lambda x: 0.5 / np.sqrt(x) + 1.0,
+        **known,
+    )
+    return MCOProblem(n=1, smooth=(sqrt, shifted))
+
+
 class TestBasicConvergence:
     def test_single_objective_newton_like_step(self):
         """With alpha = L on a 0.5||x||^2 objective the first step lands at 0."""
@@ -215,14 +230,7 @@ class TestStopsThatReturnAStatus:
         """f1 = sqrt(x), f2 = sqrt(x) + x from x0 = 0.2: trials at x < 0 give a
         nan F. Armijo rejects them, so the solve ends with a status near the
         minimizer x = 0 instead of raising, and counts every trial."""
-        sqrt = SmoothComponent(
-            value=lambda x: float(np.sqrt(x[0])), gradient=lambda x: 0.5 / np.sqrt(x)
-        )
-        shifted = SmoothComponent(
-            value=lambda x: float(np.sqrt(x[0]) + x[0]),
-            gradient=lambda x: 0.5 / np.sqrt(x) + 1.0,
-        )
-        problem = MCOProblem(n=1, smooth=(sqrt, shifted))
+        problem = _sqrt_problem()
         cfg = SolverConfig(algorithm=mode)
         with np.errstate(invalid="ignore"):
             report = solve(problem, np.array([0.2]), cfg)
@@ -230,6 +238,25 @@ class TestStopsThatReturnAStatus:
         assert 0.0 <= report.x[0] < 1e-6
         trials = sum(rec.backtracks + 1 for rec in report.trace)
         assert report.counters.F_evals == trials + cfg.ls.max_backtracks + 1
+
+    @pytest.mark.parametrize("x0", (0.2, 2.0))
+    @pytest.mark.parametrize("mode", ("abbpgmo", "pgmo_fixed", "pgmo_separate"))
+    def test_full_step_outside_the_domain(self, mode, x0):
+        """The same problem with L_i = mu_i = 1 given. These modes take full
+        steps, and one lands at x < 0, where F is nan: the solve ends with
+        evaluation_failure at the last accepted iterate (x0 itself, or after
+        four fixed steps from x0 = 2), the error text in its warnings, and
+        the failed evaluation counted."""
+        problem = _sqrt_problem(lipschitz=1.0, strong_mu=1.0)
+        with np.errstate(invalid="ignore"):
+            report = solve(problem, np.array([x0]), SolverConfig(algorithm=mode))
+        assert report.status == "evaluation_failure"
+        assert report.warnings == ["objective 0 returned nonfinite smooth value nan"]
+        assert report.iterations == (4 if x0 == 2.0 and mode != "abbpgmo" else 0)
+        last = report.trace[-1].x if report.trace else [x0]
+        np.testing.assert_array_equal(report.x, last)
+        np.testing.assert_array_equal(report.F, problem.evaluate_F(report.x))
+        assert report.counters.F_evals == report.iterations + 1
 
 
 class TestAdaptiveMode:
