@@ -34,6 +34,7 @@ conditional-gradient steps lack when the alpha_i are badly imbalanced.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -102,7 +103,8 @@ class DirectionResult:
     d_norm: float = field(init=False)
 
     def __post_init__(self):
-        self.d_norm = float(np.linalg.norm(self.d))
+        # np.linalg.norm's own 1-D formula, without its wrapper
+        self.d_norm = math.sqrt(float(self.d.dot(self.d)))
 
 
 class _Evaluator:
@@ -133,7 +135,7 @@ class _Evaluator:
         u, base, p = self.point(lam)
         d = p - self.x
         q = (self.grads @ d + self.gdiff(p)) / self.alphas
-        gap = float(q.max() - lam.dot(q))
+        gap = float(np.maximum.reduce(q) - lam.dot(q))
         return lam, u, base, p, d, q, max(gap, 0.0)
 
     def omega(self, lam, u, base, p):
@@ -352,7 +354,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         if warm_lambda is not None:
             lam = np.asarray(warm_lambda, dtype=float)
             s = lam.sum()
-            if s > 0 and np.all(lam >= 0):
+            if s > 0 and (lam >= 0).all():
                 warm_t = float(lam[0] / s)
         return _solve_m2(ev, cfg, warm_t)
 

@@ -9,6 +9,7 @@ the nonsmooth terms.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -101,7 +102,7 @@ class MCOProblem:
         out = np.empty(self.m)
         for i, comp in enumerate(self.smooth):
             fi = float(comp.value(x))
-            if not np.isfinite(fi):
+            if not math.isfinite(fi):
                 raise EvaluationError(
                     f"objective {i} returned nonfinite smooth value {fi!r}",
                     objective=i,

@@ -37,6 +37,9 @@ import numpy as np
 # to roundoff, and iterates re-enter these checks after arithmetic.
 _SIMPLEX_FEAS_TOL = 1e-9
 _BOX_FEAS_TOL = 1e-12
+# up to this length project_simplex thresholds in a Python float loop; past
+# it numpy's sort wins (the two cross near 64 entries)
+_SIMPLEX_LOOP_MAX = 32
 
 
 def soft_threshold(v, kappa):
@@ -63,14 +66,27 @@ def project_simplex(v):
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
     v = v - np.add.reduce(v) / n
-    u = v.copy()
-    u.sort()
-    u = u[::-1]
-    css = np.add.accumulate(u) - 1.0
-    cond = u - css / np.arange(1, n + 1) > 0.0
-    rho = cond.nonzero()[0][-1]
-    theta = css[rho] / (rho + 1.0)
-    return np.maximum(v - theta, 0.0)
+    theta = None
+    if n <= _SIMPLEX_LOOP_MAX:
+        # short vectors: a float loop beats a dozen numpy calls; it forms
+        # the same partial sums in the same order as the array branch
+        css = k = 0.0
+        for ui in sorted(v.tolist(), reverse=True):
+            css += ui
+            k += 1.0
+            t = (css - 1.0) / k
+            if ui - t > 0.0:
+                theta = t
+    else:
+        u = np.sort(v)[::-1]
+        css = np.add.accumulate(u) - 1.0
+        rho = (u - css / np.arange(1, n + 1) > 0.0).nonzero()[0]
+        if rho.size:
+            theta = css[rho[-1]] / (rho[-1] + 1.0)
+    if theta is None:
+        raise ValueError("simplex projection needs a finite vector")
+    v -= theta
+    return np.maximum(v, 0.0, out=v)
 
 
 class _Kind:
