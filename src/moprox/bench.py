@@ -255,32 +255,11 @@ def export_results(summary, out_dir):
     os.makedirs(out_dir, exist_ok=True)
     written = []
 
-    path = os.path.join(out_dir, "summary.csv")
-    _write_csv(
-        path,
-        ["algo", "iter_mean", "feval_mean", "time_ms_mean", "stepsize_mean", "failures"],
-        summary.rows,
-    )
-    written.append(path)
-
-    path = os.path.join(out_dir, "runs.csv")
-    _write_csv(
-        path,
-        [
-            "trial",
-            "algo",
-            "x0_hash",
-            "status",
-            "iterations",
-            "fevals",
-            "grad_evals",
-            "prox_evals",
-            "stepsize_mean",
-            "time_ms",
-        ],
-        summary.raw,
-    )
-    written.append(path)
+    # the row dicts built by run_campaign and _run_trial fix the column order
+    for name, rows in (("summary.csv", summary.rows), ("runs.csv", summary.raw)):
+        path = os.path.join(out_dir, name)
+        _write_csv(path, list(rows[0]), rows)
+        written.append(path)
 
     pareto_fields = ["trial", "algo"] + [f"F{i}" for i in range(1, summary.m + 1)]
     if summary.n == 2:
@@ -313,7 +292,7 @@ def export_results(summary, out_dir):
 
 
 def _print_summary(summary, elapsed):
-    cols = ["algo", "iter_mean", "feval_mean", "time_ms_mean", "stepsize_mean", "failures"]
+    cols = list(summary.rows[0])
     widths = {c: len(c) + 4 for c in cols}
     widths["algo"] = max(len(r["algo"]) for r in summary.rows) + 2
     header = "".join(c.ljust(widths[c]) for c in cols)

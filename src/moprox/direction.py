@@ -79,9 +79,7 @@ class SubproblemInput:
             raise EvaluationError("nonfinite gradient entry in subproblem input")
         g_at_x = self.kind.g_values(x, grads.shape[0])
         if not np.isfinite(g_at_x).all():
-            raise EvaluationError(
-                "g is infinite at the base point (infeasible for indicator kind)"
-            )
+            raise ValueError("base point lies outside the domain of g")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "grads", grads)
         object.__setattr__(self, "alphas", alphas)

@@ -74,6 +74,7 @@ class MCOProblem:
         if not isinstance(self.nonsmooth, KINDS):
             kinds = ", ".join(k.__name__ for k in KINDS)
             raise ValueError(f"nonsmooth must be one of {kinds}, not {self.nonsmooth}")
+        self.nonsmooth.check_size(self.n, self.m)
         if self.bounds is not None:
             lo = np.asarray(self.bounds[0], dtype=float)
             hi = np.asarray(self.bounds[1], dtype=float)

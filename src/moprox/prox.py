@@ -15,6 +15,8 @@ whenever sum w_i > 0, the identity when the weights vanish.
 A kind is the only place that knows its math; ``KINDS`` lists the four, and a
 problem accepts no other nonsmooth term. Every kind implements
 
+* ``check_size(n, m)``: raise ValueError unless the kind fits n variables
+  and m objectives;
 * ``g_values(x, m)``: (g_1(x), ..., g_m(x)), +inf outside an indicator's set;
 * ``contains(x)`` and ``project(x)``: membership in, and the closest point
   of, the domain of g;
@@ -37,9 +39,6 @@ import numpy as np
 # to roundoff, and iterates re-enter these checks after arithmetic.
 _SIMPLEX_FEAS_TOL = 1e-9
 _BOX_FEAS_TOL = 1e-12
-# up to this length project_simplex thresholds in a Python float loop; past
-# it numpy's sort wins (the two cross near 64 entries)
-_SIMPLEX_LOOP_MAX = 32
 
 
 def soft_threshold(v, kappa):
@@ -62,27 +61,19 @@ def project_box(v, lower, upper):
 def project_simplex(v):
     """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
     v = np.asarray(v, dtype=float)
-    n = v.size
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
-    v = v - np.add.reduce(v) / n
+    v = v - np.add.reduce(v) / v.size
+    # the threshold of the last sorted entry that stays positive; a float
+    # loop costs half of the equivalent numpy calls at the sizes solved here
     theta = None
-    if n <= _SIMPLEX_LOOP_MAX:
-        # short vectors: a float loop beats a dozen numpy calls; it forms
-        # the same partial sums in the same order as the array branch
-        css = k = 0.0
-        for ui in sorted(v.tolist(), reverse=True):
-            css += ui
-            k += 1.0
-            t = (css - 1.0) / k
-            if ui - t > 0.0:
-                theta = t
-    else:
-        u = np.sort(v)[::-1]
-        css = np.add.accumulate(u) - 1.0
-        rho = (u - css / np.arange(1, n + 1) > 0.0).nonzero()[0]
-        if rho.size:
-            theta = css[rho[-1]] / (rho[-1] + 1.0)
+    css = k = 0.0
+    for ui in sorted(v.tolist(), reverse=True):
+        css += ui
+        k += 1.0
+        t = (css - 1.0) / k
+        if ui - t > 0.0:
+            theta = t
     if theta is None:
         raise ValueError("simplex projection needs a finite vector")
     v -= theta
@@ -93,6 +84,9 @@ class _Kind:
     """Defaults for a g that is 0 on its domain and +inf off it; the domain
     is all of R^n unless a kind says otherwise. Prox outputs lie in the
     domain, so the model terms g_i(p) - g_i(x) vanish at feasible x."""
+
+    def check_size(self, n, m):
+        pass
 
     def contains(self, x):
         return True
@@ -130,6 +124,10 @@ class WeightedL1(_Kind):
         if any(ci < 0 for ci in c):
             raise ValueError("l1 coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", c)
+
+    def check_size(self, n, m):
+        if len(self.coeffs) != m:
+            raise ValueError(f"WeightedL1 needs m = {m} coefficients")
 
     def g_values(self, x, m):
         nrm = float(np.add.reduce(np.abs(x)))
@@ -174,6 +172,10 @@ class BoxIndicator(_Kind):
                           ("_hi_tol", hi + slack)):
             arr.flags.writeable = False
             object.__setattr__(self, name, arr)
+
+    def check_size(self, n, m):
+        if len(self.lower) != n or len(self.upper) != n:
+            raise ValueError(f"BoxIndicator bounds need n = {n} entries each")
 
     def contains(self, x):
         return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())

@@ -328,7 +328,7 @@ class TestInputValidation:
             )
 
     def test_infeasible_base_point_rejected(self):
-        with pytest.raises(EvaluationError):
+        with pytest.raises(ValueError, match="outside the domain"):
             SubproblemInput(
                 x=np.array([2.0, 2.0]),
                 grads=np.ones((1, 2)),

@@ -112,6 +112,17 @@ class TestMCOProblem:
         with pytest.raises(ValueError, match="nonsmooth must be one of"):
             MCOProblem(n=2, smooth=(comp, comp), nonsmooth=OwnL1())
 
+    def test_kind_size_must_match_problem(self):
+        """One l1 coefficient per objective and one box entry per variable;
+        a mismatch used to fail inside solve() or broadcast silently."""
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        with pytest.raises(ValueError, match="m = 2 coefficients"):
+            MCOProblem(n=2, smooth=(comp, comp), nonsmooth=WeightedL1((0.3,)))
+        with pytest.raises(ValueError, match="n = 2 entries"):
+            MCOProblem(n=2, smooth=(comp,), nonsmooth=BoxIndicator((0.0,), (1.0,)))
+        MCOProblem(n=2, smooth=(comp, comp), nonsmooth=WeightedL1((0.3, 0.3)))
+        MCOProblem(n=2, smooth=(comp,), nonsmooth=BoxIndicator((0.0, 0.0), (1.0, 1.0)))
+
     def test_bounds_validation(self):
         comp = SmoothComponent(
             value=lambda x: 0.0, gradient=lambda x: np.zeros(2)

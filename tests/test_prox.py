@@ -5,7 +5,6 @@ import itertools
 import numpy as np
 import pytest
 
-from moprox import prox as prox_module
 from moprox.prox import (
     BoxIndicator,
     SimplexIndicator,
@@ -152,23 +151,9 @@ class TestProjectSimplex:
         for v in cases:
             assert np.array_equal(project_simplex(v), wrapper_form(v))
 
-    def test_loop_and_array_branches_agree(self, monkeypatch):
-        """Short vectors take the float loop; the numpy branch gives the same bytes."""
-        rng = np.random.default_rng(8)
-        cases = []
-        for n in (1, 2, 3, 8, prox_module._SIMPLEX_LOOP_MAX):
-            for _ in range(50):
-                v = rng.normal(size=n) * rng.uniform(0.1, 10.0)
-                cases += [v, v + 1e6, np.round(v), rng.dirichlet(np.ones(n))]
-        looped = [project_simplex(v) for v in cases]
-        monkeypatch.setattr(prox_module, "_SIMPLEX_LOOP_MAX", 0)
-        for v, p in zip(cases, looped):
-            assert np.array_equal(project_simplex(v), p)
-
-    @pytest.mark.parametrize("n", [3, 40])
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
-    def test_nonfinite_input_rejected(self, n, bad):
-        v = np.zeros(n)
+    def test_nonfinite_input_rejected(self, bad):
+        v = np.zeros(3)
         v[1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
             project_simplex(v)

@@ -5,6 +5,7 @@ import pytest
 
 from moprox.bb import BBConfig
 from moprox.problems import MCOProblem, SmoothComponent
+from moprox.prox import SimplexIndicator
 from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
@@ -257,6 +258,20 @@ class TestStopsThatReturnAStatus:
         np.testing.assert_array_equal(report.x, last)
         np.testing.assert_array_equal(report.F, problem.evaluate_F(report.x))
         assert report.counters.F_evals == report.iterations + 1
+
+    def test_iterate_outside_the_kind_domain_raises(self):
+        """Bounds that cut the simplex away leave no feasible start: the
+        clipped x0 is off the simplex, which is a modelling error, not an
+        evaluation failure, so solve() raises instead of returning a status."""
+        smooth = _diag_quadratic([[1.0, 1.0], [2.0, 2.0]]).smooth
+        problem = MCOProblem(
+            n=2,
+            smooth=smooth,
+            nonsmooth=SimplexIndicator(),
+            bounds=(np.zeros(2), np.full(2, 0.3)),
+        )
+        with pytest.raises(ValueError, match="outside the domain of g"):
+            solve(problem, np.array([0.5, 0.5]), SolverConfig(algorithm="pgmo_ls"))
 
 
 class TestAdaptiveMode:
