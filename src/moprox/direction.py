@@ -34,6 +34,7 @@ conditional-gradient steps lack when the alpha_i are badly imbalanced.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -95,14 +96,19 @@ class SubproblemInput:
 class DirectionResult:
     d: np.ndarray
     lam: np.ndarray
-    dual_value: float          # primal optimum: -omega(lam) at the solution
     fw_gap: float
     model_decrease: np.ndarray  # (m,), <grad f_i, d> + g_i(x+d) - g_i(x)
+    _omega: object = field(repr=False, compare=False)  # () -> omega(lam)
     d_norm: float = field(init=False)
 
     def __post_init__(self):
         # np.linalg.norm's own 1-D formula, without its wrapper
         self.d_norm = math.sqrt(float(self.d.dot(self.d)))
+
+    @functools.cached_property
+    def dual_value(self):
+        """Primal optimum: -omega(lam) at the solution, computed on first read."""
+        return -self._omega()
 
 
 class _Evaluator:
@@ -117,7 +123,6 @@ class _Evaluator:
         self.x, self.grads, self.alphas = inp.x, inp.grads, inp.alphas
         self.sgT, self.prox = inp.scaled_grads.T, inp.kind.prox
         self.gdiff = inp.kind.model_change(inp.x, inp.m)
-        self.gx_scaled = inp.g_at_x / inp.alphas
 
     def point(self, lam):
         """(u, base, p): the combined gradient step and its prox point."""
@@ -140,16 +145,17 @@ class _Evaluator:
         g_p = self.inp.kind.g_values(p, self.inp.m)
         r = p - base
         envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
-        return 0.5 * float(np.dot(u, u)) + float(np.dot(lam, self.gx_scaled)) - envelope
+        gx = float(np.dot(lam, self.inp.g_at_x / self.alphas))
+        return 0.5 * float(np.dot(u, u)) + gx - envelope
 
     def result(self, probe):
         lam, u, base, p, d, q, gap = probe
         return DirectionResult(
             d=d,
             lam=np.array(lam, dtype=float, copy=True),
-            dual_value=-self.omega(lam, u, base, p),
             fw_gap=gap,
             model_decrease=q * self.alphas,
+            _omega=functools.partial(self.omega, lam, u, base, p),
         )
 
 
@@ -188,25 +194,32 @@ def _solve_m2(ev, cfg, warm_t=None):
 
     h(t) = omega((t, 1-t)) is convex on [0, 1] with h'(t) = q_2(t) - q_1(t)
     piecewise linear and nondecreasing, so a sign bracket plus secant steps
-    land on the root to machine accuracy. Endpoint signs settle vertex
-    solutions for free; a warm t from the previous iterate shrinks the
-    bracket before any bisection happens.
+    land on the root to machine accuracy. The warm t from the previous
+    iterate (t = 0 without one) is probed first and settles the solve when
+    h' vanishes there or its sign makes that vertex optimal. Otherwise only
+    the end across the root is probed: the end on the warm side is never
+    optimal and its gap is larger, gap(0) = -h'(0) > (1-t)(-h'(t)) = gap(t)
+    (symmetrically at 1). The t = 0 end wins a tie of gaps against t = 1,
+    an end wins one against an interior t.
     """
 
     def probe(t):
         pr = ev.query(np.array([t, 1.0 - t]))
         return pr, pr[5][1] - pr[5][0]
 
-    pr0, h0 = probe(0.0)
-    if h0 >= 0.0:
-        return ev.result(pr0)
-    pr1, h1 = probe(1.0)
-    if h1 <= 0.0:
-        return ev.result(pr1)
-
-    a, ha = 0.0, h0
-    b, hb = 1.0, h1
-    best = pr0 if pr0[6] <= pr1[6] else pr1
+    tw = 0.0 if warm_t is None else warm_t
+    prw, hw = probe(tw)
+    # at h'(tw) = 0 an optimal end still wins the tie, t = 0 first
+    for end in (0.0,) if hw > 0.0 else (1.0,) if hw < 0.0 else (0.0, 1.0):
+        if end == tw:
+            return ev.result(prw)
+        pre, he = probe(end)
+        if (he >= 0.0) if end == 0.0 else (he <= 0.0):
+            return ev.result(pre)
+    if hw == 0.0:
+        return ev.result(prw)
+    a, ha, b, hb = (tw, hw, 1.0, he) if hw < 0.0 else (0.0, he, tw, hw)
+    best = prw if prw[6] < pre[6] or (tw == 0.0 and prw[6] == pre[6]) else pre
 
     def note(t, pr, h):
         nonlocal a, ha, b, hb, best
@@ -217,11 +230,6 @@ def _solve_m2(ev, cfg, warm_t=None):
         elif h > 0.0 and t < b:
             b, hb = t, h
         return h == 0.0
-
-    if warm_t is not None and 0.0 < warm_t < 1.0:
-        prw, hw = probe(warm_t)
-        if note(warm_t, prw, hw):
-            return ev.result(prw)
 
     def secant():
         # root of the bracketing slopes; exact when h' is linear inside

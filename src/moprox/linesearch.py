@@ -40,16 +40,13 @@ def max_feasible_step(x, d, lower, upper):
     d = np.asarray(d, dtype=float)
     lower = np.asarray(lower, dtype=float)
     upper = np.asarray(upper, dtype=float)
-    if np.any(x < lower) or np.any(x > upper):
+    if (x < lower).any() or (x > upper).any():
         raise ValueError("base point lies outside the box")
-    t = 1.0
-    pos = d > 0
-    if np.any(pos):
-        t = min(t, float(np.min((upper[pos] - x[pos]) / d[pos])))
-    neg = d < 0
-    if np.any(neg):
-        t = min(t, float(np.min((lower[neg] - x[neg]) / d[neg])))
-    return max(t, 0.0)
+    moving = d != 0.0
+    d = d[moving]
+    # each moving coordinate's ratio to the face it heads for
+    ratios = (np.where(d > 0.0, upper[moving], lower[moving]) - x[moving]) / d
+    return max(0.0, float(ratios.min(initial=1.0)))  # +0.0 when blocked
 
 
 def armijo_search(problem, x, d, F_at_x, rhs, cfg=None, t_cap=1.0, counters=None):

@@ -124,29 +124,30 @@ class WeightedL1(_Kind):
         if any(ci < 0 for ci in c):
             raise ValueError("l1 coefficients must be nonnegative")
         object.__setattr__(self, "coeffs", c)
+        # the tuple serves eq, hash and repr; the methods read this array
+        arr = np.array(c)
+        arr.flags.writeable = False
+        object.__setattr__(self, "_c", arr)
 
     def check_size(self, n, m):
         if len(self.coeffs) != m:
             raise ValueError(f"WeightedL1 needs m = {m} coefficients")
 
     def g_values(self, x, m):
-        nrm = float(np.add.reduce(np.abs(x)))
-        return np.array([ci * nrm for ci in self.coeffs])
+        return self._c * float(np.add.reduce(np.abs(x)))
 
     def prox(self, weights, v):
-        kappa = float(np.dot(weights, self.coeffs))
-        return soft_threshold(v, kappa)
+        return soft_threshold(v, float(np.dot(weights, self._c)))
 
     def model_change(self, x, m):
-        coeffs = np.asarray(self.coeffs)
+        coeffs = self._c
         nx1 = float(np.add.reduce(np.abs(x)))
         return lambda p: coeffs * (float(np.add.reduce(np.abs(p))) - nx1)
 
     def dual_hessian(self, V, p, alphas):
         # off the zero set p_j = x_j - u_j - kappa sign(p_j), and the
         # threshold kappa = sum_i lambda_i c_i / alpha_i moves with lambda too
-        coeffs = np.asarray(self.coeffs, dtype=float)
-        S = V + np.outer(coeffs / alphas, np.sign(p))
+        S = V + np.outer(self._c / alphas, np.sign(p))
         Sf = S[:, p != 0.0]
         return Sf @ Sf.T
 

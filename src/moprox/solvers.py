@@ -307,7 +307,7 @@ def solve(problem, x0, cfg=None):
                     F_new = problem.evaluate_F(x_new, counters)
 
             if bounds is not None:
-                np.clip(x_new, bounds[0], bounds[1], out=x_new)
+                np.minimum(np.maximum(x_new, bounds[0], out=x_new), bounds[1], out=x_new)
             if not (x_new != x).any():
                 status = "line_search_failure"
                 warnings.append("accepted step underflowed; iterate unchanged")
@@ -358,13 +358,20 @@ def _quadratic_bound_violations(problem, x, f, grads, alphas, delta, counters):
     """(violated, f_trial) for the abbpgmo test at the trial point x + delta.
 
     Smooth part i is violated when
-    f_i(x + delta) - f_i(x) > <grad f_i, delta> + (alpha_i / 2) ||delta||^2.
-    Each check costs one feval, also one that raises. Inflating a violator's
-    alpha by tau always ends: a violation implies alpha_i < L_i, so alpha_i
-    stays below tau * L_i.
+    f_i(x + delta) - f_i(x) > <grad f_i, delta> + (alpha_i / 2) ||delta||^2
+    or when f_i(x + delta) is nonfinite (then f_trial is None). Each check
+    costs one feval, also one that fails. Inflating a violator's alpha by tau
+    always ends: a finite violation implies alpha_i < L_i, so alpha_i stays
+    below tau * L_i, and a nonfinite one shrinks the step into f_i's domain
+    or below d_tol.
     """
     counters.F_evals += 1
-    f_trial = problem.smooth_values(x + delta, counters)
+    try:
+        f_trial = problem.smooth_values(x + delta, counters)
+    except EvaluationError as err:
+        violated = np.zeros(problem.m, dtype=bool)
+        violated[err.objective] = True
+        return violated, None
     quad = grads @ delta + 0.5 * alphas * float(np.dot(delta, delta))
     slack = _ABB_CHECK_SLACK * np.maximum(1.0, np.maximum(np.abs(f_trial), np.abs(f)))
     return f_trial - f > quad + slack, f_trial

@@ -224,6 +224,29 @@ class TestCampaign:
         )
         assert summary.hard_failures == 1
 
+    @pytest.mark.parametrize(
+        "problem, algorithms, trials, seed, totals",
+        [
+            ("markowitz", ("bbpgmo", "pgmo_fixed"), 3, 1, (1206, 1222, 8788)),
+            ("quadratic:n=2", ("bbpgmo", "pgmo_separate", "pgmo_mu"), 20, 5, (624, 624, 2361)),
+        ],
+        ids=("markowitz", "quadratic_n2"),
+    )
+    def test_work_counters_are_pinned(self, problem, algorithms, trials, seed, totals):
+        """The deterministic work counters are the performance regression
+        gate: exact totals of iterations, F evaluations and prox calls over
+        short seeded campaigns. A change that moves one must say why; fewer
+        prox calls for the same iterations and F evaluations is a speed-up
+        that left the iterates alone."""
+        summary = run_campaign(
+            ExperimentSpec(problem=problem, algorithms=algorithms, trials=trials, seed=seed)
+        )
+        got = tuple(
+            sum(row[key] for row in summary.raw)
+            for key in ("iterations", "fevals", "prox_evals")
+        )
+        assert got == totals
+
 
 class TestExport:
     def _read(self, path):

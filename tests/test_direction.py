@@ -11,6 +11,8 @@ import pytest
 from moprox.direction import (
     FWConfig,
     SubproblemInput,
+    _Evaluator,
+    _solve_m2,
     direction_model_value,
     dual_gradient,
     dual_objective,
@@ -296,6 +298,161 @@ class TestWarmStart:
         res = frank_wolfe_solve(inp, warm_lambda=np.zeros(2))
         assert np.all(res.lam >= 0.0)
         assert res.lam.sum() == pytest.approx(1.0)
+
+
+def _both_ends_first_m2(ev, cfg, warm_t=None):
+    """The m = 2 solve as it was before warm-first probing: both ends, then
+    the interior warm t, then the same bracket search. The oracle for the
+    probe order."""
+
+    def probe(t):
+        pr = ev.query(np.array([t, 1.0 - t]))
+        return pr, pr[5][1] - pr[5][0]
+
+    pr0, h0 = probe(0.0)
+    if h0 >= 0.0:
+        return ev.result(pr0)
+    pr1, h1 = probe(1.0)
+    if h1 <= 0.0:
+        return ev.result(pr1)
+    a, ha, b, hb = 0.0, h0, 1.0, h1
+    best = pr0 if pr0[6] <= pr1[6] else pr1
+
+    def note(t, pr, h):
+        nonlocal a, ha, b, hb, best
+        if pr[6] < best[6]:
+            best = pr
+        if h < 0.0 and t > a:
+            a, ha = t, h
+        elif h > 0.0 and t < b:
+            b, hb = t, h
+        return h == 0.0
+
+    if warm_t is not None and 0.0 < warm_t < 1.0:
+        prw, hw = probe(warm_t)
+        if note(warm_t, prw, hw):
+            return ev.result(prw)
+
+    def secant():
+        if hb - ha > 0.0:
+            t = (a * hb - b * ha) / (hb - ha)
+            if a < t < b:
+                return t
+        return 0.5 * (a + b)
+
+    use_secant = True
+    while best[6] > cfg.gap_tol:
+        mid = secant() if use_secant else 0.5 * (a + b)
+        use_secant = not use_secant
+        if mid <= a or mid >= b:
+            break
+        prm, hm = probe(mid)
+        if note(mid, prm, hm):
+            best = prm
+            break
+    return ev.result(best)
+
+
+def _m2_solve_counted(solver, inp, warm_t, cfg=FWConfig()):
+    counters = EvalCounters()
+    res = solver(_Evaluator(inp, counters), cfg, warm_t)
+    return res, counters.prox_evals
+
+
+def _result_bytes(res):
+    return [a.tobytes() for a in (res.d, res.lam, np.float64(res.fw_gap), res.model_decrease)]
+
+
+class TestWarmFirstProbes:
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_bit_identical_to_both_ends_first(self, k):
+        """Probing the warm t first returns the bytes of d, lambda, fw_gap and
+        model_decrease that probing both ends first did, cold and warm at
+        t = 0, 1 and inside. The flat inputs (h' = 0 on all of [0, 1]) pin
+        the tie rule among optimal probes: the t = 0 end wins, then t = 1.
+        A gap tolerance that stops the search after the first two probes
+        pins which of them is best: between the ends t = 0 wins a tie of
+        gaps (the mirrored input), against an interior t the end wins."""
+        rng = np.random.default_rng(70 + k)
+        inputs = []
+        for _ in range(60):
+            n = int(rng.integers(1, 7))
+            inputs.append(_random_input(rng, n=n, m=2, kind=_kinds_for(rng, n, 2)[k]))
+        for n in (1, 3):  # equal scaled gradients; a one-point simplex
+            kind = _kinds_for(rng, n, 2)[k]
+            flat = _random_input(rng, n=n, m=2, kind=kind)
+            grads = np.vstack([flat.grads[0], 2.0 * flat.grads[0]])
+            inputs.append(SubproblemInput(
+                x=flat.x, grads=grads, alphas=np.array([1.0, 2.0]), kind=kind
+            ))
+        inputs.append(SubproblemInput(
+            x=np.ones(1), grads=rng.normal(size=(2, 1)), alphas=np.ones(2),
+            kind=SimplexIndicator(),
+        ))
+        if k < 2:  # gap 2 at both ends
+            inputs.append(SubproblemInput(
+                x=np.zeros(1), grads=np.array([[1.0], [-1.0]]), alphas=np.ones(2),
+                kind=(Zero(), WeightedL1((0.0, 0.0)))[k],
+            ))
+        for inp in inputs:
+            cold = frank_wolfe_solve(inp)
+            for warm_t in (None, 0.0, 1.0, float(rng.uniform()), float(cold.lam[0])):
+                for cfg in (FWConfig(), FWConfig(gap_tol=1e6)):
+                    new, _ = _m2_solve_counted(_solve_m2, inp, warm_t, cfg)
+                    old, _ = _m2_solve_counted(_both_ends_first_m2, inp, warm_t, cfg)
+                    assert _result_bytes(new) == _result_bytes(old), (inp, warm_t)
+
+    def test_interior_warm_start_saves_one_probe(self):
+        """A warm t inside (0, 1) that settles nothing costs one prox call
+        fewer than probing both ends first: the end on its own side of the
+        root is never probed."""
+        rng = np.random.default_rng(75)
+        checked = 0
+        for _ in range(200):
+            kind = _kinds_for(rng, 4, 2)[int(rng.integers(4))]
+            inp = _random_input(rng, n=4, m=2, kind=kind)
+            warm_t = float(rng.uniform(0.05, 0.95))
+            old, old_calls = _m2_solve_counted(_both_ends_first_m2, inp, warm_t)
+            if not 0.0 < old.lam[0] < 1.0:
+                continue
+            _, new_calls = _m2_solve_counted(_solve_m2, inp, warm_t)
+            assert new_calls == old_calls - 1
+            checked += 1
+        assert checked > 50
+
+    def test_optimal_warm_vertex_costs_one_prox(self):
+        """h'(1) < 0 makes t = 1 optimal: a warm start there is the only
+        probe (t = 0 is not probed first, as in the cold case above)."""
+        inp = SubproblemInput(
+            x=np.zeros(2),
+            grads=np.array([[1.0, 0.0], [2.0, 0.0]]),
+            alphas=np.ones(2),
+            kind=Zero(),
+        )
+        counters = EvalCounters()
+        res = frank_wolfe_solve(inp, counters=counters, warm_lambda=[1.0, 0.0])
+        assert counters.prox_evals == 1
+        np.testing.assert_array_equal(res.lam, [1.0, 0.0])
+        np.testing.assert_array_equal(res.d, [-1.0, 0.0])
+
+
+class TestDualValue:
+    def test_read_lazily_and_equal_to_the_dual_objective(self):
+        """dual_value is -omega(lambda) at the returned multiplier to the
+        bit, computed from the probe the solver holds: reading it costs no
+        prox call, and a second read returns the cached float."""
+        rng = np.random.default_rng(81)
+        for _ in range(80):
+            n = int(rng.integers(1, 6))
+            m = int(rng.integers(1, 5))
+            inp = _random_input(rng, n=n, m=m, kind=_kinds_for(rng, n, m)[int(rng.integers(4))])
+            counters = EvalCounters()
+            res = frank_wolfe_solve(inp, counters=counters)
+            calls = counters.prox_evals
+            value = res.dual_value
+            assert res.dual_value is value
+            assert counters.prox_evals == calls
+            assert value == -dual_objective(inp, res.lam)
 
 
 class TestInputValidation:

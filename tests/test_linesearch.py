@@ -71,6 +71,40 @@ class TestMaxFeasibleStep:
                 z2 = x + (t + 1e-6) * d
                 assert np.any(z2 < lo) or np.any(z2 > hi)
 
+    def test_bit_identical_to_two_pass_form(self):
+        """One ratio per moving coordinate returns the bits the two masked
+        passes did, with some d_j = 0, base points on a face, and caps of 0
+        and 1. A blocked step is +0.0; the two-pass form returned -0.0 when
+        only a decreasing coordinate sat on its face."""
+
+        def two_pass(x, d, lower, upper):
+            t = 1.0
+            pos = d > 0
+            if np.any(pos):
+                t = min(t, float(np.min((upper[pos] - x[pos]) / d[pos])))
+            neg = d < 0
+            if np.any(neg):
+                t = min(t, float(np.min((lower[neg] - x[neg]) / d[neg])))
+            return max(t, 0.0)
+
+        rng = np.random.default_rng(19)
+        caps = set()
+        for _ in range(3000):
+            n = int(rng.integers(1, 6))
+            lo, hi = -rng.uniform(0.0, 2.0, n), rng.uniform(0.0, 2.0, n)
+            x = rng.uniform(lo, hi)
+            face = rng.random(n)
+            x[face < 0.2] = lo[face < 0.2]
+            x[face > 0.8] = hi[face > 0.8]
+            d = rng.normal(size=n) * 10.0 ** rng.uniform(-3.0, 2.0)
+            d[rng.random(n) < 0.3] = 0.0
+            t = max_feasible_step(x, d, lo, hi)
+            old = two_pass(x, d, lo, hi)
+            assert type(t) is float
+            assert np.float64(t).tobytes() == np.float64(old + 0.0).tobytes()
+            caps.add(t if t in (0.0, 1.0) else "inside")
+        assert caps == {0.0, 1.0, "inside"}
+
 
 class TestArmijoSearch:
     def test_full_step_accepted_on_mild_curvature(self):

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from moprox import solvers
 from moprox.bb import BBConfig
 from moprox.problems import MCOProblem, SmoothComponent
 from moprox.prox import SimplexIndicator
@@ -241,7 +242,7 @@ class TestStopsThatReturnAStatus:
         assert report.counters.F_evals == trials + cfg.ls.max_backtracks + 1
 
     @pytest.mark.parametrize("x0", (0.2, 2.0))
-    @pytest.mark.parametrize("mode", ("abbpgmo", "pgmo_fixed", "pgmo_separate"))
+    @pytest.mark.parametrize("mode", ("pgmo_fixed", "pgmo_separate"))
     def test_full_step_outside_the_domain(self, mode, x0):
         """The same problem with L_i = mu_i = 1 given. These modes take full
         steps, and one lands at x < 0, where F is nan: the solve ends with
@@ -253,11 +254,37 @@ class TestStopsThatReturnAStatus:
             report = solve(problem, np.array([x0]), SolverConfig(algorithm=mode))
         assert report.status == "evaluation_failure"
         assert report.warnings == ["objective 0 returned nonfinite smooth value nan"]
-        assert report.iterations == (4 if x0 == 2.0 and mode != "abbpgmo" else 0)
+        assert report.iterations == (4 if x0 == 2.0 else 0)
         last = report.trace[-1].x if report.trace else [x0]
         np.testing.assert_array_equal(report.x, last)
         np.testing.assert_array_equal(report.F, problem.evaluate_F(report.x))
         assert report.counters.F_evals == report.iterations + 1
+
+    @pytest.mark.parametrize("x0", (0.2, 1.0, 2.0, 5.0))
+    def test_abbpgmo_inflates_a_trial_outside_the_domain(self, monkeypatch, x0):
+        """abbpgmo counts a nonfinite trial value as a violated quadratic
+        bound: that part's alpha is inflated and the direction solved again
+        until the trial stays in the domain, so the solve reaches the
+        minimizer x = 0 instead of failing at x0. Every bound check counts
+        one F evaluation, also one that hits a nan."""
+        checks = []
+        original = solvers._quadratic_bound_violations
+
+        def counted(*args):
+            checks.append(args[-2])
+            return original(*args)
+
+        monkeypatch.setattr(solvers, "_quadratic_bound_violations", counted)
+        problem = _sqrt_problem(lipschitz=1.0, strong_mu=1.0)
+        with np.errstate(invalid="ignore"):
+            report = solve(problem, np.array([x0]), SolverConfig(algorithm="abbpgmo"))
+        assert report.status == "critical_point"
+        assert 0.0 < report.x[0] < 1e-6
+        assert report.iterations <= 5
+        assert sum(rec.inflations.sum() for rec in report.trace) > report.iterations
+        assert x0 + checks[0][0] < 0.0  # the first trial leaves the domain
+        assert report.counters.F_evals == len(checks)
+        np.testing.assert_array_equal(report.F, problem.evaluate_F(report.x))
 
     def test_iterate_outside_the_kind_domain_raises(self):
         """Bounds that cut the simplex away leave no feasible start: the
