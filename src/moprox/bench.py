@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import os
 import sys
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -73,36 +74,37 @@ class ExperimentSummary:
         return sum(1 for r in self.raw if r["status"] in _HARD_FAILURES)
 
 
+def _parse_token(token, keys, what):
+    """Split ``name[:key=value,...]`` into (name, {key: value}); a key outside
+    ``keys`` raises ValueError naming ``what``."""
+    name, _, body = token.partition(":")
+    params = {}
+    for piece in filter(None, body.split(",")):
+        key, _, value = piece.partition("=")
+        params[key] = value
+    unknown = sorted(set(params) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown {what} {unknown} in {token!r}")
+    return name, params
+
+
 def algo_config(token, d_tol=1e-6, max_iters=500):
     """Translate a CLI algorithm token (name[:key=value,...]) to a config."""
-    name, _, params = token.partition(":")
-    kwargs = {}
-    if params:
-        for piece in params.split(","):
-            key, _, value = piece.partition("=")
-            if key not in ("ell", "tau"):
-                raise ValueError(f"unknown algorithm parameter {key!r} in {token!r}")
-            kwargs[key] = float(value)
-    return SolverConfig(
-        algorithm=name, d_tol=d_tol, max_iters=max_iters, **kwargs
-    )
+    name, params = _parse_token(token, ("ell", "tau"), "algorithm parameter")
+    kwargs = {key: float(value) for key, value in params.items()}
+    return SolverConfig(algorithm=name, d_tol=d_tol, max_iters=max_iters, **kwargs)
 
 
 def _parse_quadratic_token(token):
-    fields = {}
-    body = token.split(":", 1)[1] if ":" in token else ""
-    for piece in filter(None, body.split(",")):
-        key, _, value = piece.partition("=")
-        fields[key] = value
+    _, fields = _parse_token(token, ("n", "xl", "xu", "g"), "quadratic fields")
     if "n" not in fields:
         raise ValueError("quadratic problems need n=<dim>, e.g. quadratic:n=10")
-    n = int(fields.pop("n"))
-    xl = float(fields.pop("xl", -2.0))
-    xu = float(fields.pop("xu", 2.0))
-    g_kind = fields.pop("g", "l1")
-    if fields:
-        raise ValueError(f"unknown quadratic fields: {sorted(fields)}")
-    return QuadraticSpec(n=n, xl=xl, xu=xu, g_kind=g_kind)
+    return QuadraticSpec(
+        n=int(fields["n"]),
+        xl=float(fields.get("xl", -2.0)),
+        xu=float(fields.get("xu", 2.0)),
+        g_kind=fields.get("g", "l1"),
+    )
 
 
 def _child_seed(spec, i):
@@ -139,8 +141,9 @@ def _sample_start(problem, sampling, rng):
     return rng.uniform(lo, hi)
 
 
-def _run_trial(spec, trial, problem=None):
-    """One trial: the campaign instance, one start, one solve per algorithm."""
+def _run_trial(spec, configs, trial, problem=None):
+    """One trial: the campaign instance, one start, one solve per algorithm
+    token; returns (raw rows, {token: SolveReport})."""
     if problem is None:
         problem = _campaign_problem(spec)
     rng = np.random.default_rng(_child_seed(spec, trial + 1))
@@ -148,12 +151,9 @@ def _run_trial(spec, trial, problem=None):
     x0_hash = hashlib.sha1(x0.tobytes()).hexdigest()[:12]
 
     raw_rows = []
-    pareto_rows = []
     reports = {}
     for token in spec.algorithms:
-        cfg = algo_config(token, d_tol=spec.d_tol, max_iters=spec.max_iters)
-        report = solve(problem, x0, cfg)
-        reports[token] = report
+        report = reports[token] = solve(problem, x0, configs[token])
         raw_rows.append(
             {
                 "trial": trial,
@@ -168,41 +168,38 @@ def _run_trial(spec, trial, problem=None):
                 "time_ms": report.total_time * 1000.0,
             }
         )
-        row = {"trial": trial, "algo": token}
-        for i, Fi in enumerate(report.F, start=1):
-            row[f"F{i}"] = float(Fi)
-        if problem.n == 2:
-            for j, xj in enumerate(report.x, start=1):
-                row[f"x{j}"] = float(xj)
-        pareto_rows.append(row)
-    return problem.n, problem.m, problem.name, raw_rows, pareto_rows, reports
-
-
-def _trial_worker(args):
-    spec_dict, trial = args
-    return _run_trial(ExperimentSpec(**spec_dict), trial)
+    return raw_rows, reports
 
 
 def run_campaign(spec):
     """Execute all trials; deterministic for a fixed spec (any jobs value)."""
-    # validate algorithm tokens and the problem before paying for any solves
-    for token in spec.algorithms:
-        algo_config(token, spec.d_tol, spec.max_iters)
+    # building the configs and the problem checks the spec before any solve
+    configs = {
+        token: algo_config(token, spec.d_tol, spec.max_iters)
+        for token in dict.fromkeys(spec.algorithms)
+    }
     problem = _campaign_problem(spec)
 
     if spec.jobs > 1:
-        payload = {k: getattr(spec, k) for k in spec.__dataclass_fields__}
+        # each worker builds the problem itself: its callables need not pickle
         with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
             outcomes = list(
-                pool.map(_trial_worker, [(payload, t) for t in range(spec.trials)])
+                pool.map(functools.partial(_run_trial, spec, configs), range(spec.trials))
             )
     else:
-        outcomes = [_run_trial(spec, t, problem) for t in range(spec.trials)]
+        outcomes = [_run_trial(spec, configs, t, problem) for t in range(spec.trials)]
 
-    n, m, problem_name = outcomes[0][0], outcomes[0][1], outcomes[0][2]
-    raw = [row for outcome in outcomes for row in outcome[3]]
-    pareto = [row for outcome in outcomes for row in outcome[4]]
-    reports = [outcome[5] for outcome in outcomes]
+    raw = [row for rows, _ in outcomes for row in rows]
+    reports = [trial_reports for _, trial_reports in outcomes]
+    pareto = []
+    for trial, trial_reports in enumerate(reports):
+        for token in spec.algorithms:
+            report = trial_reports[token]
+            row = {"trial": trial, "algo": token}
+            row.update((f"F{i}", float(v)) for i, v in enumerate(report.F, start=1))
+            if problem.n == 2:
+                row.update((f"x{j}", float(v)) for j, v in enumerate(report.x, start=1))
+            pareto.append(row)
 
     rows = []
     for token in spec.algorithms:
@@ -226,9 +223,9 @@ def run_campaign(spec):
         )
     return ExperimentSummary(
         spec=spec,
-        problem_name=problem_name,
-        n=n,
-        m=m,
+        problem_name=problem.name,
+        n=problem.n,
+        m=problem.m,
         rows=rows,
         raw=raw,
         pareto=pareto,
@@ -236,18 +233,14 @@ def run_campaign(spec):
     )
 
 
-def _fmt_cell(value):
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
-def _write_csv(path, fieldnames, rows):
+def _write_csv(path, rows):
+    """One CSV row per dict; the first dict's keys are the header."""
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(fieldnames)
+        writer.writerow(rows[0])
         for row in rows:
-            writer.writerow([_fmt_cell(row[name]) for name in fieldnames])
+            writer.writerow([repr(v) if isinstance(v, float) else str(v)
+                             for v in row.values()])
 
 
 def export_results(summary, out_dir):
@@ -256,17 +249,11 @@ def export_results(summary, out_dir):
     written = []
 
     # the row dicts built by run_campaign and _run_trial fix the column order
-    for name, rows in (("summary.csv", summary.rows), ("runs.csv", summary.raw)):
+    for name, rows in (("summary.csv", summary.rows), ("runs.csv", summary.raw),
+                       ("pareto.csv", summary.pareto)):
         path = os.path.join(out_dir, name)
-        _write_csv(path, list(rows[0]), rows)
+        _write_csv(path, rows)
         written.append(path)
-
-    pareto_fields = ["trial", "algo"] + [f"F{i}" for i in range(1, summary.m + 1)]
-    if summary.n == 2:
-        pareto_fields += ["x1", "x2"]
-    path = os.path.join(out_dir, "pareto.csv")
-    _write_csv(path, pareto_fields, summary.pareto)
-    written.append(path)
 
     scatters = []
     if summary.m == 2:
@@ -301,16 +288,14 @@ def _print_summary(summary, elapsed):
     print(header)
     print("-" * len(header))
     for row in summary.rows:
-        cells = []
-        for c in cols:
-            v = row[c]
-            cells.append((f"{v:.4g}" if isinstance(v, float) else str(v)).ljust(widths[c]))
-        print("".join(cells))
+        cells = [f"{v:.4g}" if isinstance(v, float) else str(v) for v in row.values()]
+        print("".join(cell.ljust(widths[c]) for c, cell in zip(cols, cells)))
     print(f"campaign wall time {elapsed:.2f} s")
 
 
-def _load_config_file(path):
-    values = {}
+def _config_tokens(path):
+    """A config file's ``key = value`` lines as ``--key=value`` flag tokens."""
+    tokens = []
     with open(path) as fh:
         for lineno, line in enumerate(fh, start=1):
             line = line.strip()
@@ -319,71 +304,36 @@ def _load_config_file(path):
             if "=" not in line:
                 raise ValueError(f"{path}:{lineno}: expected key=value")
             key, _, value = line.partition("=")
-            values[key.strip()] = value.strip()
-    return values
+            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
+    return tokens
 
 
-_CONFIG_KEYS = {
-    "problem": str,
-    "algos": str,
-    "trials": int,
-    "seed": int,
-    "out": str,
-    "jobs": int,
-    "d_tol": float,
-    "max_iters": int,
-    "start_sampling": str,
-    "markowitz_returns": str,
-}
-
-
-# unset options fall back to ExperimentSpec's defaults; the rest to None
-_SPEC_DEFAULTS = {
-    f.name: f.default for f in fields(ExperimentSpec) if f.default is not MISSING
-}
-
-
-def _merged_options(args):
-    """CLI flags override config-file values; both override defaults."""
-    config = _load_config_file(args.config) if args.config else {}
-    unknown = set(config) - set(_CONFIG_KEYS)
-    if unknown:
-        raise ValueError(f"unknown config keys: {sorted(unknown)}")
-    merged = {}
-    for key, cast in _CONFIG_KEYS.items():
-        cli_value = getattr(args, key)
-        if cli_value is not None:
-            merged[key] = cli_value
-        elif key in config:
-            merged[key] = cast(config[key])
-        else:
-            merged[key] = _SPEC_DEFAULTS.get(key)
-    if not merged["problem"]:
+def _cmd_run(args, options):
+    if args.config:
+        # config values fill the flags the command line left unset
+        try:
+            config, unknown = options.parse_known_args(_config_tokens(args.config))
+        except argparse.ArgumentError as err:
+            raise ValueError(f"{args.config}: {err}") from None
+        if unknown:
+            keys = sorted(tok.partition("=")[0][2:] for tok in unknown)
+            raise ValueError(f"unknown config keys: {keys}")
+        for key, value in vars(config).items():
+            if getattr(args, key) is None:
+                setattr(args, key, value)
+    if not args.problem:
         raise ValueError("a problem is required (flag --problem or config)")
-    if not merged["algos"]:
+    if args.algorithms is None:
         raise ValueError("algorithms are required (flag --algos or config)")
-    return merged
-
-
-def _cmd_run(args):
-    opts = _merged_options(args)
-    spec = ExperimentSpec(
-        problem=opts["problem"],
-        algorithms=tuple(tok.strip() for tok in opts["algos"].split(",") if tok.strip()),
-        trials=opts["trials"],
-        seed=opts["seed"],
-        d_tol=opts["d_tol"],
-        max_iters=opts["max_iters"],
-        jobs=opts["jobs"],
-        start_sampling=opts["start_sampling"],
-        markowitz_returns=opts["markowitz_returns"],
-    )
+    # unset options fall back to ExperimentSpec's defaults
+    given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)}
+    spec = ExperimentSpec(**{k: v for k, v in given.items() if v is not None})
     started = time.perf_counter()
     summary = run_campaign(spec)
     elapsed = time.perf_counter() - started
     _print_summary(summary, elapsed)
-    if opts["out"]:
-        for path in export_results(summary, opts["out"]):
+    if args.out:
+        for path in export_results(summary, args.out):
             print(f"wrote {path}")
     if summary.hard_failures:
         print(f"{summary.hard_failures} hard failure(s)", file=sys.stderr)
@@ -404,31 +354,35 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    runp = sub.add_parser("run", help="run a campaign and export results")
-    runp.add_argument(
+    # the campaign options, declared once: the run flags and the config keys
+    options = argparse.ArgumentParser(
+        add_help=False, allow_abbrev=False, exit_on_error=False
+    )
+    options.add_argument(
         "--problem",
         help="registry key (see bench run --list) or quadratic:n=..,xl=..,xu=..",
     )
-    runp.add_argument("--algos", help="comma list, e.g. bbpgmo,pgmo_ls,pgmo_L")
-    runp.add_argument("--trials", type=int, default=None)
-    runp.add_argument("--seed", type=int, default=None)
-    runp.add_argument("--out", default=None, help="directory for CSV/SVG exports")
-    runp.add_argument("--jobs", type=int, default=None, help="concurrent trials")
-    runp.add_argument("--d-tol", dest="d_tol", type=float, default=None)
-    runp.add_argument("--max-iters", dest="max_iters", type=int, default=None)
-    runp.add_argument(
-        "--start-sampling",
-        dest="start_sampling",
-        choices=("auto", "box", "simplex"),
-        default=None,
+    options.add_argument(
+        "--algos",
+        dest="algorithms",
+        metavar="ALGOS",
+        type=lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
+        help="comma list, e.g. bbpgmo,pgmo_ls,pgmo_L",
     )
-    runp.add_argument(
+    options.add_argument("--trials", type=int)
+    options.add_argument("--seed", type=int)
+    options.add_argument("--out", help="directory for CSV/SVG exports")
+    options.add_argument("--jobs", type=int, help="concurrent trials")
+    options.add_argument("--d-tol", type=float)
+    options.add_argument("--max-iters", type=int)
+    options.add_argument("--start-sampling", choices=("auto", "box", "simplex"))
+    options.add_argument(
         "--markowitz-returns",
-        dest="markowitz_returns",
-        default=None,
         help="raw return-history table overriding the embedded statistics",
     )
-    runp.add_argument("--config", default=None, help="key=value file of options")
+
+    runp = sub.add_parser("run", parents=[options], help="run a campaign and export results")
+    runp.add_argument("--config", help="key = value file of run options")
     runp.add_argument(
         "--list", action="store_true", help="list registry problems and exit"
     )
@@ -442,7 +396,7 @@ def main(argv=None):
             for key in available_problems():
                 print(key)
             return 0
-        return _cmd_run(args)
+        return _cmd_run(args, options)
     return _cmd_verify(args)
 
 

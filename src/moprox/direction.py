@@ -115,7 +115,9 @@ class _Evaluator:
     """Shared dual-query state: one prox per query, counters threaded.
 
     A query returns the probe (lam, u, base, p, d, q, gap); omega and result
-    take a probe's leading fields instead of recomputing them.
+    take a probe's leading fields instead of recomputing them. result keeps
+    the probe's lam without a copy: callers pass probes whose lam nothing
+    changes later (m >= 3 copies its moving multiplier into the best probe).
     """
 
     def __init__(self, inp, counters=None):
@@ -152,7 +154,7 @@ class _Evaluator:
         lam, u, base, p, d, q, gap = probe
         return DirectionResult(
             d=d,
-            lam=np.array(lam, dtype=float, copy=True),
+            lam=lam,
             fw_gap=gap,
             model_decrease=q * self.alphas,
             _omega=functools.partial(self.omega, lam, u, base, p),

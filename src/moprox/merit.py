@@ -26,6 +26,7 @@ import itertools
 import numpy as np
 
 from .direction import FWConfig, SubproblemInput, frank_wolfe_solve
+from .exceptions import EvaluationError
 
 
 def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
@@ -48,7 +49,8 @@ def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
 def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     """Grid lower bound of u0(x); exact up to grid resolution for n <= 3.
 
-    Grid points where any F_i is infinite (indicator kinds) are skipped.
+    Grid points where any F_i is infinite (indicator kinds) or a smooth part
+    cannot be evaluated (outside its domain) are skipped.
     """
     if problem.n > 3:
         raise ValueError("grid scan is limited to n <= 3")
@@ -66,7 +68,10 @@ def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     best = -np.inf
     for point in itertools.product(*axes):
         y = np.asarray(point)
-        Fy = problem.smooth_values(y) + problem.g_values(y)
+        try:
+            Fy = problem.smooth_values(y) + problem.g_values(y)
+        except EvaluationError:
+            continue
         if not np.all(np.isfinite(Fy)):
             continue
         best = max(best, float(np.min((Fx - Fy) / alphas)))

@@ -182,12 +182,12 @@ class BoxIndicator(_Kind):
         return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
 
     def project(self, x):
-        return project_box(x, self._lo, self._hi)
+        return np.asarray(x, dtype=float).clip(self._lo, self._hi)
 
     def prox(self, weights, v):
         if float(np.add.reduce(weights)) <= 0.0:
             return np.array(v, dtype=float, copy=True)
-        return project_box(v, self._lo, self._hi)
+        return np.asarray(v, dtype=float).clip(self._lo, self._hi)
 
     def dual_hessian(self, V, p, alphas):
         Vf = V[:, (p > self._lo) & (p < self._hi)]  # clamped coordinates do not move

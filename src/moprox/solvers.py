@@ -184,9 +184,6 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
         return res, True
     except DualSolveError as err:
         res = err.result
-        if res is None:
-            warnings.append(str(err))
-            return None, False
         dd = float(np.dot(res.d, res.d))
         certified = np.all(
             res.model_decrease <= -inp.alphas * dd + _DESCENT_SLACK
@@ -219,19 +216,18 @@ def solve(problem, x0, cfg=None):
     grads = problem.jacobian(x, counters)
 
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
-    memory = None
-    if mode in ("bbpgmo", "abbpgmo"):
-        x_prev = x - _X_MINUS_OFFSET
-        memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
-
     bounds = problem.bounds
     trace = []
     warnings = []
     status = None
     warm_lambda = None
 
-    # an EvaluationError ends the solve at the last accepted iterate
+    # an EvaluationError ends the solve at the last accepted iterate (x0 when
+    # the BB modes' synthetic predecessor lies outside a smooth part's domain)
     try:
+        if alphas_fixed is None:
+            x_prev = x - _X_MINUS_OFFSET
+            memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
         for k in range(cfg.max_iters):
             iter_started = time.perf_counter()
             if alphas_fixed is None:
@@ -315,7 +311,7 @@ def solve(problem, x0, cfg=None):
 
             # a failing gradient leaves the last accepted x, F and grads
             grads_new = problem.jacobian(x_new, counters)
-            if memory is not None:
+            if alphas_fixed is None:
                 memory.update(x, grads)
             warm_lambda = res.lam
             x, F, grads = x_new, F_new, grads_new

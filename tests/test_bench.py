@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 import moprox
-from moprox import testproblems
+from moprox import bench, testproblems
 from moprox.bench import (
     ExperimentSpec,
     ExperimentSummary,
@@ -207,6 +207,48 @@ class TestCampaign:
         assert untimed(pooled.raw) == untimed(serial.raw)
         assert pooled.pareto == serial.pareto
 
+    def test_configs_built_once_per_token(self, monkeypatch):
+        """Each distinct token is parsed into its SolverConfig once per
+        campaign, not once per trial."""
+        calls = []
+        original = bench.algo_config
+
+        def counted(token, *args):
+            calls.append(token)
+            return original(token, *args)
+
+        monkeypatch.setattr(bench, "algo_config", counted)
+        spec = ExperimentSpec(
+            problem="BK1", algorithms=("bbpgmo", "pgmo_ls:ell=2", "bbpgmo"), trials=4
+        )
+        run_campaign(spec)
+        assert calls == ["bbpgmo", "pgmo_ls:ell=2"]
+
+    def test_duplicate_token_solves_again(self):
+        """A repeated token runs its solve again in every trial: its rows
+        repeat the first occurrence's, and reports keep one per token."""
+        single = run_campaign(
+            ExperimentSpec(problem="BK1", algorithms=("bbpgmo", "pgmo_L"), trials=3, seed=2)
+        )
+        double = run_campaign(
+            ExperimentSpec(
+                problem="BK1", algorithms=("bbpgmo", "pgmo_L", "bbpgmo"), trials=3, seed=2
+            )
+        )
+
+        def untimed(row):
+            return {k: v for k, v in row.items() if k != "time_ms"}
+
+        expected = []
+        for trial in range(3):
+            first, second = single.raw[2 * trial : 2 * trial + 2]
+            expected += [untimed(first), untimed(second), untimed(first)]
+        assert [untimed(r) for r in double.raw] == expected
+        assert [r["algo"] for r in double.rows] == ["bbpgmo", "pgmo_L", "bbpgmo"]
+        assert double.rows[0]["iter_mean"] == double.rows[2]["iter_mean"]
+        assert [sorted(r) for r in double.reports] == [["bbpgmo", "pgmo_L"]] * 3
+        assert double.pareto[2] == {**double.pareto[0], "algo": "bbpgmo"}
+
     def test_hard_failures_counted(self, bad_gradient_problem):
         spec = ExperimentSpec(
             problem=bad_gradient_problem, algorithms=("pgmo_ls",), trials=2, seed=0
@@ -369,6 +411,57 @@ class TestCLI:
         config = tmp_path / "campaign.cfg"
         config.write_text("problem = BK1\nalgos = bbpgmo\nbudget = 9\n")
         with pytest.raises(ValueError, match="unknown config keys"):
+            main(["run", "--config", str(config)])
+
+    @pytest.mark.parametrize("sep", ("_", "-"))
+    def test_config_file_matches_flags(self, tmp_path, capsys, sep):
+        """A config file and the same options as flags write the same runs
+        (time aside) and pareto files; keys may use _ or - between words."""
+        options = {
+            "problem": "quadratic:n=2,xl=-1,xu=1",
+            "algos": "bbpgmo, pgmo_ls:ell=2",
+            "trials": "3",
+            "seed": "11",
+            "d_tol": "1e-5",
+            "max_iters": "200",
+            "start_sampling": "box",
+        }
+        config = tmp_path / "campaign.cfg"
+        config.write_text(
+            "".join(f"{k.replace('_', sep)} = {v}\n" for k, v in options.items())
+        )
+        flags = [tok for k, v in options.items() for tok in ("--" + k.replace("_", "-"), v)]
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+        assert main(["run", *flags, "--out", str(tmp_path / "b")]) == 0
+        capsys.readouterr()
+
+        def read(name, drop=()):
+            with open(tmp_path / name) as fh:
+                rows = list(csv.reader(fh))
+            keep = [i for i, c in enumerate(rows[0]) if c not in drop]
+            return [[row[i] for i in keep] for row in rows]
+
+        for name, drop in (("runs.csv", ("time_ms",)), ("pareto.csv", ())):
+            a, b = read(f"a/{name}", drop), read(f"b/{name}", drop)
+            assert a == b and len(a) == 1 + 3 * 2
+
+    @pytest.mark.parametrize(
+        "line", ("config = other.cfg", "list = true", "help = 1", "algorithms = bbpgmo",
+                 "prob = BK1")
+    )
+    def test_config_file_rejects_keys_that_are_no_campaign_option(self, tmp_path, line):
+        config = tmp_path / "campaign.cfg"
+        config.write_text(f"problem = BK1\nalgos = bbpgmo\n{line}\n")
+        with pytest.raises(ValueError, match="unknown config keys"):
+            main(["run", "--config", str(config)])
+
+    def test_config_file_bad_value(self, tmp_path):
+        config = tmp_path / "campaign.cfg"
+        config.write_text("problem = BK1\nalgos = bbpgmo\nstart_sampling = gaussian\n")
+        with pytest.raises(ValueError, match="invalid choice"):
+            main(["run", "--config", str(config)])
+        config.write_text("problem = BK1\nalgos = bbpgmo\ntrials\n")
+        with pytest.raises(ValueError, match="campaign.cfg:3: expected key=value"):
             main(["run", "--config", str(config)])
 
     def test_missing_problem_rejected(self):

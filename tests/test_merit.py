@@ -146,3 +146,21 @@ class TestGridGap:
         u0 = weak_pareto_gap_grid(toy, x, np.ones(1), 0.0, 1.0, resolution=21)
         # best feasible grid competitor is (0.5, 0.5) itself
         assert u0 == pytest.approx(0.0, abs=1e-12)
+
+    def test_grid_points_outside_the_smooth_domain_skipped(self):
+        """f1 = sqrt(x), f2 = sqrt(x) + x: grid points at y < 0 cannot be
+        evaluated and are skipped, so [-1, 1] gives the value of [0, 1],
+        both attained at y = 0."""
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, s=s: float(np.sqrt(x[0]) + s * x[0]),
+                gradient=lambda x, s=s: 0.5 / np.sqrt(x) + s,
+            )
+            for s in (0.0, 1.0)
+        )
+        problem = MCOProblem(n=1, smooth=comps)
+        x = np.array([0.5])
+        with np.errstate(invalid="ignore"):
+            wide = weak_pareto_gap_grid(problem, x, np.ones(2), -1.0, 1.0)
+        assert wide == weak_pareto_gap_grid(problem, x, np.ones(2), 0.0, 1.0)
+        assert wide == pytest.approx(np.sqrt(0.5), rel=1e-15)

@@ -5,8 +5,9 @@ import pytest
 
 from moprox import solvers
 from moprox.bb import BBConfig
+from moprox.direction import FWConfig
 from moprox.problems import MCOProblem, SmoothComponent
-from moprox.prox import SimplexIndicator
+from moprox.prox import BoxIndicator, SimplexIndicator
 from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
@@ -286,6 +287,40 @@ class TestStopsThatReturnAStatus:
         assert report.counters.F_evals == len(checks)
         np.testing.assert_array_equal(report.F, problem.evaluate_F(report.x))
 
+    @pytest.mark.parametrize("mode", ("bbpgmo", "abbpgmo"))
+    def test_bb_predecessor_outside_the_domain(self, mode):
+        """From x0 = 5e-5 the synthetic first BB predecessor x0 - 1e-4 lies at
+        x < 0, where the gradient of sqrt is nan: the solve ends with
+        evaluation_failure at x0 instead of raising."""
+        problem = _sqrt_problem(lipschitz=1.0, strong_mu=1.0)
+        x0 = np.array([5e-5])
+        with np.errstate(invalid="ignore"):
+            report = solve(problem, x0, SolverConfig(algorithm=mode))
+        assert report.status == "evaluation_failure"
+        assert report.iterations == 0
+        assert report.warnings == ["objective 0 returned a nonfinite gradient"]
+        np.testing.assert_array_equal(report.x, x0)
+        np.testing.assert_array_equal(report.F, problem.evaluate_F(x0))
+
+    def test_fixed_step_that_leaves_x_unchanged(self, monkeypatch):
+        """The unit direction from x0 = 1e5 times a box cap of 2e-12 (just
+        above the face stop) is below half an ulp of x0, so the accepted
+        fixed step leaves x as it was and the solve ends. The ratio test is
+        patched to return that cap: its own caps always move the blocking
+        coordinate onto its face."""
+        monkeypatch.setattr(solvers, "max_feasible_step", lambda *args: 2e-12)
+        comp = SmoothComponent(
+            value=lambda x: float(x[0]), gradient=lambda x: np.ones(1), lipschitz=1.0
+        )
+        problem = MCOProblem(
+            n=1, smooth=(comp, comp), bounds=(np.array([-1e6]), np.array([1e6]))
+        )
+        report = solve(problem, np.array([1e5]), SolverConfig(algorithm="pgmo_separate"))
+        assert report.status == "line_search_failure"
+        assert report.warnings == ["accepted step underflowed; iterate unchanged"]
+        assert report.iterations == 0
+        np.testing.assert_array_equal(report.x, [1e5])
+
     def test_iterate_outside_the_kind_domain_raises(self):
         """Bounds that cut the simplex away leave no feasible start: the
         clipped x0 is off the simplex, which is a modelling error, not an
@@ -299,6 +334,49 @@ class TestStopsThatReturnAStatus:
         )
         with pytest.raises(ValueError, match="outside the domain of g"):
             solve(problem, np.array([0.5, 0.5]), SolverConfig(algorithm="pgmo_ls"))
+
+
+class TestCappedDualSolve:
+    """One Frank-Wolfe iteration leaves an m = 3 dual at the uniform
+    multiplier, so a dual whose optimum lies elsewhere is capped."""
+
+    CAPPED = SolverConfig(algorithm="pgmo_ls", fw=FWConfig(max_iters=1))
+
+    def test_certified_direction_is_used(self):
+        """f_i = <c_i, x> on the box [0, 1]^2 from x0 = (0, 0.5): the uniform
+        multiplier projects to d = (0, 0.5), which decreases every f_i by at
+        least alpha_i ||d||^2 although the dual gap is 0.25. The solve steps
+        with it, warns, and stops at the corner (0, 1)."""
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, c=np.array(c): float(np.dot(c, x)),
+                gradient=lambda x, c=np.array(c): c.copy(),
+            )
+            for c in ((3.0, -1.0), (1.0, -2.0), (2.0, -1.5))
+        )
+        problem = MCOProblem(
+            n=2, smooth=comps, nonsmooth=BoxIndicator(lower=(0.0, 0.0), upper=(1.0, 1.0))
+        )
+        report = solve(problem, np.array([0.0, 0.5]), self.CAPPED)
+        assert report.status == "critical_point"
+        assert report.iterations == 1
+        assert report.warnings == [
+            "dual solve capped with gap 2.50e-01; "
+            "using best lambda (descent certificate holds)"
+        ]
+        np.testing.assert_array_equal(report.x, [0.0, 1.0])
+
+    def test_uncertified_direction_ends_with_dual_failure(self):
+        """Gradients (1, 0), (0, 1), (-1, 0) at x0 = 0: the uniform multiplier
+        gives d = (0, -1/3), along which f_1 and f_3 do not decrease."""
+        problem = _diag_quadratic([[1.0, 1.0]] * 3, bs=[[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0]])
+        report = solve(problem, np.zeros(2), self.CAPPED)
+        assert report.status == "dual_failure"
+        assert report.iterations == 0
+        assert report.warnings == [
+            "dual gap 1.111e-01 above 100x tolerance after 1 iterations"
+        ]
+        np.testing.assert_array_equal(report.x, [0.0, 0.0])
 
 
 class TestAdaptiveMode:
