@@ -15,7 +15,6 @@ from moprox import (
     Zero,
     direction_model_value,
     frank_wolfe_solve,
-    recover_direction,
 )
 
 
@@ -49,7 +48,7 @@ def main():
     print("gap               ", f"{abs(primal - res.dual_value):.2e}")
 
     # the primal direction is recovered from the weights by one prox call
-    d_again = recover_direction(inp, res.lam)
+    d_again = inp.point(res.lam)[2] - x
     print("\nrecovered d       ", np.round(d_again, 6))
     print("matches           ", bool(np.allclose(d_again, res.d, atol=1e-12)))
 

@@ -28,7 +28,6 @@ from .direction import (
     dual_gradient,
     dual_objective,
     frank_wolfe_solve,
-    recover_direction,
 )
 from .exceptions import (
     DegenerateStepError,
@@ -50,7 +49,6 @@ from .prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    project_box,
     project_simplex,
     soft_threshold,
 )
@@ -128,10 +126,8 @@ __all__ = [
     "markowitz_portfolio",
     "max_feasible_step",
     "merit_gap",
-    "project_box",
     "project_simplex",
     "random_quadratic",
-    "recover_direction",
     "register_problem",
     "run_campaign",
     "soft_threshold",

@@ -57,7 +57,16 @@ class FWConfig:
 
 @dataclass(frozen=True)
 class SubproblemInput:
-    """Frozen per-iteration data for one direction solve."""
+    """Frozen per-iteration data for one direction solve, and its dual queries.
+
+    Every query costs one prox call, counted in ``counters`` when given.
+    ``query`` returns the probe (lam, u, base, p, d, q, gap): the multiplier,
+    u = sum_i lam_i grad f_i / alpha_i, the prox argument base = x - u, the
+    prox point p, the direction d = p - x, q_i = model_i / alpha_i at p and
+    the Frank-Wolfe gap. ``omega`` and ``result`` take a probe's leading
+    fields instead of recomputing them; ``result`` keeps the probe's lam
+    without a copy, so callers pass probes whose lam nothing changes later.
+    """
 
     x: np.ndarray
     grads: np.ndarray     # (m, n)
@@ -81,15 +90,51 @@ class SubproblemInput:
         g_at_x = self.kind.g_values(x, grads.shape[0])
         if not np.isfinite(g_at_x).all():
             raise ValueError("base point lies outside the domain of g")
-        object.__setattr__(self, "x", x)
-        object.__setattr__(self, "grads", grads)
-        object.__setattr__(self, "alphas", alphas)
-        object.__setattr__(self, "g_at_x", g_at_x)
-        object.__setattr__(self, "scaled_grads", grads / alphas[:, None])
+        sg = grads / alphas[:, None]
+        # _sgT, _prox and _gdiff are bound once, for every query of every solve
+        for name, value in (("x", x), ("grads", grads), ("alphas", alphas),
+                            ("g_at_x", g_at_x), ("scaled_grads", sg), ("_sgT", sg.T),
+                            ("_prox", self.kind.prox),
+                            ("_gdiff", self.kind.model_change(x, grads.shape[0]))):
+            object.__setattr__(self, name, value)
 
     @property
     def m(self):
         return self.grads.shape[0]
+
+    def point(self, lam, counters=None):
+        """(u, base, p): the combined gradient step and its prox point."""
+        u = self._sgT @ lam
+        base = self.x - u
+        p = self._prox(lam / self.alphas, base)
+        if counters is not None:
+            counters.prox_evals += 1
+        return u, base, p
+
+    def query(self, lam, counters=None):
+        """The probe (lam, u, base, p, d, q, gap) at the multiplier lam."""
+        u, base, p = self.point(lam, counters)
+        d = p - self.x
+        q = (self.grads @ d + self._gdiff(p)) / self.alphas
+        gap = float(np.maximum.reduce(q) - lam.dot(q))
+        return lam, u, base, p, d, q, max(gap, 0.0)
+
+    def omega(self, lam, u, base, p):
+        g_p = self.kind.g_values(p, self.m)
+        r = p - base
+        envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
+        gx = float(np.dot(lam, self.g_at_x / self.alphas))
+        return 0.5 * float(np.dot(u, u)) + gx - envelope
+
+    def result(self, probe):
+        lam, u, base, p, d, q, gap = probe
+        return DirectionResult(
+            d=d,
+            lam=lam,
+            fw_gap=gap,
+            model_decrease=q * self.alphas,
+            _omega=functools.partial(self.omega, lam, u, base, p),
+        )
 
 
 @dataclass
@@ -111,76 +156,19 @@ class DirectionResult:
         return -self._omega()
 
 
-class _Evaluator:
-    """Shared dual-query state: one prox per query, counters threaded.
-
-    A query returns the probe (lam, u, base, p, d, q, gap); omega and result
-    take a probe's leading fields instead of recomputing them. result keeps
-    the probe's lam without a copy: callers pass probes whose lam nothing
-    changes later (m >= 3 copies its moving multiplier into the best probe).
-    """
-
-    def __init__(self, inp, counters=None):
-        self.inp, self.counters = inp, counters
-        self.x, self.grads, self.alphas = inp.x, inp.grads, inp.alphas
-        self.sgT, self.prox = inp.scaled_grads.T, inp.kind.prox
-        self.gdiff = inp.kind.model_change(inp.x, inp.m)
-
-    def point(self, lam):
-        """(u, base, p): the combined gradient step and its prox point."""
-        u = self.sgT @ lam
-        base = self.x - u
-        p = self.prox(lam / self.alphas, base)
-        if self.counters is not None:
-            self.counters.prox_evals += 1
-        return u, base, p
-
-    def query(self, lam):
-        """The probe (lam, u, base, p, d, q, gap), q_i = model_i / alpha_i."""
-        u, base, p = self.point(lam)
-        d = p - self.x
-        q = (self.grads @ d + self.gdiff(p)) / self.alphas
-        gap = float(np.maximum.reduce(q) - lam.dot(q))
-        return lam, u, base, p, d, q, max(gap, 0.0)
-
-    def omega(self, lam, u, base, p):
-        g_p = self.inp.kind.g_values(p, self.inp.m)
-        r = p - base
-        envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
-        gx = float(np.dot(lam, self.inp.g_at_x / self.alphas))
-        return 0.5 * float(np.dot(u, u)) + gx - envelope
-
-    def result(self, probe):
-        lam, u, base, p, d, q, gap = probe
-        return DirectionResult(
-            d=d,
-            lam=lam,
-            fw_gap=gap,
-            model_decrease=q * self.alphas,
-            _omega=functools.partial(self.omega, lam, u, base, p),
-        )
-
-
 def dual_objective(inp, lam, counters=None):
     """omega(lambda): the smooth convex function minimized over the simplex.
 
     Its negated minimum equals the optimal value of the direction model.
     """
     lam = np.asarray(lam, dtype=float)
-    ev = _Evaluator(inp, counters)
-    return ev.omega(lam, *ev.point(lam))
+    return inp.omega(lam, *inp.point(lam, counters))
 
 
 def dual_gradient(inp, lam, counters=None):
     """Gradient of omega: -(model decrease)_i / alpha_i at the prox point."""
     lam = np.asarray(lam, dtype=float)
-    return -_Evaluator(inp, counters).query(lam)[5]
-
-
-def recover_direction(inp, lam, counters=None):
-    """Primal direction prox(x - sum_i lambda_i grad f_i / alpha_i) - x."""
-    lam = np.asarray(lam, dtype=float)
-    return _Evaluator(inp, counters).query(lam)[4]
+    return -inp.query(lam, counters)[5]
 
 
 def direction_model_value(inp, d):
@@ -191,7 +179,17 @@ def direction_model_value(inp, d):
     return float(np.max(model / inp.alphas) + 0.5 * np.dot(d, d))
 
 
-def _solve_m2(ev, cfg, warm_t=None):
+def _secant(a, ha, b, hb):
+    """Root of the chord through (a, ha) and (b, hb) when it lies strictly
+    inside (a, b), else the midpoint; exact when the slope is linear there."""
+    if hb - ha > 0.0:
+        t = (a * hb - b * ha) / (hb - ha)
+        if a < t < b:
+            return t
+    return 0.5 * (a + b)
+
+
+def _solve_m2(inp, counters, cfg, warm_t=None):
     """Exact dual solve for two objectives.
 
     h(t) = omega((t, 1-t)) is convex on [0, 1] with h'(t) = q_2(t) - q_1(t)
@@ -206,7 +204,7 @@ def _solve_m2(ev, cfg, warm_t=None):
     """
 
     def probe(t):
-        pr = ev.query(np.array([t, 1.0 - t]))
+        pr = inp.query(np.array([t, 1.0 - t]), counters)
         return pr, pr[5][1] - pr[5][0]
 
     tw = 0.0 if warm_t is None else warm_t
@@ -214,50 +212,38 @@ def _solve_m2(ev, cfg, warm_t=None):
     # at h'(tw) = 0 an optimal end still wins the tie, t = 0 first
     for end in (0.0,) if hw > 0.0 else (1.0,) if hw < 0.0 else (0.0, 1.0):
         if end == tw:
-            return ev.result(prw)
+            return inp.result(prw)
         pre, he = probe(end)
         if (he >= 0.0) if end == 0.0 else (he <= 0.0):
-            return ev.result(pre)
+            return inp.result(pre)
     if hw == 0.0:
-        return ev.result(prw)
+        return inp.result(prw)
     a, ha, b, hb = (tw, hw, 1.0, he) if hw < 0.0 else (0.0, he, tw, hw)
     best = prw if prw[6] < pre[6] or (tw == 0.0 and prw[6] == pre[6]) else pre
-
-    def note(t, pr, h):
-        nonlocal a, ha, b, hb, best
-        if pr[6] < best[6]:
-            best = pr
-        if h < 0.0 and t > a:
-            a, ha = t, h
-        elif h > 0.0 and t < b:
-            b, hb = t, h
-        return h == 0.0
-
-    def secant():
-        # root of the bracketing slopes; exact when h' is linear inside
-        if hb - ha > 0.0:
-            t = (a * hb - b * ha) / (hb - ha)
-            if a < t < b:
-                return t
-        return 0.5 * (a + b)
 
     # alternate secant and bisection probes: the secant lands on the root of
     # the current linear piece of h', the bisection guarantees the bracket
     # keeps shrinking geometrically across pieces
     use_secant = True
     while best[6] > cfg.gap_tol:
-        mid = secant() if use_secant else 0.5 * (a + b)
+        mid = _secant(a, ha, b, hb) if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
             break  # bracket at float resolution
         prm, hm = probe(mid)
-        if note(mid, prm, hm):
+        if hm == 0.0:
             best = prm
             break
-    return ev.result(best)
+        if prm[6] < best[6]:
+            best = prm
+        if hm < 0.0 and mid > a:
+            a, ha = mid, hm
+        elif hm > 0.0 and mid < b:
+            b, hb = mid, hm
+    return inp.result(best)
 
 
-def _segment_minimize(ev, lam, step, eta_max, slope0):
+def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     """Exact minimization of omega along lam + eta step, eta in [0, eta_max].
 
     phi'(eta) = <grad omega(lam_eta), step> = -<q(lam_eta), step> is
@@ -266,7 +252,7 @@ def _segment_minimize(ev, lam, step, eta_max, slope0):
     """
 
     def phi_slope(eta):
-        q = ev.query(lam + eta * step)[5]
+        q = inp.query(lam + eta * step, counters)[5]
         return -float(np.dot(q, step))
 
     ha = slope0
@@ -285,14 +271,10 @@ def _segment_minimize(ev, lam, step, eta_max, slope0):
             b, hb = mid, hm
         else:
             return mid
-    if hb - ha > 0.0:
-        eta = (a * hb - b * ha) / (hb - ha)
-        if a < eta < b:
-            return eta
-    return 0.5 * (a + b)
+    return _secant(a, ha, b, hb)
 
 
-def _newton_face_step(ev, probe):
+def _newton_face_step(inp, counters, probe):
     """One equality-constrained Newton step on the face spanned by lam > 0.
 
     Solves min 0.5 d'Hd + g'd subject to sum(d) = 0 over the active
@@ -302,7 +284,6 @@ def _newton_face_step(ev, probe):
     inherits the alpha imbalance squared.
     """
     lam, u, base, p, _d, q, _gap = probe
-    inp = ev.inp
     H = inp.kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
     act = np.nonzero(lam > 0.0)[0]
     k = act.size
@@ -328,7 +309,7 @@ def _newton_face_step(ev, probe):
         t = min(1.0, float(np.min(lam[act][neg] / -delta[neg])))
     if t <= 0.0:
         return False
-    omega0 = ev.omega(lam, u, base, p)
+    omega0 = inp.omega(lam, u, base, p)
     full = np.zeros(lam.size)
     full[act] = delta
     for _ in range(8):
@@ -338,7 +319,8 @@ def _newton_face_step(ev, probe):
         if s <= 0.0:
             return False
         trial /= s
-        if ev.omega(trial, *ev.point(trial)) < omega0 - 1e-15 * max(1.0, abs(omega0)):
+        omega = inp.omega(trial, *inp.point(trial, counters))
+        if omega < omega0 - 1e-15 * max(1.0, abs(omega0)):
             lam[:] = trial
             return True
         t *= 0.5
@@ -349,39 +331,31 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     """Solve the dual over the simplex; returns a DirectionResult.
 
     Raises DualSolveError (with the best result attached) when the iteration
-    cap is reached with gap above 100x the tolerance. A warm-start lambda is
-    normalized onto the simplex when given.
+    cap is reached with gap above 100x the tolerance. A warm-start lambda has
+    its negative entries zeroed and is scaled to sum 1; one without a
+    positive entry starts cold.
     """
     cfg = cfg or FWConfig()
-    ev = _Evaluator(inp, counters)
     m = inp.m
-    if m == 1:
-        return ev.result(ev.query(np.array([1.0])))
-    if m == 2:
-        warm_t = None
-        if warm_lambda is not None:
-            lam = np.asarray(warm_lambda, dtype=float)
-            s = lam.sum()
-            if s > 0 and (lam >= 0).all():
-                warm_t = float(lam[0] / s)
-        return _solve_m2(ev, cfg, warm_t)
-
+    lam = None
     if warm_lambda is not None:
-        lam = np.clip(np.asarray(warm_lambda, dtype=float), 0.0, None)
+        lam = np.maximum(np.asarray(warm_lambda, dtype=float), 0.0)
         s = lam.sum()
-        lam = lam / s if s > 0 else np.full(m, 1.0 / m)
-    else:
+        lam = lam / s if s > 0 else None
+    if m == 2:
+        return _solve_m2(inp, counters, cfg, None if lam is None else float(lam[0]))
+    if lam is None:
         lam = np.full(m, 1.0 / m)
 
     best = None
     for _ in range(cfg.max_iters):
-        probe = ev.query(lam)
+        probe = inp.query(lam, counters)
         q, gap = probe[5], probe[6]
         if best is None or gap < best[6]:
             best = (lam.copy(),) + probe[1:]  # lam itself moves in place
         if gap <= cfg.gap_tol:
             break
-        if not _newton_face_step(ev, probe):
+        if not _newton_face_step(inp, counters, probe):
             # pairwise exchange: move mass from the flattest active
             # coordinate straight to the steepest one
             j_to = int(np.argmax(q))
@@ -394,7 +368,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
             step[j_from] = -1.0
             eta_max = float(lam[j_from])
             eta = _segment_minimize(
-                ev, lam, step, eta_max, -(float(q[j_to]) - float(q[j_from]))
+                inp, counters, lam, step, eta_max, -(float(q[j_to]) - float(q[j_from]))
             )
             if eta <= 0.0:
                 break
@@ -403,7 +377,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
                 lam[j_from] = 0.0
         np.clip(lam, 0.0, None, out=lam)
         lam /= lam.sum()
-    res = ev.result(best)
+    res = inp.result(best)
     if res.fw_gap > 100.0 * cfg.gap_tol:
         raise DualSolveError(
             f"dual gap {res.fw_gap:.3e} above 100x tolerance after "

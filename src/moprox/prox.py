@@ -49,15 +49,6 @@ def soft_threshold(v, kappa):
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def project_box(v, lower, upper):
-    """Componentwise clip onto [lower, upper]."""
-    v = np.asarray(v, dtype=float)
-    out = v.clip(lower, upper)
-    if (np.asarray(lower) > np.asarray(upper)).any():
-        raise ValueError("empty box: a lower bound exceeds its upper bound")
-    return out
-
-
 def project_simplex(v):
     """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
     v = np.asarray(v, dtype=float)

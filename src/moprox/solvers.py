@@ -18,7 +18,8 @@ abbpgmo         BB, inflated by tau until the  1
 
 Fixed steps are capped at the largest box-feasible t; "pgmo_L" is accepted as
 an alias of pgmo_separate. The first BB pair uses the synthetic previous
-iterate x0 - offset * ones.
+iterate x0 - offset with offset_j = max(1e-4, |spacing(x0_j)|), so the pair
+differs also where x0_j - 1e-4 rounds back to x0_j (|x0_j| >= 2^40).
 """
 
 from __future__ import annotations
@@ -40,7 +41,7 @@ _LINE_SEARCH_MODES = ("pgmo_ls", "pgmo_mu", "bbpgmo")
 # slack for accepting a soft-failed dual solve: the per-objective descent
 # certificate model_i <= -alpha_i ||d||^2 must hold within this tolerance
 _DESCENT_SLACK = 1e-8
-_X_MINUS_OFFSET = 1e-4  # the first BB pair's previous iterate is x0 - offset
+_X_MINUS_OFFSET = 1e-4  # least offset of the first BB pair's previous iterate
 # relative slack for the abbpgmo sufficient decrease test, so fp noise cannot
 # trigger inflation once alpha_i already dominates the true curvature
 _ABB_CHECK_SLACK = 1e-12
@@ -166,9 +167,9 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     The duality-gap target tightens until gap <= 0.05 * ||d||^2, which turns
     the certificate model_i <= alpha_i * (gap - ||d||^2) into a strictly
     negative per-objective model decrease, so the line search never sees a
-    non-descent direction for a non-critical iterate. Returns (result, ok).
-    A capped dual solve is still usable when its best direction carries the
-    descent certificate; otherwise the caller must abort with dual_failure.
+    non-descent direction for a non-critical iterate. A capped dual solve
+    is still usable when its best direction carries the descent certificate;
+    otherwise this returns None and the caller must abort with dual_failure.
     """
     try:
         fw = cfg.fw
@@ -181,7 +182,7 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
                 break
             fw = replace(fw, gap_tol=need)
             res = frank_wolfe_solve(inp, fw, counters, warm_lambda=res.lam)
-        return res, True
+        return res
     except DualSolveError as err:
         res = err.result
         dd = float(np.dot(res.d, res.d))
@@ -193,9 +194,9 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
                 f"dual solve capped with gap {res.fw_gap:.2e}; "
                 "using best lambda (descent certificate holds)"
             )
-            return res, True
+            return res
         warnings.append(str(err))
-        return res, False
+        return None
 
 
 def solve(problem, x0, cfg=None):
@@ -226,7 +227,7 @@ def solve(problem, x0, cfg=None):
     # the BB modes' synthetic predecessor lies outside a smooth part's domain)
     try:
         if alphas_fixed is None:
-            x_prev = x - _X_MINUS_OFFSET
+            x_prev = x - np.maximum(_X_MINUS_OFFSET, np.abs(np.spacing(x)))
             memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
         for k in range(cfg.max_iters):
             iter_started = time.perf_counter()
@@ -242,10 +243,10 @@ def solve(problem, x0, cfg=None):
                 inp = SubproblemInput(
                     x=x, grads=grads, alphas=alphas, kind=problem.nonsmooth
                 )
-                res, ok = _solve_direction(
+                res = _solve_direction(
                     inp, cfg, counters, warnings, warm_lambda=warm_lambda
                 )
-                if not ok:
+                if res is None:
                     status = "dual_failure"
                     break
                 if res.d_norm <= cfg.d_tol:

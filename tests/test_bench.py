@@ -21,6 +21,14 @@ from moprox.bench import (
 )
 from moprox.problems import MCOProblem, SmoothComponent
 
+# the perfbench quad_m4 instance, registered on first use
+_QUAD_M4 = "bench-test-quad-m4"
+
+
+def _quad_m4():
+    spec = testproblems.QuadraticSpec(n=10, n_objectives=4)
+    return testproblems.random_quadratic(spec, 7)
+
 
 @pytest.fixture
 def bad_gradient_problem():
@@ -271,15 +279,19 @@ class TestCampaign:
         [
             ("markowitz", ("bbpgmo", "pgmo_fixed"), 3, 1, (1206, 1222, 8788)),
             ("quadratic:n=2", ("bbpgmo", "pgmo_separate", "pgmo_mu"), 20, 5, (624, 624, 2361)),
+            (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 4451)),
         ],
-        ids=("markowitz", "quadratic_n2"),
+        ids=("markowitz", "quadratic_n2", "quad_m4"),
     )
     def test_work_counters_are_pinned(self, problem, algorithms, trials, seed, totals):
         """The deterministic work counters are the performance regression
         gate: exact totals of iterations, F evaluations and prox calls over
         short seeded campaigns. A change that moves one must say why; fewer
         prox calls for the same iterations and F evaluations is a speed-up
-        that left the iterates alone."""
+        that left the iterates alone. The m = 4 case runs the pairwise
+        Frank-Wolfe, face Newton and abbpgmo re-solve paths."""
+        if problem == _QUAD_M4 and problem not in testproblems.available_problems():
+            testproblems.register_problem(problem, _quad_m4)
         summary = run_campaign(
             ExperimentSpec(problem=problem, algorithms=algorithms, trials=trials, seed=seed)
         )

@@ -11,13 +11,11 @@ import pytest
 from moprox.direction import (
     FWConfig,
     SubproblemInput,
-    _Evaluator,
     _solve_m2,
     direction_model_value,
     dual_gradient,
     dual_objective,
     frank_wolfe_solve,
-    recover_direction,
 )
 from moprox.exceptions import DualSolveError, EvaluationError
 from moprox.problems import EvalCounters
@@ -188,7 +186,7 @@ class TestDualFunction:
             kind = _kinds_for(rng, n, m)[k]
             inp = _random_input(rng, n=n, m=m, kind=kind)
             lam = _interior_lambda(rng, m)
-            p = inp.x + recover_direction(inp, lam)
+            p = inp.point(lam)[2]
             H = kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
             scale = max(1.0, float(np.abs(H).max()))
             for i in range(m - 1):
@@ -210,13 +208,9 @@ class TestDualFunction:
             inp = _random_input(rng, n=n, m=m, kind=kind)
             lam = rng.dirichlet(np.ones(m))
             omega = dual_objective(inp, lam)
-            d = recover_direction(inp, lam)
-            primal = direction_model_value(inp, d)
-            res_gap = None
             # the gap computed at lam certifies the suboptimality of d(lam)
-            from moprox.direction import _Evaluator
-
-            gap = _Evaluator(inp).query(lam)[-1]
+            *_, d, _q, gap = inp.query(lam)
+            primal = direction_model_value(inp, d)
             assert primal >= -omega - 1e-10
             assert primal + omega <= gap + 1e-10
 
@@ -300,21 +294,21 @@ class TestWarmStart:
         assert res.lam.sum() == pytest.approx(1.0)
 
 
-def _both_ends_first_m2(ev, cfg, warm_t=None):
+def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
     """The m = 2 solve as it was before warm-first probing: both ends, then
     the interior warm t, then the same bracket search. The oracle for the
     probe order."""
 
     def probe(t):
-        pr = ev.query(np.array([t, 1.0 - t]))
+        pr = inp.query(np.array([t, 1.0 - t]), counters)
         return pr, pr[5][1] - pr[5][0]
 
     pr0, h0 = probe(0.0)
     if h0 >= 0.0:
-        return ev.result(pr0)
+        return inp.result(pr0)
     pr1, h1 = probe(1.0)
     if h1 <= 0.0:
-        return ev.result(pr1)
+        return inp.result(pr1)
     a, ha, b, hb = 0.0, h0, 1.0, h1
     best = pr0 if pr0[6] <= pr1[6] else pr1
 
@@ -331,7 +325,7 @@ def _both_ends_first_m2(ev, cfg, warm_t=None):
     if warm_t is not None and 0.0 < warm_t < 1.0:
         prw, hw = probe(warm_t)
         if note(warm_t, prw, hw):
-            return ev.result(prw)
+            return inp.result(prw)
 
     def secant():
         if hb - ha > 0.0:
@@ -350,12 +344,12 @@ def _both_ends_first_m2(ev, cfg, warm_t=None):
         if note(mid, prm, hm):
             best = prm
             break
-    return ev.result(best)
+    return inp.result(best)
 
 
 def _m2_solve_counted(solver, inp, warm_t, cfg=FWConfig()):
     counters = EvalCounters()
-    res = solver(_Evaluator(inp, counters), cfg, warm_t)
+    res = solver(inp, counters, cfg, warm_t)
     return res, counters.prox_evals
 
 
@@ -434,6 +428,21 @@ class TestWarmFirstProbes:
         assert counters.prox_evals == 1
         np.testing.assert_array_equal(res.lam, [1.0, 0.0])
         np.testing.assert_array_equal(res.d, [-1.0, 0.0])
+
+    def test_negative_warm_entry_is_clipped(self):
+        """m = 2 clips a warm lambda onto the simplex as m >= 3 does:
+        (1, -0.5) is the optimal vertex t = 1 of the input above, so it is
+        the only probe (ignoring it would probe t = 0, then t = 1)."""
+        inp = SubproblemInput(
+            x=np.zeros(2),
+            grads=np.array([[1.0, 0.0], [2.0, 0.0]]),
+            alphas=np.ones(2),
+            kind=Zero(),
+        )
+        counters = EvalCounters()
+        res = frank_wolfe_solve(inp, counters=counters, warm_lambda=[1.0, -0.5])
+        assert counters.prox_evals == 1
+        np.testing.assert_array_equal(res.lam, [1.0, 0.0])
 
 
 class TestDualValue:

@@ -10,7 +10,6 @@ from moprox.prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    project_box,
     project_simplex,
     soft_threshold,
 )
@@ -68,16 +67,6 @@ class TestSoftThreshold:
             out = soft_threshold(v, kappa)
             assert np.all(np.abs(out) <= np.abs(v) + 1e-15)
             assert np.all(out * v >= 0.0)
-
-
-class TestProjectBox:
-    def test_clips_componentwise(self):
-        out = project_box([-3.0, 0.5, 7.0], -2.0, 2.0)
-        np.testing.assert_array_equal(out, [-2.0, 0.5, 2.0])
-
-    def test_empty_box_rejected(self):
-        with pytest.raises(ValueError):
-            project_box([0.0], 1.0, -1.0)
 
 
 class TestProjectSimplex:
@@ -186,6 +175,8 @@ class TestKinds:
         assert box.g_values(np.array([0.0, 2.5]), 2)[0] == np.inf
         out = box.prox([1.0, 1.0], np.array([-3.0, 5.0]))
         np.testing.assert_array_equal(out, [-1.0, 2.0])
+        # an infeasible start is projected by the same componentwise clip
+        np.testing.assert_array_equal(box.project(np.array([-3.0, 5.0])), [-1.0, 2.0])
 
     def test_box_indicator_empty_rejected(self):
         with pytest.raises(ValueError):

@@ -302,6 +302,24 @@ class TestStopsThatReturnAStatus:
         np.testing.assert_array_equal(report.x, x0)
         np.testing.assert_array_equal(report.F, problem.evaluate_F(x0))
 
+    @pytest.mark.parametrize("mode", ("bbpgmo", "abbpgmo"))
+    def test_bb_predecessor_far_from_zero(self, mode):
+        """At x0 = 1e13 a float step is 2e-3, so x0 - 1e-4 rounds back to x0:
+        the synthetic predecessor steps one float below x0 instead of making
+        bb_stepsizes raise, and the nearly flat objectives
+        f_i = 1e-20 (x - c_i)^2 stop the solve at a critical point."""
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, c=c: 1e-20 * float(np.dot(x - c, x - c)),
+                gradient=lambda x, c=c: 2e-20 * (x - c),
+            )
+            for c in (0.0, 1.0)
+        )
+        report = solve(MCOProblem(n=1, smooth=comps), np.array([1e13]),
+                       SolverConfig(algorithm=mode))
+        assert report.status == "critical_point"
+        assert report.iterations == 0
+
     def test_fixed_step_that_leaves_x_unchanged(self, monkeypatch):
         """The unit direction from x0 = 1e5 times a box cap of 2e-12 (just
         above the face stop) is below half an ulp of x0, so the accepted

@@ -1,0 +1,138 @@
+"""Byte-identity fingerprint of a checkout's solver outputs.
+
+Prints one sha256 per recorded perfbench campaign seed (31 lines) and one per
+nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
+
+* a campaign hash covers every SolveReport field and every trace record
+  field except the wall times, for every trial and algorithm;
+* a kind hash covers d, lambda, fw_gap, model_decrease, dual_value and the
+  prox-call count of 400 inputs with m = 1..5, each solved cold and with
+  three warm starts (a random multiplier, a vertex, the cold solution).
+
+A refactor that must leave every iterate alone passes when the two outputs
+are equal::
+
+    python3 tools/fingerprint.py OLD_CHECKOUT > old.txt
+    python3 tools/fingerprint.py > new.txt      # ROOT defaults to this one
+    diff old.txt new.txt
+
+The campaigns come from ROOT's ``perfbench/workloads.py``, which is imported
+and not changed. A full run takes about three minutes on one core of a 2-core box.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import itertools
+import os
+import sys
+
+import numpy as np
+
+KIND_INPUTS = 400
+_UNHASHED = ("time_s", "total_time")
+
+
+def _feed(h, value):
+    """Hash value's bytes: arrays with dtype and shape, floats by hex."""
+    if isinstance(value, np.ndarray):
+        h.update(f"a{value.dtype}{value.shape}".encode())
+        h.update(np.ascontiguousarray(value).tobytes())
+    elif isinstance(value, float):
+        h.update(b"f" + value.hex().encode())
+    elif dataclasses.is_dataclass(value):
+        for f in dataclasses.fields(value):
+            if f.name not in _UNHASHED:
+                h.update(f"|{f.name}=".encode())
+                _feed(h, getattr(value, f.name))
+    elif isinstance(value, (list, tuple)):
+        h.update(f"l{len(value)}".encode())
+        for item in value:
+            _feed(h, item)
+    elif isinstance(value, dict):
+        h.update(f"d{len(value)}".encode())
+        for key, item in value.items():
+            _feed(h, key)
+            _feed(h, item)
+    else:
+        h.update(b"r" + repr(value).encode())
+    h.update(b";")
+
+
+def campaign_hashes(workloads):
+    from moprox import run_campaign
+
+    for name, workload in workloads.WORKLOADS.items():
+        workload.register()
+        for seed in workload.seeds:
+            summary = run_campaign(workload.spec(seed))
+            h = hashlib.sha256()
+            _feed(h, summary.reports)
+            yield f"campaign {name} seed {seed}", h.hexdigest()
+
+
+def _kind_inputs(make_kind, rng):
+    from moprox import BoxIndicator, SimplexIndicator, SubproblemInput
+
+    for _ in range(KIND_INPUTS):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
+        kind = make_kind(rng, n, m)
+        if isinstance(kind, SimplexIndicator):
+            x = rng.dirichlet(np.ones(n))
+        elif isinstance(kind, BoxIndicator):
+            x = rng.uniform(kind.lower, kind.upper)
+        else:
+            x = rng.normal(size=n)
+        grads = rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0)
+        alphas = np.exp(rng.uniform(-3.0, 3.0, size=m))
+        yield SubproblemInput(x=x, grads=grads, alphas=alphas, kind=kind)
+
+
+def _hash_solve(h, inp, warm_lambda):
+    from moprox import DualSolveError, EvalCounters, frank_wolfe_solve
+
+    counters = EvalCounters()
+    try:
+        res = frank_wolfe_solve(inp, counters=counters, warm_lambda=warm_lambda)
+    except DualSolveError as err:
+        res = err.result
+        h.update(b"capped")
+    _feed(h, (res.d, res.lam, res.fw_gap, res.model_decrease, res.dual_value,
+              counters.prox_evals))
+    return res
+
+
+def kind_hashes():
+    from moprox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
+
+    makers = (
+        ("Zero", lambda rng, n, m: Zero()),
+        ("WeightedL1", lambda rng, n, m: WeightedL1(tuple(rng.uniform(0.0, 1.0, m)))),
+        ("BoxIndicator", lambda rng, n, m: BoxIndicator((-1.5,) * n, (1.5,) * n)),
+        ("SimplexIndicator", lambda rng, n, m: SimplexIndicator()),
+    )
+    for seed, (name, make_kind) in enumerate(makers):
+        rng = np.random.default_rng(seed)
+        h = hashlib.sha256()
+        for inp in _kind_inputs(make_kind, rng):
+            cold = _hash_solve(h, inp, None)
+            m = inp.m
+            for warm in (rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))],
+                         cold.lam):
+                _hash_solve(h, inp, warm)
+        yield f"kind {name}", h.hexdigest()
+
+
+def main(argv):
+    root = os.path.abspath(argv[1] if len(argv) > 1 else
+                           os.path.join(os.path.dirname(__file__), os.pardir))
+    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    import workloads
+
+    for label, digest in itertools.chain(campaign_hashes(workloads), kind_hashes()):
+        print(f"{digest}  {label}", flush=True)
+
+
+if __name__ == "__main__":
+    main(sys.argv)
