@@ -48,7 +48,7 @@ class FWConfig:
     # tight enough that alpha_max * gap stays below descent-certificate
     # tolerances even at the 1e3 stepsize clamp
     gap_tol: float = 1e-12
-    max_iters: int = 2000
+    max_iters: int = 2000  # m >= 3 cap; the loop also ends when lambda repeats
 
     def __post_init__(self):
         if self.gap_tol <= 0 or self.max_iters < 1:
@@ -330,10 +330,12 @@ def _newton_face_step(inp, counters, probe):
 def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     """Solve the dual over the simplex; returns a DirectionResult.
 
-    Raises DualSolveError (with the best result attached) when the iteration
-    cap is reached with gap above 100x the tolerance. A warm-start lambda has
-    its negative entries zeroed and is scaled to sum 1; one without a
-    positive entry starts cold.
+    With three or more objectives the loop stops at the gap tolerance, after
+    cfg.max_iters iterations, or when lambda repeats byte for byte (the rest
+    would replay it). Raises DualSolveError (with the best result attached)
+    when the gap ends above 100x the tolerance. A warm-start lambda has its
+    negative entries zeroed and is scaled to sum 1; one without a positive
+    entry starts cold.
     """
     cfg = cfg or FWConfig()
     m = inp.m
@@ -347,8 +349,14 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     if lam is None:
         lam = np.full(m, 1.0 / m)
 
-    best = None
+    best, seen = None, set()
     for _ in range(cfg.max_iters):
+        # lam is the loop's only state, so a repeat would only replay
+        # iterations already run; len(seen) counts the iterations run
+        key = lam.tobytes()
+        if key in seen:
+            break
+        seen.add(key)
         probe = inp.query(lam, counters)
         q, gap = probe[5], probe[6]
         if best is None or gap < best[6]:
@@ -381,7 +389,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     if res.fw_gap > 100.0 * cfg.gap_tol:
         raise DualSolveError(
             f"dual gap {res.fw_gap:.3e} above 100x tolerance after "
-            f"{cfg.max_iters} iterations",
+            f"{len(seen)} iterations",
             result=res,
         )
     return res

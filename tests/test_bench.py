@@ -280,16 +280,20 @@ class TestCampaign:
             ("markowitz", ("bbpgmo", "pgmo_fixed"), 3, 1, (1206, 1222, 8788)),
             ("quadratic:n=2", ("bbpgmo", "pgmo_separate", "pgmo_mu"), 20, 5, (624, 624, 2361)),
             (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 4451)),
+            (_QUAD_M4, ("pgmo_ls",), 4, 5, (128, 784, 1852)),
         ],
-        ids=("markowitz", "quadratic_n2", "quad_m4"),
+        ids=("markowitz", "quadratic_n2", "quad_m4", "quad_m4_cycling_dual"),
     )
     def test_work_counters_are_pinned(self, problem, algorithms, trials, seed, totals):
         """The deterministic work counters are the performance regression
         gate: exact totals of iterations, F evaluations and prox calls over
         short seeded campaigns. A change that moves one must say why; fewer
         prox calls for the same iterations and F evaluations is a speed-up
-        that left the iterates alone. The m = 4 case runs the pairwise
-        Frank-Wolfe, face Newton and abbpgmo re-solve paths."""
+        that left the iterates alone. The m = 4 cases run the pairwise
+        Frank-Wolfe, face Newton and abbpgmo re-solve paths; pgmo_ls trial 3
+        holds a dual whose multiplier cycles at the roundoff floor, which
+        the solver ends at the first repeat instead of at its 2000-iteration
+        cap."""
         if problem == _QUAD_M4 and problem not in testproblems.available_problems():
             testproblems.register_problem(problem, _quad_m4)
         summary = run_campaign(

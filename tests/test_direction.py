@@ -512,3 +512,35 @@ class TestDualSolveFailure:
             frank_wolfe_solve(inp, FWConfig(gap_tol=1e-15, max_iters=1))
         assert info.value.result is not None
         assert info.value.result.d.shape == (6,)
+
+    def test_repeating_multiplier_ends_the_loop(self):
+        """An m >= 3 solve whose multiplier cycles stops at the first repeat.
+
+        Index 340 of the fingerprint tool's box inputs, warm at the vertex
+        e_2: lambda returns to an earlier byte pattern at gap 3.69, so every
+        later iteration would replay gaps already seen. A cap of 5 and the
+        default cap of 2000 end with the same bytes and the same work, and
+        the message names the iterations that ran.
+        """
+        inp = SubproblemInput(
+            x=np.array([0.6233135767247919, -1.2536700131948373, 1.1582206978364726]),
+            grads=np.array([
+                [3.182009302067149, 4.096542894459659, -0.42582602454419394],
+                [-3.070701790810328, -2.7002669514884077, 1.5055248003774488],
+                [-0.8510570103285809, 6.987121170557169, -1.736166794914223],
+                [-6.8477897746053795, 7.274204829812044, 3.840475191067082],
+            ]),
+            alphas=np.array([0.31431596161664016, 3.617227704726549,
+                             0.690381671803503, 2.390614584305106]),
+            kind=BoxIndicator(lower=(-1.5,) * 3, upper=(1.5,) * 3),
+        )
+        outcomes = []
+        for cfg in (FWConfig(max_iters=5), FWConfig()):
+            counters = EvalCounters()
+            with pytest.raises(DualSolveError, match="after 3 iterations") as info:
+                frank_wolfe_solve(inp, cfg, counters, warm_lambda=np.eye(4)[2])
+            res = info.value.result
+            outcomes.append(([a.tobytes() for a in (res.d, res.lam)],
+                             np.float64(res.fw_gap).tobytes(), counters.prox_evals))
+        assert outcomes[0] == outcomes[1]
+        assert outcomes[0][2] == 47

@@ -1,20 +1,25 @@
 """Byte-identity fingerprint of a checkout's solver outputs.
 
-Prints one sha256 per recorded perfbench campaign seed (31 lines) and one per
+Prints one line per recorded perfbench campaign seed (31 lines) and one per
 nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 
-* a campaign hash covers every SolveReport field and every trace record
+* a campaign line covers every SolveReport field and every trace record
   field except the wall times, for every trial and algorithm;
-* a kind hash covers d, lambda, fw_gap, model_decrease, dual_value and the
+* a kind line covers d, lambda, fw_gap, model_decrease, dual_value and the
   prox-call count of 400 inputs with m = 1..5, each solved cold and with
   three warm starts (a random multiplier, a vertex, the cold solution).
 
+Each line holds two sha256 values, then its label and total prox-call count.
+The first (iterates) hashes all of the above but the prox-call counts, the
+second (work) hashes those counts in the order they were produced.
+
 A refactor that must leave every iterate alone passes when the two outputs
-are equal::
+are equal; one that only removes work passes when the first column is::
 
     python3 tools/fingerprint.py OLD_CHECKOUT > old.txt
     python3 tools/fingerprint.py > new.txt      # ROOT defaults to this one
     diff old.txt new.txt
+    diff <(cut -d' ' -f1 old.txt) <(cut -d' ' -f1 new.txt)
 
 The campaigns come from ROOT's ``perfbench/workloads.py``, which is imported
 and not changed. A full run takes about three minutes on one core of a 2-core box.
@@ -32,10 +37,12 @@ import numpy as np
 
 KIND_INPUTS = 400
 _UNHASHED = ("time_s", "total_time")
+_WORK = "prox_evals"
 
 
-def _feed(h, value):
-    """Hash value's bytes: arrays with dtype and shape, floats by hex."""
+def _feed(h, value, work):
+    """Hash value's bytes: arrays with dtype and shape, floats by hex. The
+    values of ``prox_evals`` fields go to the list ``work`` instead."""
     if isinstance(value, np.ndarray):
         h.update(f"a{value.dtype}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
@@ -43,18 +50,20 @@ def _feed(h, value):
         h.update(b"f" + value.hex().encode())
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
-            if f.name not in _UNHASHED:
+            if f.name == _WORK:
+                work.append(getattr(value, f.name))
+            elif f.name not in _UNHASHED:
                 h.update(f"|{f.name}=".encode())
-                _feed(h, getattr(value, f.name))
+                _feed(h, getattr(value, f.name), work)
     elif isinstance(value, (list, tuple)):
         h.update(f"l{len(value)}".encode())
         for item in value:
-            _feed(h, item)
+            _feed(h, item, work)
     elif isinstance(value, dict):
         h.update(f"d{len(value)}".encode())
         for key, item in value.items():
-            _feed(h, key)
-            _feed(h, item)
+            _feed(h, key, work)
+            _feed(h, item, work)
     else:
         h.update(b"r" + repr(value).encode())
     h.update(b";")
@@ -67,9 +76,9 @@ def campaign_hashes(workloads):
         workload.register()
         for seed in workload.seeds:
             summary = run_campaign(workload.spec(seed))
-            h = hashlib.sha256()
-            _feed(h, summary.reports)
-            yield f"campaign {name} seed {seed}", h.hexdigest()
+            h, work = hashlib.sha256(), []
+            _feed(h, summary.reports, work)
+            yield f"campaign {name} seed {seed}", h, work
 
 
 def _kind_inputs(make_kind, rng):
@@ -89,7 +98,7 @@ def _kind_inputs(make_kind, rng):
         yield SubproblemInput(x=x, grads=grads, alphas=alphas, kind=kind)
 
 
-def _hash_solve(h, inp, warm_lambda):
+def _hash_solve(h, work, inp, warm_lambda):
     from moprox import DualSolveError, EvalCounters, frank_wolfe_solve
 
     counters = EvalCounters()
@@ -98,8 +107,8 @@ def _hash_solve(h, inp, warm_lambda):
     except DualSolveError as err:
         res = err.result
         h.update(b"capped")
-    _feed(h, (res.d, res.lam, res.fw_gap, res.model_decrease, res.dual_value,
-              counters.prox_evals))
+    _feed(h, (res.d, res.lam, res.fw_gap, res.model_decrease, res.dual_value), work)
+    work.append(counters.prox_evals)
     return res
 
 
@@ -114,14 +123,14 @@ def kind_hashes():
     )
     for seed, (name, make_kind) in enumerate(makers):
         rng = np.random.default_rng(seed)
-        h = hashlib.sha256()
+        h, work = hashlib.sha256(), []
         for inp in _kind_inputs(make_kind, rng):
-            cold = _hash_solve(h, inp, None)
+            cold = _hash_solve(h, work, inp, None)
             m = inp.m
             for warm in (rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))],
                          cold.lam):
-                _hash_solve(h, inp, warm)
-        yield f"kind {name}", h.hexdigest()
+                _hash_solve(h, work, inp, warm)
+        yield f"kind {name}", h, work
 
 
 def main(argv):
@@ -130,8 +139,10 @@ def main(argv):
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
 
-    for label, digest in itertools.chain(campaign_hashes(workloads), kind_hashes()):
-        print(f"{digest}  {label}", flush=True)
+    for label, h, work in itertools.chain(campaign_hashes(workloads), kind_hashes()):
+        w = hashlib.sha256()
+        _feed(w, work, None)
+        print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}", flush=True)
 
 
 if __name__ == "__main__":
