@@ -59,7 +59,7 @@ class FWConfig:
 class SubproblemInput:
     """Frozen per-iteration data for one direction solve, and its dual queries.
 
-    Every query costs one prox call, counted in ``counters`` when given.
+    Every ``point`` costs one prox call, counted in ``counters`` when given.
     ``query`` returns the probe (lam, u, base, p, d, q, gap): the multiplier,
     u = sum_i lam_i grad f_i / alpha_i, the prox argument base = x - u, the
     prox point p, the direction d = p - x, q_i = model_i / alpha_i at p and
@@ -111,20 +111,27 @@ class SubproblemInput:
             counters.prox_evals += 1
         return u, base, p
 
-    def query(self, lam, counters=None):
-        """The probe (lam, u, base, p, d, q, gap) at the multiplier lam."""
-        u, base, p = self.point(lam, counters)
+    def query(self, lam, counters=None, point=None):
+        """The probe (lam, u, base, p, d, q, gap) at the multiplier lam; a
+        carried ``point``, self.point at the same lam bytes, saves the prox."""
+        u, base, p = point or self.point(lam, counters)
         d = p - self.x
         q = (self.grads @ d + self._gdiff(p)) / self.alphas
         gap = float(np.maximum.reduce(q) - lam.dot(q))
         return lam, u, base, p, d, q, max(gap, 0.0)
 
+    def slope(self, lam, step, counters=None):
+        """omega's slope -<q, step> at lam, q by query's formula alone."""
+        p = self.point(lam, counters)[2]
+        q = (self.grads @ (p - self.x) + self._gdiff(p)) / self.alphas
+        return -float(q.dot(step))
+
     def omega(self, lam, u, base, p):
-        g_p = self.kind.g_values(p, self.m)
+        g_p = self.kind.g_values(p, self.alphas.size)
         r = p - base
-        envelope = float(np.dot(lam / self.alphas, g_p)) + 0.5 * float(np.dot(r, r))
-        gx = float(np.dot(lam, self.g_at_x / self.alphas))
-        return 0.5 * float(np.dot(u, u)) + gx - envelope
+        envelope = float((lam / self.alphas).dot(g_p)) + 0.5 * float(r.dot(r))
+        gx = float(lam.dot(self.g_at_x / self.alphas))
+        return 0.5 * float(u.dot(u)) + gx - envelope
 
     def result(self, probe):
         lam, u, base, p, d, q, gap = probe
@@ -250,21 +257,16 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     piecewise linear and nondecreasing (omega is convex); sign bisection
     with a secant finish locates its root.
     """
-
-    def phi_slope(eta):
-        q = inp.query(lam + eta * step, counters)[5]
-        return -float(np.dot(q, step))
-
     ha = slope0
     if ha >= 0.0:
         return 0.0
-    hb = phi_slope(eta_max)
+    hb = inp.slope(lam + eta_max * step, step, counters)
     if hb <= 0.0:
         return eta_max
     a, b = 0.0, eta_max
     while b - a > 1e-12 * max(1.0, eta_max):
         mid = 0.5 * (a + b)
-        hm = phi_slope(mid)
+        hm = inp.slope(lam + mid * step, step, counters)
         if hm < 0.0:
             a, ha = mid, hm
         elif hm > 0.0:
@@ -274,57 +276,59 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     return _secant(a, ha, b, hb)
 
 
-def _newton_face_step(inp, counters, probe):
+def _newton_face_step(inp, counters, probe, omega0=None):
     """One equality-constrained Newton step on the face spanned by lam > 0.
 
     Solves min 0.5 d'Hd + g'd subject to sum(d) = 0 over the active
-    coordinates, caps the step at the nonnegativity boundary, and accepts it
-    only when omega strictly decreases. Returns True when lam was advanced
-    (in place). Conditioning-immune, which matters because the Gram matrix
-    inherits the alpha imbalance squared.
+    coordinates (g = -q), caps the step at the nonnegativity boundary, and
+    accepts it only when omega (``omega0`` at the probe, if known) strictly
+    decreases: lam advances in place and (its bytes, point, omega) return
+    for reuse, else None. Conditioning-immune, which matters because the
+    Gram matrix inherits the alpha imbalance squared.
     """
     lam, u, base, p, _d, q, _gap = probe
     H = inp.kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
-    act = np.nonzero(lam > 0.0)[0]
+    act = (lam > 0.0).nonzero()[0]
     k = act.size
     if k < 2:
-        return False
-    g = -q[act]
+        return None
     K = np.zeros((k + 1, k + 1))
-    K[:k, :k] = H[np.ix_(act, act)]
-    K[:k, k] = 1.0
-    K[k, :k] = 1.0
-    rhs = np.concatenate([-g, [0.0]])
+    K[:k, :k] = H[act][:, act]
+    K[:k, k] = K[k, :k] = 1.0
+    rhs = np.zeros(k + 1)
+    rhs[:k] = q[act]
     try:
         sol, *_ = np.linalg.lstsq(K, rhs, rcond=None)
     except np.linalg.LinAlgError:
-        return False
+        return None
     delta = sol[:k]
-    norm = float(np.linalg.norm(delta))
-    if not np.isfinite(norm) or norm <= 1e-16:
-        return False
+    norm = math.sqrt(delta.dot(delta))  # np.linalg.norm's 1-D formula
+    if not math.isfinite(norm) or norm <= 1e-16:
+        return None
     neg = delta < 0.0
     t = 1.0
-    if np.any(neg):
-        t = min(1.0, float(np.min(lam[act][neg] / -delta[neg])))
+    if neg.any():
+        t = min(1.0, float((lam[act][neg] / -delta[neg]).min()))
     if t <= 0.0:
-        return False
-    omega0 = inp.omega(lam, u, base, p)
+        return None
+    if omega0 is None:
+        omega0 = inp.omega(lam, u, base, p)
     full = np.zeros(lam.size)
     full[act] = delta
     for _ in range(8):
         trial = lam + t * full
-        np.clip(trial, 0.0, None, out=trial)
+        np.maximum(trial, 0.0, out=trial)
         s = trial.sum()
         if s <= 0.0:
-            return False
+            return None
         trial /= s
-        omega = inp.omega(trial, *inp.point(trial, counters))
+        point = inp.point(trial, counters)
+        omega = inp.omega(trial, *point)
         if omega < omega0 - 1e-15 * max(1.0, abs(omega0)):
             lam[:] = trial
-            return True
+            return trial.tobytes(), point, omega
         t *= 0.5
-    return False
+    return None
 
 
 def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
@@ -349,7 +353,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
     if lam is None:
         lam = np.full(m, 1.0 / m)
 
-    best, seen = None, set()
+    best, seen, newton = None, set(), None
     for _ in range(cfg.max_iters):
         # lam is the loop's only state, so a repeat would only replay
         # iterations already run; len(seen) counts the iterations run
@@ -357,13 +361,16 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         if key in seen:
             break
         seen.add(key)
-        probe = inp.query(lam, counters)
+        # an accepted Newton trial left as is holds lam's prox point and omega
+        reuse = newton is not None and newton[0] == key
+        probe = inp.query(lam, counters, newton[1] if reuse else None)
         q, gap = probe[5], probe[6]
         if best is None or gap < best[6]:
             best = (lam.copy(),) + probe[1:]  # lam itself moves in place
         if gap <= cfg.gap_tol:
             break
-        if not _newton_face_step(inp, counters, probe):
+        newton = _newton_face_step(inp, counters, probe, newton[2] if reuse else None)
+        if newton is None:
             # pairwise exchange: move mass from the flattest active
             # coordinate straight to the steepest one
             j_to = int(np.argmax(q))
@@ -383,7 +390,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
             lam += eta * step
             if eta >= eta_max * (1.0 - 1e-12):
                 lam[j_from] = 0.0
-        np.clip(lam, 0.0, None, out=lam)
+        np.maximum(lam, 0.0, out=lam)
         lam /= lam.sum()
     res = inp.result(best)
     if res.fw_gap > 100.0 * cfg.gap_tol:

@@ -57,7 +57,7 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg=None, t_cap=1.0, counters=None
     """
     cfg = cfg or LineSearchConfig()
     rhs = np.asarray(rhs, dtype=float)
-    if np.any(rhs >= 0.0):
+    if (rhs >= 0.0).any():
         raise LineSearchError(
             "model decrease is not negative in every component; "
             "not a descent direction"
@@ -75,7 +75,7 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg=None, t_cap=1.0, counters=None
         except EvaluationError:
             pass  # nonfinite F (e.g. a trial outside a domain): reject it
         else:
-            if np.all(F_new - F_at_x <= t * cfg.sigma * rhs):
+            if (F_new - F_at_x <= t * cfg.sigma * rhs).all():
                 return t, F_new, backtracks
         t *= cfg.gamma
     raise LineSearchError(

@@ -127,12 +127,13 @@ class MCOProblem:
         """
         if counters is not None:
             counters.F_evals += 1
-        F = self.smooth_values(x, counters) + self.g_values(x)
-        bad = (~np.isfinite(F)).nonzero()[0]
-        if bad.size:
+        # smooth_values checks x's shape; g needs only the array
+        F = self.smooth_values(x, counters)
+        F += self.nonsmooth.g_values(np.asarray(x, dtype=float), self.m)
+        if not all(map(math.isfinite, F)):
+            i = int(np.isfinite(F).argmin())  # the first nonfinite entry
             raise EvaluationError(
-                f"objective {bad[0]} is nonfinite at the queried point",
-                objective=int(bad[0]),
+                f"objective {i} is nonfinite at the queried point", objective=i
             )
         return F
 

@@ -305,6 +305,8 @@ def solve(problem, x0, cfg=None):
 
             if bounds is not None:
                 np.minimum(np.maximum(x_new, bounds[0], out=x_new), bounds[1], out=x_new)
+            # true only for nondeterministic objectives: a step lands on p != x
+            # or a box face, and Armijo never accepts F(x + t d) = F(x)
             if not (x_new != x).any():
                 status = "line_search_failure"
                 warnings.append("accepted step underflowed; iterate unchanged")

@@ -78,15 +78,15 @@ def _check_dual_gradient(rng):
 
 
 def _check_descent_certificate(rng):
-    """Solved directions certify per-objective model decrease."""
+    """Solved directions certify per-objective model decrease, m = 2 and 3."""
     worst = -np.inf
-    for _ in range(25):
-        problem = random_quadratic(QuadraticSpec(n=5), rng)
+    for m in (2,) * 25 + (3,) * 25:
+        problem = random_quadratic(QuadraticSpec(n=5, n_objectives=m), rng)
         x = rng.uniform(-2, 2, size=5)
         inp = SubproblemInput(
             x=x,
             grads=problem.jacobian(x),
-            alphas=rng.uniform(0.1, 10.0, size=2),
+            alphas=rng.uniform(0.1, 10.0, size=m),
             kind=problem.nonsmooth,
         )
         res = frank_wolfe_solve(inp, FWConfig())

@@ -279,8 +279,8 @@ class TestCampaign:
         [
             ("markowitz", ("bbpgmo", "pgmo_fixed"), 3, 1, (1206, 1222, 8788)),
             ("quadratic:n=2", ("bbpgmo", "pgmo_separate", "pgmo_mu"), 20, 5, (624, 624, 2361)),
-            (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 4451)),
-            (_QUAD_M4, ("pgmo_ls",), 4, 5, (128, 784, 1852)),
+            (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 4004)),
+            (_QUAD_M4, ("pgmo_ls",), 4, 5, (128, 784, 1658)),
         ],
         ids=("markowitz", "quadratic_n2", "quad_m4", "quad_m4_cycling_dual"),
     )

@@ -544,3 +544,89 @@ class TestDualSolveFailure:
                              np.float64(res.fw_gap).tobytes(), counters.prox_evals))
         assert outcomes[0] == outcomes[1]
         assert outcomes[0][2] == 47
+
+
+def _m3_inputs(k, count, seed):
+    """Seeded m = 3..5 inputs of kind k, drawn as tools/fingerprint.py draws
+    its kind inputs."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        n, m = int(rng.integers(1, 7)), int(rng.integers(3, 6))
+        kind = (
+            Zero(),
+            WeightedL1(tuple(rng.uniform(0.0, 1.0, m))),
+            BoxIndicator((-1.5,) * n, (1.5,) * n),
+            SimplexIndicator(),
+        )[k]
+        if k == 3:
+            x = rng.dirichlet(np.ones(n))
+        elif k == 2:
+            x = rng.uniform(kind.lower, kind.upper)
+        else:
+            x = rng.normal(size=n)
+        grads = rng.normal(size=(m, n)) * rng.uniform(0.5, 3.0)
+        alphas = np.exp(rng.uniform(-3.0, 3.0, size=m))
+        yield rng, SubproblemInput(x=x, grads=grads, alphas=alphas, kind=kind)
+
+
+class TestCarriedNewtonPoint:
+    @staticmethod
+    def _solve_all(k):
+        """Bytes of every cold and warm solve of the inputs, and their total
+        prox calls; a capped solve contributes its attached result."""
+        out, calls = [], 0
+
+        def solve(inp, warm):
+            nonlocal calls
+            counters = EvalCounters()
+            try:
+                res = frank_wolfe_solve(inp, FWConfig(max_iters=300), counters, warm)
+            except DualSolveError as err:
+                res = err.result
+            out.append(_result_bytes(res) + [np.float64(res.dual_value).tobytes()])
+            calls += counters.prox_evals
+            return res
+
+        for rng, inp in _m3_inputs(k, 30, 90 + k):
+            cold = solve(inp, None)
+            for warm in (rng.dirichlet(np.ones(inp.m)),
+                         np.eye(inp.m)[int(rng.integers(inp.m))], cold.lam):
+                solve(inp, warm)
+        return out, calls
+
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_reuse_changes_no_bytes(self, k, monkeypatch):
+        """Reusing an accepted face-Newton trial's prox point and omega only
+        saves prox calls: with query made to recompute every point, m >= 3
+        solves return the same bytes of d, lambda, fw_gap, model_decrease
+        and dual_value for strictly more prox calls."""
+        reused, reused_calls = self._solve_all(k)
+        query = SubproblemInput.query
+        monkeypatch.setattr(SubproblemInput, "query",
+                            lambda self, lam, counters=None, point=None:
+                            query(self, lam, counters))
+        recomputed, recomputed_calls = self._solve_all(k)
+        assert reused == recomputed
+        assert recomputed_calls > reused_calls
+
+    def test_slope_and_carried_point_match_query(self):
+        """A segment probe's slope is -<q, step> of the full query to the
+        bit, for one prox call; a query given the point computed at the same
+        lam returns the same probe without one."""
+        for k in range(4):
+            for rng, inp in _m3_inputs(k, 10, 95 + k):
+                lam = rng.dirichlet(np.ones(inp.m))
+                i, j = rng.choice(inp.m, size=2, replace=False)
+                step = np.zeros(inp.m)
+                step[i], step[j] = 1.0, -1.0
+                for eta in rng.uniform(0.0, lam[j], size=5):
+                    at = lam + eta * step
+                    counters = EvalCounters()
+                    slope = inp.slope(at, step, counters)
+                    assert counters.prox_evals == 1
+                    assert slope == -float(inp.query(at)[5].dot(step))
+                    probe = inp.query(at, counters, inp.point(at))
+                    assert counters.prox_evals == 1
+                    fresh = inp.query(at)
+                    assert [np.asarray(a).tobytes() for a in probe] == \
+                        [np.asarray(a).tobytes() for a in fresh]

@@ -90,6 +90,15 @@ class TestMCOProblem:
         with pytest.raises(EvaluationError):
             mark.evaluate_F(np.full(8, 1.0))
 
+    def test_nonfinite_g_names_its_first_objective(self):
+        """Off the simplex every g_i is +inf: the error names objective 0,
+        for an array or a list point (smooth_values checks the point)."""
+        mark = markowitz_portfolio()
+        for x in (np.full(8, 1.0), [1.0] * 8):
+            with pytest.raises(EvaluationError, match="objective 0 is nonfinite") as info:
+                mark.evaluate_F(x)
+            assert info.value.objective == 0
+
     def test_empty_or_invalid_construction(self):
         with pytest.raises(ValueError):
             MCOProblem(n=0, smooth=())

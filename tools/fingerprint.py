@@ -23,6 +23,12 @@ are equal; one that only removes work passes when the first column is::
 
 The campaigns come from ROOT's ``perfbench/workloads.py``, which is imported
 and not changed. A full run takes about three minutes on one core of a 2-core box.
+
+Words after ROOT keep only the lines whose label contains one of them; the
+other lines are not computed. An m >= 3 change, which only the quad_m4
+campaign and the kind lines reach, is checked with::
+
+    python3 tools/fingerprint.py ROOT quad_m4 kind
 """
 
 from __future__ import annotations
@@ -69,16 +75,23 @@ def _feed(h, value, work):
     h.update(b";")
 
 
-def campaign_hashes(workloads):
+def _wanted(label, filters):
+    return not filters or any(word in label for word in filters)
+
+
+def campaign_hashes(workloads, filters=()):
     from moprox import run_campaign
 
     for name, workload in workloads.WORKLOADS.items():
         workload.register()
         for seed in workload.seeds:
+            label = f"campaign {name} seed {seed}"
+            if not _wanted(label, filters):
+                continue
             summary = run_campaign(workload.spec(seed))
             h, work = hashlib.sha256(), []
             _feed(h, summary.reports, work)
-            yield f"campaign {name} seed {seed}", h, work
+            yield label, h, work
 
 
 def _kind_inputs(make_kind, rng):
@@ -112,7 +125,7 @@ def _hash_solve(h, work, inp, warm_lambda):
     return res
 
 
-def kind_hashes():
+def kind_hashes(filters=()):
     from moprox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
 
     makers = (
@@ -122,6 +135,8 @@ def kind_hashes():
         ("SimplexIndicator", lambda rng, n, m: SimplexIndicator()),
     )
     for seed, (name, make_kind) in enumerate(makers):
+        if not _wanted(f"kind {name}", filters):
+            continue
         rng = np.random.default_rng(seed)
         h, work = hashlib.sha256(), []
         for inp in _kind_inputs(make_kind, rng):
@@ -139,7 +154,9 @@ def main(argv):
     sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
     import workloads
 
-    for label, h, work in itertools.chain(campaign_hashes(workloads), kind_hashes()):
+    filters = argv[2:]
+    for label, h, work in itertools.chain(campaign_hashes(workloads, filters),
+                                          kind_hashes(filters)):
         w = hashlib.sha256()
         _feed(w, work, None)
         print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}", flush=True)
