@@ -11,6 +11,7 @@ together.
 import numpy as np
 
 from moprox import (
+    DirectionResult,
     SubproblemInput,
     Zero,
     direction_model_value,
@@ -48,7 +49,7 @@ def main():
     print("gap               ", f"{abs(primal - res.dual_value):.2e}")
 
     # the primal direction is recovered from the weights by one prox call
-    d_again = inp.point(res.lam)[2] - x
+    d_again = DirectionResult(inp, res.lam).d
     print("\nrecovered d       ", np.round(d_again, 6))
     print("matches           ", bool(np.allclose(d_again, res.d, atol=1e-12)))
 

@@ -64,9 +64,9 @@ def bb_stepsizes(memory, x, grads, config):
     near_zero = np.abs(sy) <= _ZERO_CURVATURE_REL * s_norm * y_norms
     positive = (sy > 0.0) & ~near_zero
     negative = (sy < 0.0) & ~near_zero
-    alphas[near_zero] = config.alpha_min
-    alphas[positive] = np.clip(sy[positive] / ss, config.alpha_min, config.alpha_max)
-    alphas[negative] = np.clip(
-        y_norms[negative] / s_norm, config.alpha_min, config.alpha_max
-    )
+    lo, hi = config.alpha_min, config.alpha_max
+    alphas[near_zero] = lo
+    # clamped by the ufuncs, not through np.clip's slower Python wrapper
+    alphas[positive] = np.minimum(np.maximum(sy[positive] / ss, lo), hi)
+    alphas[negative] = np.minimum(np.maximum(y_norms[negative] / s_norm, lo), hi)
     return alphas

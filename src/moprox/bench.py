@@ -54,6 +54,10 @@ class ExperimentSpec:
             raise ValueError("need at least one algorithm")
         if self.start_sampling not in ("auto", "box", "simplex"):
             raise ValueError("start_sampling must be auto, box or simplex")
+        if self.jobs < 1:
+            raise ValueError("jobs must be at least 1")
+        if self.markowitz_returns is not None and self.problem != "markowitz":
+            raise ValueError("markowitz_returns applies only to problem markowitz")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
@@ -120,7 +124,7 @@ def _campaign_problem(spec):
         qspec = _parse_quadratic_token(token)
         instance_rng = np.random.default_rng(_child_seed(spec, 0))
         return random_quadratic(qspec, instance_rng)
-    if token == "markowitz" and spec.markowitz_returns:
+    if spec.markowitz_returns is not None:
         return markowitz_portfolio(spec.markowitz_returns)
     return get_problem(token)
 

@@ -12,14 +12,14 @@ convex dual
                     - env(x - u),      u = sum_i lambda_i grad f_i(x) / alpha_i,
 
 where env is the Moreau envelope of sum_i (lambda_i / alpha_i) g_i, so every
-dual query costs one combined prox. Its gradient is
+dual point costs one combined prox. Its gradient is
 
     d omega / d lambda_i = -(model decrease)_i / alpha_i
 
 with (model decrease)_i = <grad f_i(x), d> + g_i(x + d) - g_i(x) evaluated at
 the prox point, which makes the Frank-Wolfe gap the spread between the worst
 and the lambda-averaged scaled model decreases. The primal direction is
-recovered as d = prox(x - u) - x.
+recovered as d = prox(x - u) - x. Each dual point is one DirectionResult.
 
 The dual is minimized by Frank-Wolfe with exact segment minimization (the
 directional derivative is piecewise linear in lambda for every supported
@@ -57,16 +57,8 @@ class FWConfig:
 
 @dataclass(frozen=True)
 class SubproblemInput:
-    """Frozen per-iteration data for one direction solve, and its dual queries.
-
-    Every ``point`` costs one prox call, counted in ``counters`` when given.
-    ``query`` returns the probe (lam, u, base, p, d, q, gap): the multiplier,
-    u = sum_i lam_i grad f_i / alpha_i, the prox argument base = x - u, the
-    prox point p, the direction d = p - x, q_i = model_i / alpha_i at p and
-    the Frank-Wolfe gap. ``omega`` and ``result`` take a probe's leading
-    fields instead of recomputing them; ``result`` keeps the probe's lam
-    without a copy, so callers pass probes whose lam nothing changes later.
-    """
+    """Frozen per-iteration data for one direction solve, checked once; each
+    dual point of the solve is a DirectionResult built from it."""
 
     x: np.ndarray
     grads: np.ndarray     # (m, n)
@@ -91,7 +83,7 @@ class SubproblemInput:
         if not np.isfinite(g_at_x).all():
             raise ValueError("base point lies outside the domain of g")
         sg = grads / alphas[:, None]
-        # _sgT, _prox and _gdiff are bound once, for every query of every solve
+        # _sgT, _prox and _gdiff are bound once, for every dual point of every solve
         for name, value in (("x", x), ("grads", grads), ("alphas", alphas),
                             ("g_at_x", g_at_x), ("scaled_grads", sg), ("_sgT", sg.T),
                             ("_prox", self.kind.prox),
@@ -102,80 +94,60 @@ class SubproblemInput:
     def m(self):
         return self.grads.shape[0]
 
-    def point(self, lam, counters=None):
-        """(u, base, p): the combined gradient step and its prox point."""
-        u = self._sgT @ lam
-        base = self.x - u
-        p = self._prox(lam / self.alphas, base)
+
+class DirectionResult:
+    """One dual point: the multiplier ``lam`` (kept without a copy, so nothing
+    may change it later), u = sum_i lam_i grad f_i / alpha_i, the prox point
+    p = prox(x - u), the direction d = p - x, q_i = model_i / alpha_i at p
+    (the dual gradient is -q) and the Frank-Wolfe gap. Building it costs one
+    prox call, counted in ``counters`` when given; ``omega``, ``dual_value``,
+    ``d_norm`` and ``model_decrease`` are computed on first read.
+    """
+
+    def __init__(self, inp, lam, counters=None):
+        u = inp._sgT @ lam
+        p = inp._prox(lam / inp.alphas, inp.x - u)
         if counters is not None:
             counters.prox_evals += 1
-        return u, base, p
+        d = p - inp.x
+        q = (inp.grads @ d + inp._gdiff(p)) / inp.alphas
+        self.inp, self.lam, self.u, self.p, self.d, self.q = inp, lam, u, p, d, q
+        self.fw_gap = max(float(np.maximum.reduce(q) - lam.dot(q)), 0.0)
 
-    def query(self, lam, counters=None, point=None):
-        """The probe (lam, u, base, p, d, q, gap) at the multiplier lam; a
-        carried ``point``, self.point at the same lam bytes, saves the prox."""
-        u, base, p = point or self.point(lam, counters)
-        d = p - self.x
-        q = (self.grads @ d + self._gdiff(p)) / self.alphas
-        gap = float(np.maximum.reduce(q) - lam.dot(q))
-        return lam, u, base, p, d, q, max(gap, 0.0)
-
-    def slope(self, lam, step, counters=None):
-        """omega's slope -<q, step> at lam, q by query's formula alone."""
-        p = self.point(lam, counters)[2]
-        q = (self.grads @ (p - self.x) + self._gdiff(p)) / self.alphas
-        return -float(q.dot(step))
-
-    def omega(self, lam, u, base, p):
-        g_p = self.kind.g_values(p, self.alphas.size)
-        r = p - base
-        envelope = float((lam / self.alphas).dot(g_p)) + 0.5 * float(r.dot(r))
-        gx = float(lam.dot(self.g_at_x / self.alphas))
+    @functools.cached_property
+    def omega(self):
+        inp, lam, u, p = self.inp, self.lam, self.u, self.p
+        g_p = inp.kind.g_values(p, inp.alphas.size)
+        r = p - (inp.x - u)
+        envelope = float((lam / inp.alphas).dot(g_p)) + 0.5 * float(r.dot(r))
+        gx = float(lam.dot(inp.g_at_x / inp.alphas))
         return 0.5 * float(u.dot(u)) + gx - envelope
-
-    def result(self, probe):
-        lam, u, base, p, d, q, gap = probe
-        return DirectionResult(
-            d=d,
-            lam=lam,
-            fw_gap=gap,
-            model_decrease=q * self.alphas,
-            _omega=functools.partial(self.omega, lam, u, base, p),
-        )
-
-
-@dataclass
-class DirectionResult:
-    d: np.ndarray
-    lam: np.ndarray
-    fw_gap: float
-    model_decrease: np.ndarray  # (m,), <grad f_i, d> + g_i(x+d) - g_i(x)
-    _omega: object = field(repr=False, compare=False)  # () -> omega(lam)
-    d_norm: float = field(init=False)
-
-    def __post_init__(self):
-        # np.linalg.norm's own 1-D formula, without its wrapper
-        self.d_norm = math.sqrt(float(self.d.dot(self.d)))
 
     @functools.cached_property
     def dual_value(self):
-        """Primal optimum: -omega(lam) at the solution, computed on first read."""
-        return -self._omega()
+        """Primal optimum when lam solves the dual: -omega(lam)."""
+        return -self.omega
+
+    @functools.cached_property
+    def d_norm(self):
+        # np.linalg.norm's own 1-D formula, without its wrapper
+        return math.sqrt(float(self.d.dot(self.d)))
+
+    @functools.cached_property
+    def model_decrease(self):
+        """(m,): <grad f_i, d> + g_i(x + d) - g_i(x)."""
+        return self.q * self.inp.alphas
 
 
 def dual_objective(inp, lam, counters=None):
-    """omega(lambda): the smooth convex function minimized over the simplex.
-
-    Its negated minimum equals the optimal value of the direction model.
-    """
-    lam = np.asarray(lam, dtype=float)
-    return inp.omega(lam, *inp.point(lam, counters))
+    """omega(lambda), the smooth convex function minimized over the simplex;
+    its negated minimum equals the optimal value of the direction model."""
+    return DirectionResult(inp, np.asarray(lam, dtype=float), counters).omega
 
 
 def dual_gradient(inp, lam, counters=None):
     """Gradient of omega: -(model decrease)_i / alpha_i at the prox point."""
-    lam = np.asarray(lam, dtype=float)
-    return -inp.query(lam, counters)[5]
+    return -DirectionResult(inp, np.asarray(lam, dtype=float), counters).q
 
 
 def direction_model_value(inp, d):
@@ -211,28 +183,29 @@ def _solve_m2(inp, counters, cfg, warm_t=None):
     """
 
     def probe(t):
-        pr = inp.query(np.array([t, 1.0 - t]), counters)
-        return pr, pr[5][1] - pr[5][0]
+        pr = DirectionResult(inp, np.array([t, 1.0 - t]), counters)
+        return pr, pr.q[1] - pr.q[0]
 
     tw = 0.0 if warm_t is None else warm_t
     prw, hw = probe(tw)
     # at h'(tw) = 0 an optimal end still wins the tie, t = 0 first
     for end in (0.0,) if hw > 0.0 else (1.0,) if hw < 0.0 else (0.0, 1.0):
         if end == tw:
-            return inp.result(prw)
+            return prw
         pre, he = probe(end)
         if (he >= 0.0) if end == 0.0 else (he <= 0.0):
-            return inp.result(pre)
+            return pre
     if hw == 0.0:
-        return inp.result(prw)
+        return prw
     a, ha, b, hb = (tw, hw, 1.0, he) if hw < 0.0 else (0.0, he, tw, hw)
-    best = prw if prw[6] < pre[6] or (tw == 0.0 and prw[6] == pre[6]) else pre
+    gw, ge = prw.fw_gap, pre.fw_gap
+    best = prw if gw < ge or (tw == 0.0 and gw == ge) else pre
 
     # alternate secant and bisection probes: the secant lands on the root of
     # the current linear piece of h', the bisection guarantees the bracket
     # keeps shrinking geometrically across pieces
     use_secant = True
-    while best[6] > cfg.gap_tol:
+    while best.fw_gap > cfg.gap_tol:
         mid = _secant(a, ha, b, hb) if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
@@ -241,13 +214,13 @@ def _solve_m2(inp, counters, cfg, warm_t=None):
         if hm == 0.0:
             best = prm
             break
-        if prm[6] < best[6]:
+        if prm.fw_gap < best.fw_gap:
             best = prm
         if hm < 0.0 and mid > a:
             a, ha = mid, hm
         elif hm > 0.0 and mid < b:
             b, hb = mid, hm
-    return inp.result(best)
+    return best
 
 
 def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
@@ -255,18 +228,22 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
 
     phi'(eta) = <grad omega(lam_eta), step> = -<q(lam_eta), step> is
     piecewise linear and nondecreasing (omega is convex); sign bisection
-    with a secant finish locates its root.
+    with a secant finish locates its root. Each probe is one dual point.
     """
+
+    def slope(eta):
+        return -float(DirectionResult(inp, lam + eta * step, counters).q.dot(step))
+
     ha = slope0
     if ha >= 0.0:
         return 0.0
-    hb = inp.slope(lam + eta_max * step, step, counters)
+    hb = slope(eta_max)
     if hb <= 0.0:
         return eta_max
     a, b = 0.0, eta_max
     while b - a > 1e-12 * max(1.0, eta_max):
         mid = 0.5 * (a + b)
-        hm = inp.slope(lam + mid * step, step, counters)
+        hm = slope(mid)
         if hm < 0.0:
             a, ha = mid, hm
         elif hm > 0.0:
@@ -276,18 +253,17 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     return _secant(a, ha, b, hb)
 
 
-def _newton_face_step(inp, counters, probe, omega0=None):
+def _newton_face_step(inp, counters, probe):
     """One equality-constrained Newton step on the face spanned by lam > 0.
 
     Solves min 0.5 d'Hd + g'd subject to sum(d) = 0 over the active
     coordinates (g = -q), caps the step at the nonnegativity boundary, and
-    accepts it only when omega (``omega0`` at the probe, if known) strictly
-    decreases: lam advances in place and (its bytes, point, omega) return
-    for reuse, else None. Conditioning-immune, which matters because the
-    Gram matrix inherits the alpha imbalance squared.
+    returns the first halved trial's DirectionResult whose omega strictly
+    decreases below the probe's, else None. Conditioning-immune, which
+    matters because the Gram matrix inherits the alpha imbalance squared.
     """
-    lam, u, base, p, _d, q, _gap = probe
-    H = inp.kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
+    lam, q = probe.lam, probe.q
+    H = inp.kind.dual_hessian(inp.scaled_grads, probe.p, inp.alphas)
     act = (lam > 0.0).nonzero()[0]
     k = act.size
     if k < 2:
@@ -311,22 +287,18 @@ def _newton_face_step(inp, counters, probe, omega0=None):
         t = min(1.0, float((lam[act][neg] / -delta[neg]).min()))
     if t <= 0.0:
         return None
-    if omega0 is None:
-        omega0 = inp.omega(lam, u, base, p)
+    omega0 = probe.omega  # cached when the probe was a Newton trial
     full = np.zeros(lam.size)
     full[act] = delta
     for _ in range(8):
-        trial = lam + t * full
-        np.maximum(trial, 0.0, out=trial)
+        trial = np.maximum(lam + t * full, 0.0)
         s = trial.sum()
         if s <= 0.0:
             return None
         trial /= s
-        point = inp.point(trial, counters)
-        omega = inp.omega(trial, *point)
-        if omega < omega0 - 1e-15 * max(1.0, abs(omega0)):
-            lam[:] = trial
-            return trial.tobytes(), point, omega
+        res = DirectionResult(inp, trial, counters)
+        if res.omega < omega0 - 1e-15 * max(1.0, abs(omega0)):
+            return res
         t *= 0.5
     return None
 
@@ -361,18 +333,21 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         if key in seen:
             break
         seen.add(key)
-        # an accepted Newton trial left as is holds lam's prox point and omega
-        reuse = newton is not None and newton[0] == key
-        probe = inp.query(lam, counters, newton[1] if reuse else None)
-        q, gap = probe[5], probe[6]
-        if best is None or gap < best[6]:
-            best = (lam.copy(),) + probe[1:]  # lam itself moves in place
-        if gap <= cfg.gap_tol:
+        # an accepted Newton trial left as is by clip and renormalize is
+        # already the dual point at lam
+        reuse = newton is not None and newton.lam.tobytes() == key
+        probe = newton if reuse else DirectionResult(inp, lam, counters)
+        if best is None or probe.fw_gap < best.fw_gap:
+            best = probe
+        if probe.fw_gap <= cfg.gap_tol:
             break
-        newton = _newton_face_step(inp, counters, probe, newton[2] if reuse else None)
-        if newton is None:
+        newton = _newton_face_step(inp, counters, probe)
+        if newton is not None:
+            lam = newton.lam
+        else:
             # pairwise exchange: move mass from the flattest active
             # coordinate straight to the steepest one
+            q = probe.q
             j_to = int(np.argmax(q))
             active = np.nonzero(lam > 0.0)[0]
             j_from = active[int(np.argmin(q[active]))]
@@ -387,16 +362,16 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
             )
             if eta <= 0.0:
                 break
-            lam += eta * step
+            lam = lam + eta * step
             if eta >= eta_max * (1.0 - 1e-12):
                 lam[j_from] = 0.0
-        np.maximum(lam, 0.0, out=lam)
+        # a new array every iteration: each dual point keeps its lam
+        lam = np.maximum(lam, 0.0)
         lam /= lam.sum()
-    res = inp.result(best)
-    if res.fw_gap > 100.0 * cfg.gap_tol:
+    if best.fw_gap > 100.0 * cfg.gap_tol:
         raise DualSolveError(
-            f"dual gap {res.fw_gap:.3e} above 100x tolerance after "
+            f"dual gap {best.fw_gap:.3e} above 100x tolerance after "
             f"{len(seen)} iterations",
-            result=res,
+            result=best,
         )
-    return res
+    return best

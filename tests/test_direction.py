@@ -8,9 +8,12 @@ over the simplex; the prox formula recovers d from any multiplier vector.
 import numpy as np
 import pytest
 
+from moprox import direction
 from moprox.direction import (
+    DirectionResult,
     FWConfig,
     SubproblemInput,
+    _segment_minimize,
     _solve_m2,
     direction_model_value,
     dual_gradient,
@@ -186,7 +189,7 @@ class TestDualFunction:
             kind = _kinds_for(rng, n, m)[k]
             inp = _random_input(rng, n=n, m=m, kind=kind)
             lam = _interior_lambda(rng, m)
-            p = inp.point(lam)[2]
+            p = DirectionResult(inp, lam).p
             H = kind.dual_hessian(inp.scaled_grads, p, inp.alphas)
             scale = max(1.0, float(np.abs(H).max()))
             for i in range(m - 1):
@@ -209,10 +212,10 @@ class TestDualFunction:
             lam = rng.dirichlet(np.ones(m))
             omega = dual_objective(inp, lam)
             # the gap computed at lam certifies the suboptimality of d(lam)
-            *_, d, _q, gap = inp.query(lam)
-            primal = direction_model_value(inp, d)
+            point = DirectionResult(inp, lam)
+            primal = direction_model_value(inp, point.d)
             assert primal >= -omega - 1e-10
-            assert primal + omega <= gap + 1e-10
+            assert primal + omega <= point.fw_gap + 1e-10
 
     def test_dual_value_is_primal_optimum(self):
         """At the solver's multiplier the duality gap closes."""
@@ -300,21 +303,21 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
     probe order."""
 
     def probe(t):
-        pr = inp.query(np.array([t, 1.0 - t]), counters)
-        return pr, pr[5][1] - pr[5][0]
+        pr = DirectionResult(inp, np.array([t, 1.0 - t]), counters)
+        return pr, pr.q[1] - pr.q[0]
 
     pr0, h0 = probe(0.0)
     if h0 >= 0.0:
-        return inp.result(pr0)
+        return pr0
     pr1, h1 = probe(1.0)
     if h1 <= 0.0:
-        return inp.result(pr1)
+        return pr1
     a, ha, b, hb = 0.0, h0, 1.0, h1
-    best = pr0 if pr0[6] <= pr1[6] else pr1
+    best = pr0 if pr0.fw_gap <= pr1.fw_gap else pr1
 
     def note(t, pr, h):
         nonlocal a, ha, b, hb, best
-        if pr[6] < best[6]:
+        if pr.fw_gap < best.fw_gap:
             best = pr
         if h < 0.0 and t > a:
             a, ha = t, h
@@ -325,7 +328,7 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
     if warm_t is not None and 0.0 < warm_t < 1.0:
         prw, hw = probe(warm_t)
         if note(warm_t, prw, hw):
-            return inp.result(prw)
+            return prw
 
     def secant():
         if hb - ha > 0.0:
@@ -335,7 +338,7 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
         return 0.5 * (a + b)
 
     use_secant = True
-    while best[6] > cfg.gap_tol:
+    while best.fw_gap > cfg.gap_tol:
         mid = secant() if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
@@ -344,7 +347,7 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
         if note(mid, prm, hm):
             best = prm
             break
-    return inp.result(best)
+    return best
 
 
 def _m2_solve_counted(solver, inp, warm_t, cfg=FWConfig()):
@@ -448,8 +451,8 @@ class TestWarmFirstProbes:
 class TestDualValue:
     def test_read_lazily_and_equal_to_the_dual_objective(self):
         """dual_value is -omega(lambda) at the returned multiplier to the
-        bit, computed from the probe the solver holds: reading it costs no
-        prox call, and a second read returns the cached float."""
+        bit, computed from the dual point the solver returns: reading it
+        costs no prox call, and a second read returns the cached float."""
         rng = np.random.default_rng(81)
         for _ in range(80):
             n = int(rng.integers(1, 6))
@@ -596,37 +599,82 @@ class TestCarriedNewtonPoint:
 
     @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
     def test_reuse_changes_no_bytes(self, k, monkeypatch):
-        """Reusing an accepted face-Newton trial's prox point and omega only
-        saves prox calls: with query made to recompute every point, m >= 3
-        solves return the same bytes of d, lambda, fw_gap, model_decrease
-        and dual_value for strictly more prox calls."""
+        """Reusing an accepted face-Newton trial as the next iteration's dual
+        point only saves prox calls: with every accepted trial rebuilt from a
+        copy of its lambda, so that its prox point and omega are computed
+        again, m >= 3 solves return the same bytes of d, lambda, fw_gap,
+        model_decrease and dual_value for strictly more prox calls."""
         reused, reused_calls = self._solve_all(k)
-        query = SubproblemInput.query
-        monkeypatch.setattr(SubproblemInput, "query",
-                            lambda self, lam, counters=None, point=None:
-                            query(self, lam, counters))
+        newton_step = direction._newton_face_step
+
+        def rebuilt(inp, counters, probe):
+            res = newton_step(inp, counters, probe)
+            return None if res is None else DirectionResult(inp, res.lam.copy(), counters)
+
+        monkeypatch.setattr(direction, "_newton_face_step", rebuilt)
         recomputed, recomputed_calls = self._solve_all(k)
         assert reused == recomputed
         assert recomputed_calls > reused_calls
 
-    def test_slope_and_carried_point_match_query(self):
-        """A segment probe's slope is -<q, step> of the full query to the
-        bit, for one prox call; a query given the point computed at the same
-        lam returns the same probe without one."""
+    def test_segment_probe_costs_one_prox(self, monkeypatch):
+        """Each probe of the pairwise segment search is one dual point for
+        one prox call, and the step it returns lowers omega at least as far
+        as either end of the segment. Mass moves from the flattest to the
+        steepest coordinate, as the m >= 3 loop moves it."""
+        built = []
+
+        class Counted(DirectionResult):
+            def __init__(self, inp, lam, counters=None):
+                super().__init__(inp, lam, counters)
+                built.append(lam)
+
+        monkeypatch.setattr(direction, "DirectionResult", Counted)
+        searched = 0
         for k in range(4):
             for rng, inp in _m3_inputs(k, 10, 95 + k):
                 lam = rng.dirichlet(np.ones(inp.m))
-                i, j = rng.choice(inp.m, size=2, replace=False)
+                grad = dual_gradient(inp, lam)
+                i, j = int(np.argmin(grad)), int(np.argmax(grad))
                 step = np.zeros(inp.m)
                 step[i], step[j] = 1.0, -1.0
-                for eta in rng.uniform(0.0, lam[j], size=5):
-                    at = lam + eta * step
-                    counters = EvalCounters()
-                    slope = inp.slope(at, step, counters)
-                    assert counters.prox_evals == 1
-                    assert slope == -float(inp.query(at)[5].dot(step))
-                    probe = inp.query(at, counters, inp.point(at))
-                    assert counters.prox_evals == 1
-                    fresh = inp.query(at)
-                    assert [np.asarray(a).tobytes() for a in probe] == \
-                        [np.asarray(a).tobytes() for a in fresh]
+                slope0 = float(grad.dot(step))
+                built.clear()
+                counters = EvalCounters()
+                eta = _segment_minimize(inp, counters, lam, step, float(lam[j]), slope0)
+                assert counters.prox_evals == len(built)
+                assert 0.0 <= eta <= lam[j]
+                searched += len(built) > 1
+                at = dual_objective(inp, lam + eta * step)
+                for end in (0.0, float(lam[j])):
+                    omega = dual_objective(inp, lam + end * step)
+                    assert at <= omega + 1e-12 * max(1.0, abs(omega))
+        assert searched > 20
+
+
+class TestDualPointsKeepLambda:
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_lambda_unchanged_after_construction(self, k, monkeypatch):
+        """A DirectionResult keeps its lambda without a copy, so the m >= 3
+        loop must never change a multiplier array in place once a dual point
+        holds it: every lambda of every dual point built during cold and
+        warm solves still has the bytes it had when its point was built."""
+        records = []
+
+        class Recorded(DirectionResult):
+            def __init__(self, inp, lam, counters=None):
+                records.append((lam, lam.tobytes()))
+                super().__init__(inp, lam, counters)
+
+        monkeypatch.setattr(direction, "DirectionResult", Recorded)
+        built = 0
+        for rng, inp in _m3_inputs(k, 30, 110 + k):
+            for warm in (None, rng.dirichlet(np.ones(inp.m)),
+                         np.eye(inp.m)[int(rng.integers(inp.m))]):
+                records.clear()
+                try:
+                    frank_wolfe_solve(inp, FWConfig(max_iters=300), warm_lambda=warm)
+                except DualSolveError:
+                    pass
+                assert all(lam.tobytes() == before for lam, before in records)
+                built += len(records)
+        assert built > 30 * 3 * 5
