@@ -95,7 +95,8 @@ def campaign_hashes(workloads, filters=()):
 
 
 def _kind_inputs(make_kind, rng):
-    from moprox import BoxIndicator, SimplexIndicator, SubproblemInput
+    from moprox import BoxIndicator, SimplexIndicator
+    from moprox.direction import SubproblemInput
 
     for _ in range(KIND_INPUTS):
         n, m = int(rng.integers(1, 7)), int(rng.integers(1, 6))
@@ -112,7 +113,8 @@ def _kind_inputs(make_kind, rng):
 
 
 def _hash_solve(h, work, inp, warm_lambda):
-    from moprox import DualSolveError, EvalCounters, frank_wolfe_solve
+    from moprox import DualSolveError, EvalCounters
+    from moprox.direction import frank_wolfe_solve
 
     counters = EvalCounters()
     try:
