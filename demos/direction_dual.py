@@ -10,10 +10,10 @@ together.
 
 import numpy as np
 
-from moprox import (
+from moprox import Zero
+from moprox.direction import (
     DirectionResult,
     SubproblemInput,
-    Zero,
     direction_model_value,
     frank_wolfe_solve,
 )

@@ -20,15 +20,7 @@ battery over random instances.
 """
 
 from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import (
-    DirectionResult,
-    FWConfig,
-    SubproblemInput,
-    direction_model_value,
-    dual_gradient,
-    dual_objective,
-    frank_wolfe_solve,
-)
+from .direction import FWConfig
 from .exceptions import (
     DegenerateStepError,
     DualSolveError,
@@ -90,7 +82,6 @@ __all__ = [
     "BBMemory",
     "BoxIndicator",
     "DegenerateStepError",
-    "DirectionResult",
     "DualSolveError",
     "EvalCounters",
     "EvaluationError",
@@ -105,7 +96,6 @@ __all__ = [
     "SmoothComponent",
     "SolveReport",
     "SolverConfig",
-    "SubproblemInput",
     "TraceRecord",
     "UnknownProblemError",
     "WeightedL1",
@@ -115,11 +105,7 @@ __all__ = [
     "bb_stepsizes",
     "bk1",
     "check_jacobian",
-    "direction_model_value",
-    "dual_gradient",
-    "dual_objective",
     "export_results",
-    "frank_wolfe_solve",
     "get_problem",
     "jos1",
     "load_returns_table",

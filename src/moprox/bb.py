@@ -10,11 +10,13 @@ stepsize alpha_i:
 
 where clamp(.) projects onto [alpha_min, alpha_max]. The zero test is
 relative: |<s, y_i>| <= 1e-14 ||s|| ||y_i||, so it is scale invariant and
-catches exactly-linear objectives (y_i = 0).
+catches exactly-linear objectives (y_i = 0). A curvature that is NaN also
+gets alpha_min, so every alpha lies in [alpha_min, alpha_max].
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +32,8 @@ class BBConfig:
     alpha_max: float = 1e3
 
     def __post_init__(self):
-        if not (0.0 < self.alpha_min <= self.alpha_max):
-            raise ValueError("need 0 < alpha_min <= alpha_max")
+        if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
+            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
 
 
 @dataclass
@@ -60,12 +62,11 @@ def bb_stepsizes(memory, x, grads, config):
     sy = Y @ s
     y_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y))
 
-    alphas = np.empty(sy.size)
+    lo, hi = config.alpha_min, config.alpha_max
+    alphas = np.full(sy.size, lo)  # flat or NaN curvature
     near_zero = np.abs(sy) <= _ZERO_CURVATURE_REL * s_norm * y_norms
     positive = (sy > 0.0) & ~near_zero
     negative = (sy < 0.0) & ~near_zero
-    lo, hi = config.alpha_min, config.alpha_max
-    alphas[near_zero] = lo
     # clamped by the ufuncs, not through np.clip's slower Python wrapper
     alphas[positive] = np.minimum(np.maximum(sy[positive] / ss, lo), hi)
     alphas[negative] = np.minimum(np.maximum(y_norms[negative] / s_norm, lo), hi)

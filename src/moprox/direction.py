@@ -1,5 +1,8 @@
 """Descent direction subproblem, solved through its simplex dual.
 
+An internal module: ``solve()`` and ``merit_gap()`` check its inputs (the
+gradients, stepsizes and base point) where they enter, so nothing here does.
+
 At a point x with per-objective inverse stepsizes alpha_i > 0, the direction
 is the minimizer of
 
@@ -40,7 +43,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .exceptions import DualSolveError, EvaluationError
+from .exceptions import DualSolveError
 
 
 @dataclass(frozen=True)
@@ -57,51 +60,43 @@ class FWConfig:
 
 @dataclass(frozen=True)
 class SubproblemInput:
-    """Frozen per-iteration data for one direction solve, checked once; each
-    dual point of the solve is a DirectionResult built from it."""
+    """Frozen per-iteration data for one direction solve; each dual point of
+    the solve is a DirectionResult built from it. Nothing is checked here:
+    x is a float (n,) array in the domain of g, grads a finite float (m, n)
+    array and alphas a finite positive float (m,) array."""
 
     x: np.ndarray
     grads: np.ndarray     # (m, n)
     alphas: np.ndarray    # (m,) positive
     kind: object          # one of prox.KINDS
-    g_at_x: np.ndarray = field(init=False)
     scaled_grads: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
-        x = np.asarray(self.x, dtype=float)
-        grads = np.asarray(self.grads, dtype=float)
-        alphas = np.asarray(self.alphas, dtype=float)
-        if grads.ndim != 2 or grads.shape[1] != x.size:
-            raise ValueError("grads must be (m, n) matching x")
-        if alphas.shape != (grads.shape[0],):
-            raise ValueError("alphas must be (m,)")
-        if not np.isfinite(alphas).all() or (alphas <= 0).any():
-            raise ValueError("alphas must be finite and positive")
-        if not np.isfinite(grads).all():
-            raise EvaluationError("nonfinite gradient entry in subproblem input")
-        g_at_x = self.kind.g_values(x, grads.shape[0])
-        if not np.isfinite(g_at_x).all():
-            raise ValueError("base point lies outside the domain of g")
-        sg = grads / alphas[:, None]
+        sg = self.grads / self.alphas[:, None]
         # _sgT, _prox and _gdiff are bound once, for every dual point of every solve
-        for name, value in (("x", x), ("grads", grads), ("alphas", alphas),
-                            ("g_at_x", g_at_x), ("scaled_grads", sg), ("_sgT", sg.T),
+        for name, value in (("scaled_grads", sg), ("_sgT", sg.T),
                             ("_prox", self.kind.prox),
-                            ("_gdiff", self.kind.model_change(x, grads.shape[0]))):
+                            ("_gdiff", self.kind.model_change(self.x, self.m))):
             object.__setattr__(self, name, value)
 
     @property
     def m(self):
         return self.grads.shape[0]
 
+    @functools.cached_property
+    def g_at_x(self):
+        """(m,): g_i(x), read only by omega and direction_model_value."""
+        return self.kind.g_values(self.x, self.m)
+
 
 class DirectionResult:
     """One dual point: the multiplier ``lam`` (kept without a copy, so nothing
     may change it later), u = sum_i lam_i grad f_i / alpha_i, the prox point
     p = prox(x - u), the direction d = p - x, q_i = model_i / alpha_i at p
-    (the dual gradient is -q) and the Frank-Wolfe gap. Building it costs one
-    prox call, counted in ``counters`` when given; ``omega``, ``dual_value``,
-    ``d_norm`` and ``model_decrease`` are computed on first read.
+    (the dual gradient is -q). Building it costs one prox call, counted in
+    ``counters`` when given; the Frank-Wolfe gap ``fw_gap``, ``omega``,
+    ``dual_value``, ``d_norm`` and ``model_decrease`` are computed on first
+    read.
     """
 
     def __init__(self, inp, lam, counters=None):
@@ -112,7 +107,10 @@ class DirectionResult:
         d = p - inp.x
         q = (inp.grads @ d + inp._gdiff(p)) / inp.alphas
         self.inp, self.lam, self.u, self.p, self.d, self.q = inp, lam, u, p, d, q
-        self.fw_gap = max(float(np.maximum.reduce(q) - lam.dot(q)), 0.0)
+
+    @functools.cached_property
+    def fw_gap(self):
+        return max(float(np.maximum.reduce(self.q) - self.lam.dot(self.q)), 0.0)
 
     @functools.cached_property
     def omega(self):
@@ -137,17 +135,6 @@ class DirectionResult:
     def model_decrease(self):
         """(m,): <grad f_i, d> + g_i(x + d) - g_i(x)."""
         return self.q * self.inp.alphas
-
-
-def dual_objective(inp, lam, counters=None):
-    """omega(lambda), the smooth convex function minimized over the simplex;
-    its negated minimum equals the optimal value of the direction model."""
-    return DirectionResult(inp, np.asarray(lam, dtype=float), counters).omega
-
-
-def dual_gradient(inp, lam, counters=None):
-    """Gradient of omega: -(model decrease)_i / alpha_i at the prox point."""
-    return -DirectionResult(inp, np.asarray(lam, dtype=float), counters).q
 
 
 def direction_model_value(inp, d):

@@ -30,17 +30,19 @@ from .exceptions import EvaluationError
 
 
 def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
-    """Regularized gap merit w(x) via one dual solve at beta = ell * alphas."""
-    if ell <= 0:
+    """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
+    Raises ValueError unless ell > 0, beta is m finite positive values and x
+    lies in the domain of g, and EvaluationError for a nonfinite gradient."""
+    if not ell > 0:
         raise ValueError("ell must be positive")
+    beta = ell * np.asarray(alphas, dtype=float)
+    if beta.shape != (problem.m,) or not np.isfinite(beta).all() or (beta <= 0).any():
+        raise ValueError(f"ell * alphas must be {problem.m} finite positive values")
     x = np.asarray(x, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
-    inp = SubproblemInput(
-        x=x,
-        grads=problem.jacobian(x, counters),
-        alphas=ell * alphas,
-        kind=problem.nonsmooth,
-    )
+    grads = problem.jacobian(x, counters)  # checks x's shape and finiteness
+    if not problem.nonsmooth.contains(x):
+        raise ValueError("base point lies outside the domain of g")
+    inp = SubproblemInput(x=x, grads=grads, alphas=beta, kind=problem.nonsmooth)
     res = frank_wolfe_solve(inp, fw or FWConfig(), counters)
     # dual_value is the primal optimum (a min), so its negation is the merit
     return ell * (-res.dual_value)

@@ -24,6 +24,7 @@ differs also where x0_j - 1e-4 rounds back to x0_j (|x0_j| >= 2^40).
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass, field, replace
 
@@ -62,8 +63,8 @@ class SolverConfig:
         _canonical_mode(self.algorithm)
         if self.d_tol <= 0 or self.max_iters < 1:
             raise ValueError("d_tol must be positive and max_iters >= 1")
-        if self.tau <= 1.0:
-            raise ValueError("tau must exceed 1")
+        if not 1.0 < self.tau < math.inf:
+            raise ValueError("tau must be finite and exceed 1")
 
 
 @dataclass
@@ -114,14 +115,12 @@ def _canonical_mode(name):
 
 
 def _fixed_alphas(problem, mode, cfg):
-    """Constant alpha vector for the non-BB modes, with prerequisite checks."""
+    """Constant alpha vector for the non-BB modes, with prerequisite checks;
+    the one place, once per solve, where it is checked finite and positive."""
     m = problem.m
     if mode == "pgmo_ls":
-        ell = 1.0 if cfg.ell is None else float(cfg.ell)
-        if ell <= 0:
-            raise ValueError("pgmo_ls needs ell > 0")
-        return np.full(m, ell)
-    if mode == "pgmo_fixed":
+        alphas, what = np.full(m, 1.0 if cfg.ell is None else float(cfg.ell)), "ell"
+    elif mode == "pgmo_fixed":
         Ls = problem.lipschitz_constants()
         if Ls is None or np.any(Ls < 0):
             raise ValueError("pgmo_fixed needs known Lipschitz constants")
@@ -133,31 +132,36 @@ def _fixed_alphas(problem, mode, cfg):
             raise ValueError(
                 f"pgmo_fixed needs ell > L_max / 2 = {0.5 * L_max:g}, got {ell:g}"
             )
-        return np.full(m, ell)
-    if mode == "pgmo_mu":
-        mus = problem.strong_moduli()
-        if mus is None or np.any(mus <= 0):
-            raise ValueError("pgmo_mu needs positive strong convexity moduli")
-        return mus.copy()
-    if mode == "pgmo_separate":
-        Ls = problem.lipschitz_constants()
-        if Ls is None or np.any(Ls <= 0):
-            raise ValueError("pgmo_separate needs positive Lipschitz constants")
-        return Ls.copy()
-    return None  # BB modes compute alphas per iteration
+        alphas, what = np.full(m, ell), "ell"
+    elif mode == "pgmo_mu":
+        alphas, what = problem.strong_moduli(), "strong convexity moduli"
+    elif mode == "pgmo_separate":
+        alphas, what = problem.lipschitz_constants(), "Lipschitz constants"
+    else:
+        return None  # BB modes compute alphas per iteration
+    # a NaN fails both comparisons
+    if alphas is None or not np.all((alphas > 0.0) & (alphas < np.inf)):
+        raise ValueError(f"{mode} needs finite positive {what}")
+    return alphas
 
 
 def _prepare_start(problem, x0):
+    """x0 projected onto the domain of g and clipped to the bounds; ValueError
+    if that leaves it outside the domain. Later iterates are convex steps
+    between feasible points, clipped to the bounds: none is checked again."""
+    kind = problem.nonsmooth
     x = np.array(x0, dtype=float, copy=True)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},)")
-    projected = not problem.nonsmooth.contains(x)
+    projected = not kind.contains(x)
     if projected:
-        x = problem.nonsmooth.project(x)
+        x = kind.project(x)
     if problem.bounds is not None:
         clipped = np.clip(x, *problem.bounds)
         projected |= bool((clipped != x).any())
         x = clipped
+    if not kind.contains(x):
+        raise ValueError("base point lies outside the domain of g")
     return x, projected
 
 
@@ -204,7 +208,8 @@ def solve(problem, x0, cfg=None):
 
     The initial F(x0) evaluation is not counted (feval totals count only the
     work done by the iteration itself, so fixed-step runs show one feval per
-    iteration).
+    iteration). A start or a configuration that no iteration could use
+    raises ValueError before any evaluation.
     """
     cfg = cfg or SolverConfig()
     mode = _canonical_mode(cfg.algorithm)
@@ -212,20 +217,21 @@ def solve(problem, x0, cfg=None):
     counters = EvalCounters()
 
     x, x0_projected = _prepare_start(problem, x0)
-    f = problem.smooth_values(x)  # smooth parts; only abbpgmo keeps them current
-    F = f + problem.g_values(x)
-    grads = problem.jacobian(x, counters)
-
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
     bounds = problem.bounds
     trace = []
     warnings = []
     status = None
     warm_lambda = None
+    F = np.full(problem.m, np.nan)  # reported when F(x0) cannot be evaluated
 
-    # an EvaluationError ends the solve at the last accepted iterate (x0 when
-    # the BB modes' synthetic predecessor lies outside a smooth part's domain)
+    # an EvaluationError ends the solve at the last accepted iterate: x0 when
+    # F or the Jacobian fails there, or when the BB modes' synthetic
+    # predecessor lies outside a smooth part's domain
     try:
+        f = problem.smooth_values(x)  # smooth parts; only abbpgmo keeps them current
+        F = f + problem.g_values(x)
+        grads = problem.jacobian(x, counters)
         if alphas_fixed is None:
             x_prev = x - np.maximum(_X_MINUS_OFFSET, np.abs(np.spacing(x)))
             memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))

@@ -11,13 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import (
-    FWConfig,
-    SubproblemInput,
-    dual_gradient,
-    dual_objective,
-    frank_wolfe_solve,
-)
+from .direction import DirectionResult, FWConfig, SubproblemInput, frank_wolfe_solve
 from .linesearch import LineSearchConfig
 from .merit import merit_gap
 from .prox import project_simplex
@@ -71,8 +65,8 @@ def _check_dual_gradient(rng):
         h = 1e-6
         lp = np.array([lam[0] + h, lam[1] - h])
         lm = np.array([lam[0] - h, lam[1] + h])
-        fd = (dual_objective(inp, lp) - dual_objective(inp, lm)) / (2 * h)
-        g = dual_gradient(inp, lam)
+        fd = (DirectionResult(inp, lp).omega - DirectionResult(inp, lm).omega) / (2 * h)
+        g = -DirectionResult(inp, lam).q
         worst = max(worst, abs((g[0] - g[1]) - fd) / max(1.0, abs(fd)))
     return worst <= 1e-5, f"max relative gradient error {worst:.2e}"
 

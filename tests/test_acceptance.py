@@ -13,10 +13,8 @@ import pytest
 
 from moprox.bench import ExperimentSpec, run_campaign
 from moprox.direction import (
-    FWConfig,
+    DirectionResult,
     SubproblemInput,
-    dual_gradient,
-    dual_objective,
     frank_wolfe_solve,
 )
 from moprox.linesearch import LineSearchConfig
@@ -343,14 +341,14 @@ def test_criterion_06_dual_correctness():
             lam = rng.dirichlet(np.ones(m)) * 0.8 + 0.2 / m
             lam = lam / lam.sum()
             checked_lams += 1
-            grad = dual_gradient(inp, lam)
+            grad = -DirectionResult(inp, lam).q
             h = 1e-6
             for i in range(m - 1):
                 step = np.zeros(m)
                 step[i], step[-1] = 1.0, -1.0
                 fd = (
-                    dual_objective(inp, lam + h * step)
-                    - dual_objective(inp, lam - h * step)
+                    DirectionResult(inp, lam + h * step).omega
+                    - DirectionResult(inp, lam - h * step).omega
                 ) / (2.0 * h)
                 err = abs(float(grad @ step) - fd) / max(1.0, abs(fd))
                 fd_worst = max(fd_worst, err)

@@ -106,6 +106,19 @@ class TestEdgeCases:
             BBConfig(alpha_min=0.0)
         with pytest.raises(ValueError):
             BBConfig(alpha_min=2.0, alpha_max=1.0)
+        # infinite bounds are refused here, so every BB stepsize is finite
+        for bounds in ((1e-3, np.inf), (np.inf, np.inf)):
+            with pytest.raises(ValueError, match="alpha_max < inf"):
+                BBConfig(*bounds)
+
+    def test_nan_curvature_hits_floor(self):
+        """A NaN gradient change gives a NaN <s, y_i>, which is neither flat
+        nor signed: alpha_min, like a flat objective."""
+        cfg = BBConfig(alpha_min=0.1, alpha_max=10.0)
+        memory = BBMemory(np.zeros(2), np.zeros((2, 2)))
+        grads = np.array([[np.nan, 1.0], [4.0, 0.0]])
+        alphas = bb_stepsizes(memory, np.array([1.0, 0.0]), grads, cfg)
+        np.testing.assert_array_equal(alphas, [0.1, 4.0])
 
     def test_custom_bounds_respected(self):
         H = np.diag([50.0, 50.0])

@@ -16,11 +16,9 @@ from moprox.direction import (
     _segment_minimize,
     _solve_m2,
     direction_model_value,
-    dual_gradient,
-    dual_objective,
     frank_wolfe_solve,
 )
-from moprox.exceptions import DualSolveError, EvaluationError
+from moprox.exceptions import DualSolveError
 from moprox.problems import EvalCounters
 from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
 
@@ -162,14 +160,14 @@ class TestDualFunction:
                 inp = _random_input(rng, n=n, m=m, kind=kind)
                 for _ in range(5):
                     lam = _interior_lambda(rng, m)
-                    grad = dual_gradient(inp, lam)
+                    grad = -DirectionResult(inp, lam).q
                     for i in range(m - 1):
                         # probe along a simplex-tangent coordinate pair
                         e = np.zeros(m)
                         e[i] = 1.0
                         e[-1] = -1.0
-                        fp = dual_objective(inp, lam + h * e)
-                        fm = dual_objective(inp, lam - h * e)
+                        fp = DirectionResult(inp, lam + h * e).omega
+                        fm = DirectionResult(inp, lam - h * e).omega
                         fd = (fp - fm) / (2.0 * h)
                         an = grad[i] - grad[-1]
                         assert fd == pytest.approx(
@@ -195,7 +193,7 @@ class TestDualFunction:
             for i in range(m - 1):
                 e = np.zeros(m)
                 e[i], e[-1] = 1.0, -1.0
-                diff = dual_gradient(inp, lam + h * e) - dual_gradient(inp, lam - h * e)
+                diff = DirectionResult(inp, lam - h * e).q - DirectionResult(inp, lam + h * e).q
                 np.testing.assert_allclose(
                     diff / (2.0 * h), H @ e, rtol=1e-6, atol=1e-6 * scale,
                     err_msg=str(trial),
@@ -210,9 +208,9 @@ class TestDualFunction:
             kind = _kinds_for(rng, n, m)[int(rng.integers(4))]
             inp = _random_input(rng, n=n, m=m, kind=kind)
             lam = rng.dirichlet(np.ones(m))
-            omega = dual_objective(inp, lam)
             # the gap computed at lam certifies the suboptimality of d(lam)
             point = DirectionResult(inp, lam)
+            omega = point.omega
             primal = direction_model_value(inp, point.d)
             assert primal >= -omega - 1e-10
             assert primal + omega <= point.fw_gap + 1e-10
@@ -464,46 +462,7 @@ class TestDualValue:
             value = res.dual_value
             assert res.dual_value is value
             assert counters.prox_evals == calls
-            assert value == -dual_objective(inp, res.lam)
-
-
-class TestInputValidation:
-    def test_bad_shapes_rejected(self):
-        with pytest.raises(ValueError):
-            SubproblemInput(
-                x=np.zeros(2), grads=np.zeros((2, 3)), alphas=np.ones(2), kind=Zero()
-            )
-        with pytest.raises(ValueError):
-            SubproblemInput(
-                x=np.zeros(2), grads=np.zeros((2, 2)), alphas=np.ones(3), kind=Zero()
-            )
-
-    def test_nonpositive_alpha_rejected(self):
-        with pytest.raises(ValueError):
-            SubproblemInput(
-                x=np.zeros(2),
-                grads=np.zeros((1, 2)),
-                alphas=np.array([0.0]),
-                kind=Zero(),
-            )
-
-    def test_nonfinite_gradient_rejected(self):
-        with pytest.raises(EvaluationError):
-            SubproblemInput(
-                x=np.zeros(2),
-                grads=np.array([[np.nan, 0.0]]),
-                alphas=np.ones(1),
-                kind=Zero(),
-            )
-
-    def test_infeasible_base_point_rejected(self):
-        with pytest.raises(ValueError, match="outside the domain"):
-            SubproblemInput(
-                x=np.array([2.0, 2.0]),
-                grads=np.ones((1, 2)),
-                alphas=np.ones(1),
-                kind=SimplexIndicator(),
-            )
+            assert value == -DirectionResult(inp, res.lam).omega
 
 
 class TestDualSolveFailure:
@@ -633,7 +592,7 @@ class TestCarriedNewtonPoint:
         for k in range(4):
             for rng, inp in _m3_inputs(k, 10, 95 + k):
                 lam = rng.dirichlet(np.ones(inp.m))
-                grad = dual_gradient(inp, lam)
+                grad = -DirectionResult(inp, lam).q
                 i, j = int(np.argmin(grad)), int(np.argmax(grad))
                 step = np.zeros(inp.m)
                 step[i], step[j] = 1.0, -1.0
@@ -644,9 +603,9 @@ class TestCarriedNewtonPoint:
                 assert counters.prox_evals == len(built)
                 assert 0.0 <= eta <= lam[j]
                 searched += len(built) > 1
-                at = dual_objective(inp, lam + eta * step)
+                at = DirectionResult(inp, lam + eta * step).omega
                 for end in (0.0, float(lam[j])):
-                    omega = dual_objective(inp, lam + end * step)
+                    omega = DirectionResult(inp, lam + end * step).omega
                     assert at <= omega + 1e-12 * max(1.0, abs(omega))
         assert searched > 20
 

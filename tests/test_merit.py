@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from moprox.exceptions import EvaluationError
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.problems import MCOProblem, SmoothComponent
+from moprox.prox import SimplexIndicator
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
 
@@ -57,6 +59,49 @@ class TestSignature:
     def test_invalid_curvature(self):
         with pytest.raises(ValueError):
             merit_gap(_scalar_quadratic(), np.ones(1), np.ones(1), ell=0.0)
+
+
+class TestInputValidation:
+    """merit_gap is where its subproblem input enters, so it checks x and
+    ell * alphas once; the dual solver checks nothing."""
+
+    def test_bad_shapes_rejected(self):
+        problem = random_quadratic(QuadraticSpec(n=3, n_objectives=2), seed=2)
+        with pytest.raises(ValueError, match="expected point of shape"):
+            merit_gap(problem, np.zeros(2), np.ones(2))
+        for alphas in (np.ones(3), np.ones((2, 1)), 1.0):
+            with pytest.raises(ValueError, match="2 finite positive values"):
+                merit_gap(problem, np.zeros(3), alphas)
+
+    def test_nonpositive_alpha_rejected(self):
+        problem = _scalar_quadratic()
+        for alphas in ([0.0], [-1.0], [np.inf], [np.nan]):
+            with pytest.raises(ValueError, match="finite positive"):
+                merit_gap(problem, np.ones(1), np.array(alphas))
+        # ell > 0 with finite alphas can still overflow to an infinite beta
+        with pytest.raises(ValueError, match="finite positive"):
+            merit_gap(problem, np.ones(1), np.ones(1), ell=np.inf)
+        for ell in (-1.0, np.nan):
+            with pytest.raises(ValueError, match="ell must be positive"):
+                merit_gap(problem, np.ones(1), -np.ones(1), ell=ell)
+
+    def test_nonfinite_gradient_rejected(self):
+        """MCOProblem.jacobian checks every gradient it returns, for
+        merit_gap as for solve()."""
+        comp = SmoothComponent(
+            value=lambda x: 0.0, gradient=lambda x: np.array([np.nan, 0.0])
+        )
+        problem = MCOProblem(n=2, smooth=(comp,))
+        with pytest.raises(EvaluationError, match="nonfinite gradient"):
+            problem.jacobian(np.zeros(2))
+        with pytest.raises(EvaluationError, match="nonfinite gradient"):
+            merit_gap(problem, np.zeros(2), np.ones(1))
+
+    def test_infeasible_base_point_rejected(self):
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.ones(2))
+        problem = MCOProblem(n=2, smooth=(comp,), nonsmooth=SimplexIndicator())
+        with pytest.raises(ValueError, match="outside the domain"):
+            merit_gap(problem, np.array([2.0, 2.0]), np.ones(1))
 
 
 class TestScalingLaws:

@@ -6,7 +6,7 @@ import pytest
 from moprox import solvers
 from moprox.bb import BBConfig
 from moprox.direction import FWConfig
-from moprox.problems import MCOProblem, SmoothComponent
+from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
 from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
@@ -45,6 +45,23 @@ def _sqrt_problem(**known):
         **known,
     )
     return MCOProblem(n=1, smooth=(sqrt, shifted))
+
+
+def _recording_problem(mu=1.0):
+    """Two copies of f = 0.5 ||x||^2 on R^2 with L = 1 and modulus mu; each
+    call of f or its gradient is appended to the returned list."""
+    calls = []
+
+    def value(x):
+        calls.append("f")
+        return 0.5 * float(np.dot(x, x))
+
+    def gradient(x):
+        calls.append("grad")
+        return x.copy()
+
+    comp = SmoothComponent(value=value, gradient=gradient, lipschitz=1.0, strong_mu=mu)
+    return MCOProblem(n=2, smooth=(comp, comp)), calls
 
 
 class TestBasicConvergence:
@@ -172,6 +189,26 @@ class TestModePrerequisites:
             SolverConfig(max_iters=0)
         with pytest.raises(ValueError):
             SolverConfig(tau=1.0)
+        # abbpgmo multiplies alphas by tau, and the dual solver checks none
+        for tau in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="tau must be finite"):
+                SolverConfig(tau=tau)
+
+    @pytest.mark.parametrize("ell", (np.inf, np.nan))
+    @pytest.mark.parametrize("mode", ("pgmo_ls", "pgmo_fixed"))
+    def test_nonfinite_ell_rejected_before_evaluating(self, mode, ell):
+        """A constant alpha that is not finite is refused once, before F or
+        a gradient is evaluated at x0."""
+        problem, calls = _recording_problem()
+        with pytest.raises(ValueError, match=f"{mode} needs finite positive ell"):
+            solve(problem, np.ones(2), SolverConfig(algorithm=mode, ell=ell))
+        assert calls == []
+
+    def test_nan_modulus_rejected_before_evaluating(self):
+        problem, calls = _recording_problem(mu=np.nan)
+        with pytest.raises(ValueError, match="finite positive strong convexity"):
+            solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_mu"))
+        assert calls == []
 
     def test_wrong_x0_shape(self):
         with pytest.raises(ValueError, match="x0"):
@@ -227,6 +264,21 @@ class TestStopsThatReturnAStatus:
         assert report.iterations == 0
         assert report.warnings == ["stopped on a box face with an outward direction"]
         np.testing.assert_array_equal(report.x, [1.0])
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_start_outside_the_smooth_domain(self, mode):
+        """From x0 = -1 no sqrt part can be evaluated: every mode ends with
+        evaluation_failure at k = 0 instead of raising, reporting x0, a NaN
+        F, the error text and no counted work."""
+        problem = _sqrt_problem(lipschitz=1.0, strong_mu=1.0)
+        with np.errstate(invalid="ignore"):
+            report = solve(problem, np.array([-1.0]), SolverConfig(algorithm=mode))
+        assert report.status == "evaluation_failure"
+        assert report.iterations == 0
+        assert report.warnings == ["objective 0 returned nonfinite smooth value nan"]
+        np.testing.assert_array_equal(report.x, [-1.0])
+        np.testing.assert_array_equal(report.F, [np.nan, np.nan])
+        assert report.counters == EvalCounters()
 
     @pytest.mark.parametrize("mode", ("bbpgmo", "pgmo_ls"))
     def test_armijo_trial_outside_the_domain(self, mode):
