@@ -39,7 +39,7 @@ def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
     if beta.shape != (problem.m,) or not np.isfinite(beta).all() or (beta <= 0).any():
         raise ValueError(f"ell * alphas must be {problem.m} finite positive values")
     x = np.asarray(x, dtype=float)
-    grads = problem.jacobian(x, counters)  # checks x's shape and finiteness
+    grads = problem.jacobian(x, counters)  # checks x's shape, grads finite
     if not problem.nonsmooth.contains(x):
         raise ValueError("base point lies outside the domain of g")
     inp = SubproblemInput(x=x, grads=grads, alphas=beta, kind=problem.nonsmooth)
