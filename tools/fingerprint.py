@@ -5,9 +5,10 @@ nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 
 * a campaign line covers every SolveReport field and every trace record
   field except the wall times, for every trial and algorithm;
-* a kind line covers d, lambda, fw_gap, model_decrease, dual_value, d_norm
-  and the prox-call count of 400 inputs with m = 1..5, each solved cold and
-  with three warm starts (a random multiplier, a vertex, the cold solution).
+* a kind line covers d, lambda, fw_gap, model_decrease, -omega (the dual
+  optimum), d_norm and the prox-call count of 400 inputs with m = 1..5,
+  each solved cold and with three warm starts (a random multiplier, a
+  vertex, the cold solution).
 
 Each line holds two sha256 values, then its label and total prox-call count.
 The first (iterates) hashes all of the above but the prox-call counts, the
@@ -122,7 +123,7 @@ def _hash_solve(h, work, inp, warm_lambda):
     except DualSolveError as err:
         res = err.result
         h.update(b"capped")
-    values = (res.d, res.lam, res.fw_gap, res.model_decrease, res.dual_value, res.d_norm)
+    values = (res.d, res.lam, res.fw_gap, res.model_decrease, -res.omega, res.d_norm)
     _feed(h, values, work)
     work.append(counters.prox_evals)
     return res
