@@ -11,12 +11,7 @@ together.
 import numpy as np
 
 from moprox import Zero
-from moprox.direction import (
-    DirectionResult,
-    SubproblemInput,
-    direction_model_value,
-    frank_wolfe_solve,
-)
+from moprox.direction import DirectionResult, SubproblemInput, frank_wolfe_solve
 
 
 def main():
@@ -42,11 +37,12 @@ def main():
     print("\nscaled decreases  ", np.round(scaled, 10))
 
     # weak duality becomes equality at the solution: evaluating the primal
-    # objective at d reproduces the dual optimum
-    primal = direction_model_value(inp, res.d)
+    # objective max_i <grad f_i, d> / alpha_i + ||d||^2 / 2 (g = 0 here) at d
+    # reproduces the dual optimum -omega
+    primal = float(np.max(grads @ res.d / alphas) + 0.5 * np.dot(res.d, res.d))
     print("primal at d       ", f"{primal:.12f}")
-    print("dual optimum      ", f"{res.dual_value:.12f}")
-    print("gap               ", f"{abs(primal - res.dual_value):.2e}")
+    print("dual optimum      ", f"{-res.omega:.12f}")
+    print("gap               ", f"{abs(primal + res.omega):.2e}")
 
     # the primal direction is recovered from the weights by one prox call
     d_again = DirectionResult(inp, res.lam).d

@@ -19,16 +19,14 @@ campaigns and exports CSV/SVG artifacts; ``bench verify`` runs an invariant
 battery over random instances.
 """
 
-from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import FWConfig
+from .bb import BBConfig
 from .exceptions import (
-    DegenerateStepError,
     DualSolveError,
     EvaluationError,
     LineSearchError,
     UnknownProblemError,
 )
-from .linesearch import LineSearchConfig, armijo_search, max_feasible_step
+from .linesearch import LineSearchConfig
 from .merit import merit_gap, weak_pareto_gap_grid
 from .problems import (
     EvalCounters,
@@ -79,15 +77,12 @@ def __getattr__(name):
 
 __all__ = [
     "BBConfig",
-    "BBMemory",
     "BoxIndicator",
-    "DegenerateStepError",
     "DualSolveError",
     "EvalCounters",
     "EvaluationError",
     "ExperimentSpec",
     "ExperimentSummary",
-    "FWConfig",
     "LineSearchConfig",
     "LineSearchError",
     "MCOProblem",
@@ -100,9 +95,7 @@ __all__ = [
     "UnknownProblemError",
     "WeightedL1",
     "Zero",
-    "armijo_search",
     "available_problems",
-    "bb_stepsizes",
     "bk1",
     "check_jacobian",
     "export_results",
@@ -110,7 +103,6 @@ __all__ = [
     "jos1",
     "load_returns_table",
     "markowitz_portfolio",
-    "max_feasible_step",
     "merit_gap",
     "project_simplex",
     "random_quadratic",

@@ -12,6 +12,9 @@ where clamp(.) projects onto [alpha_min, alpha_max]. The zero test is
 relative: |<s, y_i>| <= 1e-14 ||s|| ||y_i||, so it is scale invariant and
 catches exactly-linear objectives (y_i = 0). A curvature that is NaN also
 gets alpha_min, so every alpha lies in [alpha_min, alpha_max].
+
+An internal module: ``solve()`` checks the iterates and gradients where they
+enter, so ``bb_stepsizes`` checks nothing.
 """
 
 from __future__ import annotations
@@ -20,8 +23,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-
-from .exceptions import DegenerateStepError
 
 _ZERO_CURVATURE_REL = 1e-14
 
@@ -36,29 +37,14 @@ class BBConfig:
             raise ValueError("need 0 < alpha_min <= alpha_max < inf")
 
 
-@dataclass
-class BBMemory:
-    """Previous iterate and its Jacobian, as needed by the secant rule."""
-
-    x: np.ndarray
-    grads: np.ndarray
-
-    def update(self, x, grads):
-        self.x = x
-        self.grads = grads
-
-
-def bb_stepsizes(memory, x, grads, config):
-    """(m,) array of alpha_i from the secant pair against ``memory``.
-
-    Raises DegenerateStepError when the displacement is identically zero.
-    """
-    s = np.asarray(x, dtype=float) - memory.x
+def bb_stepsizes(x_prev, grads_prev, x, grads, config):
+    """(m,) array of alpha_i from the secant pair (x_prev, grads_prev) ->
+    (x, grads): float arrays with x != x_prev, which ``solve()`` guarantees
+    (it stops before a step that leaves the iterate unchanged)."""
+    s = x - x_prev
     ss = float(np.dot(s, s))
-    if ss == 0.0:
-        raise DegenerateStepError("consecutive iterates coincide; no secant pair")
     s_norm = np.sqrt(ss)
-    Y = np.asarray(grads, dtype=float) - memory.grads
+    Y = grads - grads_prev
     sy = Y @ s
     y_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y))
 

@@ -46,16 +46,10 @@ import numpy as np
 from .exceptions import DualSolveError
 
 
-@dataclass(frozen=True)
-class FWConfig:
-    # tight enough that alpha_max * gap stays below descent-certificate
-    # tolerances even at the 1e3 stepsize clamp
-    gap_tol: float = 1e-12
-    max_iters: int = 2000  # m >= 3 cap; the loop also ends when lambda repeats
-
-    def __post_init__(self):
-        if self.gap_tol <= 0 or self.max_iters < 1:
-            raise ValueError("gap_tol must be positive and max_iters >= 1")
+# tight enough that alpha_max * gap stays below descent-certificate
+# tolerances even at the 1e3 stepsize clamp
+GAP_TOL = 1e-12
+MAX_ITERS = 2000  # m >= 3 cap; the loop also ends when lambda repeats
 
 
 @dataclass(frozen=True)
@@ -85,7 +79,7 @@ class SubproblemInput:
 
     @functools.cached_property
     def g_at_x(self):
-        """(m,): g_i(x), read only by omega and direction_model_value."""
+        """(m,): g_i(x), read only by omega."""
         return self.kind.g_values(self.x, self.m)
 
 
@@ -95,8 +89,8 @@ class DirectionResult:
     p = prox(x - u), the direction d = p - x, q_i = model_i / alpha_i at p
     (the dual gradient is -q). Building it costs one prox call, counted in
     ``counters`` when given; the Frank-Wolfe gap ``fw_gap``, ``omega``,
-    ``dual_value``, ``d_norm`` and ``model_decrease`` are computed on first
-    read.
+    ``d_norm`` and ``model_decrease`` are computed on first read. When lam
+    solves the dual, -omega is the primal optimum.
     """
 
     def __init__(self, inp, lam, counters=None):
@@ -122,11 +116,6 @@ class DirectionResult:
         return 0.5 * float(u.dot(u)) + gx - envelope
 
     @functools.cached_property
-    def dual_value(self):
-        """Primal optimum when lam solves the dual: -omega(lam)."""
-        return -self.omega
-
-    @functools.cached_property
     def d_norm(self):
         # np.linalg.norm's own 1-D formula, without its wrapper
         return math.sqrt(float(self.d.dot(self.d)))
@@ -135,14 +124,6 @@ class DirectionResult:
     def model_decrease(self):
         """(m,): <grad f_i, d> + g_i(x + d) - g_i(x)."""
         return self.q * self.inp.alphas
-
-
-def direction_model_value(inp, d):
-    """Primal objective max_i model_i / alpha_i + ||d||^2 / 2 at a given d."""
-    d = np.asarray(d, dtype=float)
-    p = inp.x + d
-    model = inp.grads @ d + inp.kind.g_values(p, inp.m) - inp.g_at_x
-    return float(np.max(model / inp.alphas) + 0.5 * np.dot(d, d))
 
 
 def _secant(a, ha, b, hb):
@@ -155,7 +136,7 @@ def _secant(a, ha, b, hb):
     return 0.5 * (a + b)
 
 
-def _solve_m2(inp, counters, cfg, warm_t=None):
+def _solve_m2(inp, counters, gap_tol, warm_t=None):
     """Exact dual solve for two objectives.
 
     h(t) = omega((t, 1-t)) is convex on [0, 1] with h'(t) = q_2(t) - q_1(t)
@@ -192,7 +173,7 @@ def _solve_m2(inp, counters, cfg, warm_t=None):
     # the current linear piece of h', the bisection guarantees the bracket
     # keeps shrinking geometrically across pieces
     use_secant = True
-    while best.fw_gap > cfg.gap_tol:
+    while best.fw_gap > gap_tol:
         mid = _secant(a, ha, b, hb) if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
@@ -290,17 +271,16 @@ def _newton_face_step(inp, counters, probe):
     return None
 
 
-def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
+def frank_wolfe_solve(inp, counters=None, warm_lambda=None, gap_tol=GAP_TOL,
+                      max_iters=MAX_ITERS):
     """Solve the dual over the simplex; returns a DirectionResult.
 
-    With three or more objectives the loop stops at the gap tolerance, after
-    cfg.max_iters iterations, or when lambda repeats byte for byte (the rest
-    would replay it). Raises DualSolveError (with the best result attached)
-    when the gap ends above 100x the tolerance. A warm-start lambda has its
-    negative entries zeroed and is scaled to sum 1; one without a positive
-    entry starts cold.
+    With three or more objectives the loop stops at gap_tol, after max_iters
+    iterations, or when lambda repeats byte for byte (the rest would replay
+    it). Raises DualSolveError (with the best result attached) when the gap
+    ends above 100x gap_tol. A warm-start lambda has its negative entries
+    zeroed and is scaled to sum 1; one without a positive entry starts cold.
     """
-    cfg = cfg or FWConfig()
     m = inp.m
     lam = None
     if warm_lambda is not None:
@@ -308,12 +288,12 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         s = lam.sum()
         lam = lam / s if s > 0 else None
     if m == 2:
-        return _solve_m2(inp, counters, cfg, None if lam is None else float(lam[0]))
+        return _solve_m2(inp, counters, gap_tol, None if lam is None else float(lam[0]))
     if lam is None:
         lam = np.full(m, 1.0 / m)
 
     best, seen, newton = None, set(), None
-    for _ in range(cfg.max_iters):
+    for _ in range(max_iters):
         # lam is the loop's only state, so a repeat would only replay
         # iterations already run; len(seen) counts the iterations run
         key = lam.tobytes()
@@ -326,7 +306,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         probe = newton if reuse else DirectionResult(inp, lam, counters)
         if best is None or probe.fw_gap < best.fw_gap:
             best = probe
-        if probe.fw_gap <= cfg.gap_tol:
+        if probe.fw_gap <= gap_tol:
             break
         newton = _newton_face_step(inp, counters, probe)
         if newton is not None:
@@ -355,7 +335,7 @@ def frank_wolfe_solve(inp, cfg=None, counters=None, warm_lambda=None):
         # a new array every iteration: each dual point keeps its lam
         lam = np.maximum(lam, 0.0)
         lam /= lam.sum()
-    if best.fw_gap > 100.0 * cfg.gap_tol:
+    if best.fw_gap > 100.0 * gap_tol:
         raise DualSolveError(
             f"dual gap {best.fw_gap:.3e} above 100x tolerance after "
             f"{len(seen)} iterations",

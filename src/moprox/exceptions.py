@@ -12,10 +12,6 @@ class EvaluationError(RuntimeError):
         self.objective = objective
 
 
-class DegenerateStepError(ValueError):
-    """Consecutive iterates coincide, so no secant information exists."""
-
-
 class DualSolveError(RuntimeError):
     """Dual subproblem solve hit its iteration cap with a large gap.
 
@@ -29,12 +25,8 @@ class DualSolveError(RuntimeError):
 
 
 class LineSearchError(RuntimeError):
-    """Backtracking exhausted its budget without an acceptable step."""
-
-    def __init__(self, message, last_t=None, backtracks=None):
-        super().__init__(message)
-        self.last_t = last_t
-        self.backtracks = backtracks
+    """Backtracking exhausted its budget without an acceptable step, or the
+    model decrease it was given is not negative in every component."""
 
 
 class UnknownProblemError(KeyError):

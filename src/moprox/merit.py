@@ -25,41 +25,49 @@ import itertools
 
 import numpy as np
 
-from .direction import FWConfig, SubproblemInput, frank_wolfe_solve
+from .direction import SubproblemInput, frank_wolfe_solve
 from .exceptions import EvaluationError
 
 
-def merit_gap(problem, x, alphas, ell=1.0, fw=None, counters=None):
-    """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
-    Raises ValueError unless ell > 0, beta is m finite positive values and x
-    lies in the domain of g, and EvaluationError for a nonfinite gradient."""
+def _scaled_weights(problem, alphas, ell=1.0):
+    """ell * alphas as a float array; ValueError unless ell > 0 and the
+    product is m finite positive values."""
     if not ell > 0:
         raise ValueError("ell must be positive")
     beta = ell * np.asarray(alphas, dtype=float)
     if beta.shape != (problem.m,) or not np.isfinite(beta).all() or (beta <= 0).any():
         raise ValueError(f"ell * alphas must be {problem.m} finite positive values")
+    return beta
+
+
+def merit_gap(problem, x, alphas, ell=1.0, counters=None):
+    """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
+    Raises ValueError unless ell > 0, beta is m finite positive values and x
+    lies in the domain of g, and EvaluationError for a nonfinite gradient."""
+    beta = _scaled_weights(problem, alphas, ell)
     x = np.asarray(x, dtype=float)
     grads = problem.jacobian(x, counters)  # checks x's shape, grads finite
     if not problem.nonsmooth.contains(x):
         raise ValueError("base point lies outside the domain of g")
     inp = SubproblemInput(x=x, grads=grads, alphas=beta, kind=problem.nonsmooth)
-    res = frank_wolfe_solve(inp, fw or FWConfig(), counters)
-    # dual_value is the primal optimum (a min), so its negation is the merit
-    return ell * (-res.dual_value)
+    res = frank_wolfe_solve(inp, counters)
+    # -omega is the primal optimum (a min), so omega is the merit
+    return ell * res.omega
 
 
 def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     """Grid lower bound of u0(x); exact up to grid resolution for n <= 3.
 
     Grid points where any F_i is infinite (indicator kinds) or a smooth part
-    cannot be evaluated (outside its domain) are skipped.
+    cannot be evaluated (outside its domain) are skipped. alphas is checked
+    as in ``merit_gap`` with ell = 1.
     """
     if problem.n > 3:
         raise ValueError("grid scan is limited to n <= 3")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     x = np.asarray(x, dtype=float)
-    alphas = np.asarray(alphas, dtype=float)
+    alphas = _scaled_weights(problem, alphas)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (problem.n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (problem.n,))
     Fx = problem.smooth_values(x) + problem.g_values(x)

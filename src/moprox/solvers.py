@@ -26,12 +26,12 @@ from __future__ import annotations
 
 import math
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import FWConfig, SubproblemInput, frank_wolfe_solve
+from .bb import BBConfig, bb_stepsizes
+from .direction import SubproblemInput, frank_wolfe_solve
 from .exceptions import DualSolveError, EvaluationError, LineSearchError
 from .linesearch import LineSearchConfig, armijo_search, max_feasible_step
 from .problems import EvalCounters
@@ -55,7 +55,6 @@ class SolverConfig:
     tau: float = 2.0                # abbpgmo inflation factor
     bb: BBConfig = field(default_factory=BBConfig)
     ls: LineSearchConfig = field(default_factory=LineSearchConfig)
-    fw: FWConfig = field(default_factory=FWConfig)
     d_tol: float = 1e-6
     max_iters: int = 500
 
@@ -116,7 +115,8 @@ def _canonical_mode(name):
 
 def _fixed_alphas(problem, mode, cfg):
     """Constant alpha vector for the non-BB modes, with prerequisite checks;
-    the one place, once per solve, where it is checked finite and positive."""
+    the one place, once per solve, where it is checked finite and positive.
+    It is read-only, so every trace record can share it."""
     m = problem.m
     if mode == "pgmo_ls":
         alphas, what = np.full(m, 1.0 if cfg.ell is None else float(cfg.ell)), "ell"
@@ -142,6 +142,7 @@ def _fixed_alphas(problem, mode, cfg):
     # a NaN fails both comparisons
     if alphas is None or not np.all((alphas > 0.0) & (alphas < np.inf)):
         raise ValueError(f"{mode} needs finite positive {what}")
+    alphas.flags.writeable = False
     return alphas
 
 
@@ -176,16 +177,14 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     otherwise this returns None and the caller must abort with dual_failure.
     """
     try:
-        fw = cfg.fw
-        res = frank_wolfe_solve(inp, fw, counters, warm_lambda=warm_lambda)
+        res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
         for _ in range(4):
             if res.d_norm <= cfg.d_tol:
                 break  # caller stops here; no certificate needed
             need = 0.05 * res.d_norm**2
             if res.fw_gap <= need:
                 break
-            fw = replace(fw, gap_tol=need)
-            res = frank_wolfe_solve(inp, fw, counters, warm_lambda=res.lam)
+            res = frank_wolfe_solve(inp, counters, warm_lambda=res.lam, gap_tol=need)
         return res
     except DualSolveError as err:
         res = err.result
@@ -234,11 +233,11 @@ def solve(problem, x0, cfg=None):
         grads = problem.jacobian(x, counters)
         if alphas_fixed is None:
             x_prev = x - np.maximum(_X_MINUS_OFFSET, np.abs(np.spacing(x)))
-            memory = BBMemory(x_prev, problem.jacobian(x_prev, counters))
+            grads_prev = problem.jacobian(x_prev, counters)
         for k in range(cfg.max_iters):
             iter_started = time.perf_counter()
             if alphas_fixed is None:
-                alphas = bb_stepsizes(memory, x, grads, cfg.bb)
+                alphas = bb_stepsizes(x_prev, grads_prev, x, grads, cfg.bb)
             else:
                 alphas = alphas_fixed
             inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
@@ -286,14 +285,7 @@ def solve(problem, x0, cfg=None):
             if mode in _LINE_SEARCH_MODES:
                 try:
                     t, F_new, backtracks = armijo_search(
-                        problem,
-                        x,
-                        res.d,
-                        F,
-                        res.model_decrease,
-                        cfg.ls,
-                        t_cap=t_cap,
-                        counters=counters,
+                        problem, x, res.d, F, res.model_decrease, cfg.ls, t_cap, counters
                     )
                 except LineSearchError as err:
                     status = "line_search_failure"
@@ -321,17 +313,17 @@ def solve(problem, x0, cfg=None):
             # a failing gradient leaves the last accepted x, F and grads
             grads_new = problem.jacobian(x_new, counters)
             if alphas_fixed is None:
-                memory.update(x, grads)
+                x_prev, grads_prev = x, grads
             warm_lambda = res.lam
             x, F, grads = x_new, F_new, grads_new
-            # x, F and model_decrease are fresh arrays every iteration; only
-            # the fixed modes share one alphas vector across iterations
+            # x, F and model_decrease are fresh arrays every iteration; the
+            # fixed modes share their read-only alphas vector
             trace.append(
                 TraceRecord(
                     k=k,
                     d_norm=res.d_norm,
                     t=t,
-                    alphas=alphas if alphas_fixed is None else alphas.copy(),
+                    alphas=alphas,
                     lam=res.lam,
                     x=x,
                     F=F,

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import numpy as np
 
-from .bb import BBConfig, BBMemory, bb_stepsizes
-from .direction import DirectionResult, FWConfig, SubproblemInput, frank_wolfe_solve
+from .bb import BBConfig, bb_stepsizes
+from .direction import DirectionResult, SubproblemInput, frank_wolfe_solve
 from .linesearch import LineSearchConfig
 from .merit import merit_gap
 from .prox import project_simplex
@@ -41,8 +41,9 @@ def _check_bb_bounds(rng):
         problem = random_quadratic(QuadraticSpec(n=6), rng)
         x_prev = rng.uniform(-2, 2, size=6)
         x = rng.uniform(-2, 2, size=6)
-        mem = BBMemory(x=x_prev, grads=problem.jacobian(x_prev))
-        alphas = bb_stepsizes(mem, x, problem.jacobian(x), cfg)
+        alphas = bb_stepsizes(
+            x_prev, problem.jacobian(x_prev), x, problem.jacobian(x), cfg
+        )
         if np.any(alphas < cfg.alpha_min) or np.any(alphas > cfg.alpha_max):
             return False, f"stepsize left [{cfg.alpha_min}, {cfg.alpha_max}]"
     return True, "clamps hold"
@@ -83,13 +84,13 @@ def _check_descent_certificate(rng):
             alphas=rng.uniform(0.1, 10.0, size=m),
             kind=problem.nonsmooth,
         )
-        res = frank_wolfe_solve(inp, FWConfig())
+        res = frank_wolfe_solve(inp)
         d_sq = float(np.dot(res.d, res.d))
         viol = float(np.max(res.model_decrease + inp.alphas * d_sq))
         worst = max(worst, viol)
-        # dual_value stores the primal optimum, so the identity is equality
+        # -omega is the primal optimum, so the identity is equality
         primal = float(np.max(res.model_decrease / inp.alphas)) + 0.5 * d_sq
-        if abs(primal - res.dual_value) > max(1e-8, 10.0 * res.fw_gap):
+        if abs(primal + res.omega) > max(1e-8, 10.0 * res.fw_gap):
             return False, "duality gap identity broke"
     return worst <= 1e-8, f"max certificate violation {worst:.2e}"
 

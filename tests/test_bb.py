@@ -3,15 +3,14 @@
 import numpy as np
 import pytest
 
-from moprox.bb import BBConfig, BBMemory, bb_stepsizes
-from moprox.exceptions import DegenerateStepError
+from moprox.bb import BBConfig, bb_stepsizes
 
 
 def _pair_from_hessians(hessians, x_prev, x):
-    """Memory/gradients for quadratics f_i = 0.5 x'H_i x (grad = H_i x)."""
+    """Gradients at x_prev and x for quadratics f_i = 0.5 x'H_i x (grad = H_i x)."""
     grads_prev = np.array([H @ x_prev for H in hessians])
     grads = np.array([H @ x for H in hessians])
-    return BBMemory(np.asarray(x_prev, float), grads_prev), grads
+    return grads_prev, grads
 
 
 class TestSecantBranches:
@@ -21,8 +20,8 @@ class TestSecantBranches:
         H2 = np.diag([7.0, 3.0])
         x_prev = np.array([0.0, 0.0])
         x = np.array([1.0, 0.0])
-        memory, grads = _pair_from_hessians([H1, H2], x_prev, x)
-        alphas = bb_stepsizes(memory, x, grads, BBConfig())
+        grads_prev, grads = _pair_from_hessians([H1, H2], x_prev, x)
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
         np.testing.assert_allclose(alphas, [2.0, 7.0])
 
     def test_rayleigh_quotient_for_general_step(self):
@@ -33,26 +32,27 @@ class TestSecantBranches:
             H = A @ A.T + np.eye(3)
             x_prev = rng.normal(size=3)
             x = x_prev + rng.normal(size=3)
-            memory, grads = _pair_from_hessians([H], x_prev, x)
+            grads_prev, grads = _pair_from_hessians([H], x_prev, x)
             s = x - x_prev
             expect = float(s @ H @ s / (s @ s))
-            got = bb_stepsizes(memory, x, grads, BBConfig())[0]
+            got = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())[0]
             assert got == pytest.approx(np.clip(expect, 1e-3, 1e3), rel=1e-12)
 
     def test_linear_objective_hits_floor(self):
         """Zero gradient change means no curvature signal: alpha_min."""
         grads_prev = np.array([[3.0, -1.0]])
-        memory = BBMemory(np.zeros(2), grads_prev)
         alphas = bb_stepsizes(
-            memory, np.array([0.7, 0.2]), grads_prev.copy(), BBConfig()
+            np.zeros(2), grads_prev, np.array([0.7, 0.2]), grads_prev.copy(), BBConfig()
         )
         assert alphas[0] == 1e-3
 
     def test_orthogonal_change_hits_floor(self):
         """sy = 0 with nonzero y also falls back to alpha_min."""
-        memory = BBMemory(np.zeros(2), np.array([[0.0, 1.0]]))
+        grads_prev = np.array([[0.0, 1.0]])
         grads = np.array([[0.0, 2.0]])  # y = (0, 1), s = (1, 0)
-        alphas = bb_stepsizes(memory, np.array([1.0, 0.0]), grads, BBConfig())
+        alphas = bb_stepsizes(
+            np.zeros(2), grads_prev, np.array([1.0, 0.0]), grads, BBConfig()
+        )
         assert alphas[0] == 1e-3
 
     def test_negative_curvature_uses_norm_ratio(self):
@@ -60,8 +60,8 @@ class TestSecantBranches:
         H = -4.0 * np.eye(2)
         x_prev = np.array([1.0, 1.0])
         x = np.array([2.0, 1.0])
-        memory, grads = _pair_from_hessians([H], x_prev, x)
-        alphas = bb_stepsizes(memory, x, grads, BBConfig())
+        grads_prev, grads = _pair_from_hessians([H], x_prev, x)
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
         assert alphas[0] == pytest.approx(4.0)
 
     def test_clamped_to_bounds(self):
@@ -69,8 +69,8 @@ class TestSecantBranches:
         H_small = np.diag([1e-7, 1e-7])
         x_prev = np.zeros(2)
         x = np.array([1.0, 0.0])
-        memory, grads = _pair_from_hessians([H_big, H_small], x_prev, x)
-        alphas = bb_stepsizes(memory, x, grads, BBConfig())
+        grads_prev, grads = _pair_from_hessians([H_big, H_small], x_prev, x)
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
         np.testing.assert_allclose(alphas, [1e3, 1e-3])
 
     def test_step_scale_invariance(self):
@@ -82,25 +82,14 @@ class TestSecantBranches:
         for c in (1.0, 1e-4, 1e4):
             x_prev = np.zeros(3)
             x = c * d
-            memory, grads = _pair_from_hessians([H], x_prev, x)
-            val = bb_stepsizes(memory, x, grads, BBConfig())[0]
+            grads_prev, grads = _pair_from_hessians([H], x_prev, x)
+            val = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())[0]
             if base is None:
                 base = val
             assert val == pytest.approx(base, rel=1e-12)
 
 
 class TestEdgeCases:
-    def test_coincident_iterates_raise(self):
-        memory = BBMemory(np.ones(2), np.zeros((1, 2)))
-        with pytest.raises(DegenerateStepError):
-            bb_stepsizes(memory, np.ones(2), np.zeros((1, 2)), BBConfig())
-
-    def test_memory_update(self):
-        memory = BBMemory(np.zeros(2), np.zeros((1, 2)))
-        memory.update(np.ones(2), np.full((1, 2), 5.0))
-        np.testing.assert_array_equal(memory.x, np.ones(2))
-        np.testing.assert_array_equal(memory.grads, np.full((1, 2), 5.0))
-
     def test_config_validation(self):
         with pytest.raises(ValueError):
             BBConfig(alpha_min=0.0)
@@ -115,18 +104,19 @@ class TestEdgeCases:
         """A NaN gradient change gives a NaN <s, y_i>, which is neither flat
         nor signed: alpha_min, like a flat objective."""
         cfg = BBConfig(alpha_min=0.1, alpha_max=10.0)
-        memory = BBMemory(np.zeros(2), np.zeros((2, 2)))
         grads = np.array([[np.nan, 1.0], [4.0, 0.0]])
-        alphas = bb_stepsizes(memory, np.array([1.0, 0.0]), grads, cfg)
+        alphas = bb_stepsizes(
+            np.zeros(2), np.zeros((2, 2)), np.array([1.0, 0.0]), grads, cfg
+        )
         np.testing.assert_array_equal(alphas, [0.1, 4.0])
 
     def test_custom_bounds_respected(self):
         H = np.diag([50.0, 50.0])
         x_prev = np.zeros(2)
         x = np.array([1.0, 0.0])
-        memory, grads = _pair_from_hessians([H], x_prev, x)
+        grads_prev, grads = _pair_from_hessians([H], x_prev, x)
         cfg = BBConfig(alpha_min=0.1, alpha_max=10.0)
-        assert bb_stepsizes(memory, x, grads, cfg)[0] == 10.0
+        assert bb_stepsizes(x_prev, grads_prev, x, grads, cfg)[0] == 10.0
 
     def test_mixed_objectives_handled_independently(self):
         """One linear and one quadratic objective get separate branches."""
@@ -135,7 +125,6 @@ class TestEdgeCases:
         x = np.array([0.5, 0.0])
         grads_prev = np.array([[1.0, 1.0], [0.0, 0.0]])
         grads = np.vstack([[1.0, 1.0], H @ x])
-        memory = BBMemory(x_prev, grads_prev)
-        alphas = bb_stepsizes(memory, x, grads, BBConfig())
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
         assert alphas[0] == 1e-3
         assert alphas[1] == pytest.approx(6.0)

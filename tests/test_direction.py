@@ -10,12 +10,12 @@ import pytest
 
 from moprox import direction
 from moprox.direction import (
+    GAP_TOL,
+    MAX_ITERS,
     DirectionResult,
-    FWConfig,
     SubproblemInput,
     _segment_minimize,
     _solve_m2,
-    direction_model_value,
     frank_wolfe_solve,
 )
 from moprox.exceptions import DualSolveError
@@ -41,6 +41,12 @@ def _interior_lambda(rng, m):
     lam = rng.dirichlet(np.ones(m))
     lam = 0.9 * lam + 0.1 / m  # keep away from the boundary for central FD
     return lam / lam.sum()
+
+
+def _primal_value(inp, d):
+    """Primal objective max_i model_i / alpha_i + ||d||^2 / 2 at a given d."""
+    model = inp.grads @ d + inp.kind.g_values(inp.x + d, inp.m) - inp.g_at_x
+    return float(np.max(model / inp.alphas) + 0.5 * np.dot(d, d))
 
 
 def _kinds_for(rng, n, m):
@@ -96,7 +102,7 @@ class TestClosedForms:
         )
         res = frank_wolfe_solve(inp)
         np.testing.assert_allclose(res.d, [-2.0, 0.0], atol=1e-12)
-        assert res.dual_value == pytest.approx(-2.0, abs=1e-12)
+        assert -res.omega == pytest.approx(-2.0, abs=1e-12)
         np.testing.assert_allclose(res.lam, [1.0])
 
     def test_vertex_solution_costs_one_prox(self):
@@ -145,7 +151,7 @@ class TestClosedForms:
         )
         res = frank_wolfe_solve(inp)
         np.testing.assert_allclose(res.d, np.zeros(3), atol=1e-14)
-        assert res.dual_value == pytest.approx(0.0, abs=1e-14)
+        assert -res.omega == pytest.approx(0.0, abs=1e-14)
 
 
 class TestDualFunction:
@@ -211,7 +217,7 @@ class TestDualFunction:
             # the gap computed at lam certifies the suboptimality of d(lam)
             point = DirectionResult(inp, lam)
             omega = point.omega
-            primal = direction_model_value(inp, point.d)
+            primal = _primal_value(inp, point.d)
             assert primal >= -omega - 1e-10
             assert primal + omega <= point.fw_gap + 1e-10
 
@@ -222,8 +228,8 @@ class TestDualFunction:
             m = int(rng.integers(2, 5))
             inp = _random_input(rng, n=4, m=m, kind=Zero())
             res = frank_wolfe_solve(inp)
-            primal = direction_model_value(inp, res.d)
-            assert primal == pytest.approx(res.dual_value, abs=max(1e-8, 10 * res.fw_gap))
+            primal = _primal_value(inp, res.d)
+            assert primal == pytest.approx(-res.omega, abs=max(1e-8, 10 * res.fw_gap))
 
 
 class TestSolutionCertificates:
@@ -269,7 +275,7 @@ class TestGridOracle:
             inp = _random_input(rng, n=2, m=2, kind=kind)
             res = frank_wolfe_solve(inp)
             grid_val = primal_grid_min(inp)
-            assert res.dual_value == pytest.approx(grid_val, abs=1e-5)
+            assert -res.omega == pytest.approx(grid_val, abs=1e-5)
 
 
 class TestWarmStart:
@@ -280,7 +286,7 @@ class TestWarmStart:
             inp = _random_input(rng, n=4, m=m, kind=Zero())
             cold = frank_wolfe_solve(inp)
             warm = frank_wolfe_solve(inp, warm_lambda=rng.dirichlet(np.ones(m)))
-            assert warm.dual_value == pytest.approx(cold.dual_value, abs=1e-8)
+            assert -warm.omega == pytest.approx(-cold.omega, abs=1e-8)
             np.testing.assert_allclose(warm.d, cold.d, atol=1e-5)
 
     def test_degenerate_warm_start_ignored(self):
@@ -295,7 +301,7 @@ class TestWarmStart:
         assert res.lam.sum() == pytest.approx(1.0)
 
 
-def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
+def _both_ends_first_m2(inp, counters, gap_tol, warm_t=None):
     """The m = 2 solve as it was before warm-first probing: both ends, then
     the interior warm t, then the same bracket search. The oracle for the
     probe order."""
@@ -336,7 +342,7 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
         return 0.5 * (a + b)
 
     use_secant = True
-    while best.fw_gap > cfg.gap_tol:
+    while best.fw_gap > gap_tol:
         mid = secant() if use_secant else 0.5 * (a + b)
         use_secant = not use_secant
         if mid <= a or mid >= b:
@@ -348,9 +354,9 @@ def _both_ends_first_m2(inp, counters, cfg, warm_t=None):
     return best
 
 
-def _m2_solve_counted(solver, inp, warm_t, cfg=FWConfig()):
+def _m2_solve_counted(solver, inp, warm_t, gap_tol=GAP_TOL):
     counters = EvalCounters()
-    res = solver(inp, counters, cfg, warm_t)
+    res = solver(inp, counters, gap_tol, warm_t)
     return res, counters.prox_evals
 
 
@@ -392,9 +398,9 @@ class TestWarmFirstProbes:
         for inp in inputs:
             cold = frank_wolfe_solve(inp)
             for warm_t in (None, 0.0, 1.0, float(rng.uniform()), float(cold.lam[0])):
-                for cfg in (FWConfig(), FWConfig(gap_tol=1e6)):
-                    new, _ = _m2_solve_counted(_solve_m2, inp, warm_t, cfg)
-                    old, _ = _m2_solve_counted(_both_ends_first_m2, inp, warm_t, cfg)
+                for gap_tol in (GAP_TOL, 1e6):
+                    new, _ = _m2_solve_counted(_solve_m2, inp, warm_t, gap_tol)
+                    old, _ = _m2_solve_counted(_both_ends_first_m2, inp, warm_t, gap_tol)
                     assert _result_bytes(new) == _result_bytes(old), (inp, warm_t)
 
     def test_interior_warm_start_saves_one_probe(self):
@@ -448,9 +454,10 @@ class TestWarmFirstProbes:
 
 class TestDualValue:
     def test_read_lazily_and_equal_to_the_dual_objective(self):
-        """dual_value is -omega(lambda) at the returned multiplier to the
-        bit, computed from the dual point the solver returns: reading it
-        costs no prox call, and a second read returns the cached float."""
+        """omega (the negated dual optimum) is omega(lambda) at the returned
+        multiplier to the bit, computed from the dual point the solver
+        returns: reading it costs no prox call, and a second read returns
+        the cached float."""
         rng = np.random.default_rng(81)
         for _ in range(80):
             n = int(rng.integers(1, 6))
@@ -459,10 +466,10 @@ class TestDualValue:
             counters = EvalCounters()
             res = frank_wolfe_solve(inp, counters=counters)
             calls = counters.prox_evals
-            value = res.dual_value
-            assert res.dual_value is value
+            value = res.omega
+            assert res.omega is value
             assert counters.prox_evals == calls
-            assert value == -DirectionResult(inp, res.lam).omega
+            assert value == DirectionResult(inp, res.lam).omega
 
 
 class TestDualSolveFailure:
@@ -471,7 +478,7 @@ class TestDualSolveFailure:
         rng = np.random.default_rng(61)
         inp = _random_input(rng, n=6, m=4, kind=Zero())
         with pytest.raises(DualSolveError) as info:
-            frank_wolfe_solve(inp, FWConfig(gap_tol=1e-15, max_iters=1))
+            frank_wolfe_solve(inp, gap_tol=1e-15, max_iters=1)
         assert info.value.result is not None
         assert info.value.result.d.shape == (6,)
 
@@ -497,10 +504,11 @@ class TestDualSolveFailure:
             kind=BoxIndicator(lower=(-1.5,) * 3, upper=(1.5,) * 3),
         )
         outcomes = []
-        for cfg in (FWConfig(max_iters=5), FWConfig()):
+        for max_iters in (5, MAX_ITERS):
             counters = EvalCounters()
             with pytest.raises(DualSolveError, match="after 3 iterations") as info:
-                frank_wolfe_solve(inp, cfg, counters, warm_lambda=np.eye(4)[2])
+                frank_wolfe_solve(inp, counters, warm_lambda=np.eye(4)[2],
+                                  max_iters=max_iters)
             res = info.value.result
             outcomes.append(([a.tobytes() for a in (res.d, res.lam)],
                              np.float64(res.fw_gap).tobytes(), counters.prox_evals))
@@ -542,10 +550,10 @@ class TestCarriedNewtonPoint:
             nonlocal calls
             counters = EvalCounters()
             try:
-                res = frank_wolfe_solve(inp, FWConfig(max_iters=300), counters, warm)
+                res = frank_wolfe_solve(inp, counters, warm, max_iters=300)
             except DualSolveError as err:
                 res = err.result
-            out.append(_result_bytes(res) + [np.float64(res.dual_value).tobytes()])
+            out.append(_result_bytes(res) + [np.float64(-res.omega).tobytes()])
             calls += counters.prox_evals
             return res
 
@@ -562,7 +570,7 @@ class TestCarriedNewtonPoint:
         point only saves prox calls: with every accepted trial rebuilt from a
         copy of its lambda, so that its prox point and omega are computed
         again, m >= 3 solves return the same bytes of d, lambda, fw_gap,
-        model_decrease and dual_value for strictly more prox calls."""
+        model_decrease and -omega for strictly more prox calls."""
         reused, reused_calls = self._solve_all(k)
         newton_step = direction._newton_face_step
 
@@ -631,7 +639,7 @@ class TestDualPointsKeepLambda:
                          np.eye(inp.m)[int(rng.integers(inp.m))]):
                 records.clear()
                 try:
-                    frank_wolfe_solve(inp, FWConfig(max_iters=300), warm_lambda=warm)
+                    frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
                 except DualSolveError:
                     pass
                 assert all(lam.tobytes() == before for lam, before in records)

@@ -175,6 +175,21 @@ class TestGridGap:
                 small, np.zeros(2), np.ones(2), -5.0, 10.0, resolution=1
             )
 
+    def test_alphas_checked_as_in_merit_gap(self):
+        """Zero, nan, negative and wrongly shaped weights once returned inf,
+        -inf, a finite number and a broadcast error; now each raises the
+        ValueError merit_gap raises for them."""
+        problem = get_problem("BK1")
+        lo, hi = problem.bounds
+        x = np.array([2.5, -2.5])
+        message = r"ell \* alphas must be 2 finite positive values"
+        for alphas in ((0.0, 0.0), (np.nan, 1.0), (-1.0, 1.0), (1.0, 1.0, 1.0)):
+            alphas = np.array(alphas)
+            with pytest.raises(ValueError, match=message):
+                merit_gap(problem, x, alphas)
+            with pytest.raises(ValueError, match=message):
+                weak_pareto_gap_grid(problem, x, alphas, lo, hi, resolution=11)
+
     def test_infeasible_grid_points_skipped(self):
         problem = get_problem("markowitz")
         assert problem.n == 8  # too big for the grid; use a simplex toy instead

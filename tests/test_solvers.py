@@ -1,11 +1,12 @@
 """Tests for the solver loop: mode semantics, monotonicity, trace integrity."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from moprox import solvers
+from moprox import direction, solvers
 from moprox.bb import BBConfig
-from moprox.direction import FWConfig
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
 from moprox.solvers import SolverConfig, solve
@@ -357,8 +358,8 @@ class TestStopsThatReturnAStatus:
     @pytest.mark.parametrize("mode", ("bbpgmo", "abbpgmo"))
     def test_bb_predecessor_far_from_zero(self, mode):
         """At x0 = 1e13 a float step is 2e-3, so x0 - 1e-4 rounds back to x0:
-        the synthetic predecessor steps one float below x0 instead of making
-        bb_stepsizes raise, and the nearly flat objectives
+        the synthetic predecessor steps one float below x0 instead of giving
+        bb_stepsizes a zero displacement, and the nearly flat objectives
         f_i = 1e-20 (x - c_i)^2 stop the solve at a critical point."""
         comps = tuple(
             SmoothComponent(
@@ -408,9 +409,17 @@ class TestStopsThatReturnAStatus:
 
 class TestCappedDualSolve:
     """One Frank-Wolfe iteration leaves an m = 3 dual at the uniform
-    multiplier, so a dual whose optimum lies elsewhere is capped."""
+    multiplier, so a dual whose optimum lies elsewhere is capped. The cap is
+    set on the name solve() calls the dual solver through."""
 
-    CAPPED = SolverConfig(algorithm="pgmo_ls", fw=FWConfig(max_iters=1))
+    CAPPED = SolverConfig(algorithm="pgmo_ls")
+
+    @pytest.fixture(autouse=True)
+    def _one_dual_iteration(self, monkeypatch):
+        monkeypatch.setattr(
+            solvers, "frank_wolfe_solve",
+            functools.partial(direction.frank_wolfe_solve, max_iters=1),
+        )
 
     def test_certified_direction_is_used(self):
         """f_i = <c_i, x> on the box [0, 1]^2 from x0 = (0, 0.5): the uniform
@@ -516,7 +525,7 @@ class TestTraceIntegrity:
             assert rec.t > 0.0
             assert rec.backtracks >= 0
             assert rec.time_s >= 0.0
-            assert rec.fw_gap <= max(cfg.fw.gap_tol, 0.05 * rec.d_norm**2) * 100
+            assert rec.fw_gap <= max(direction.GAP_TOL, 0.05 * rec.d_norm**2) * 100
             # lambda lives on the simplex
             assert np.all(rec.lam >= -1e-12)
             assert abs(rec.lam.sum() - 1.0) < 1e-9
@@ -524,6 +533,15 @@ class TestTraceIntegrity:
             bound = rec.alphas * (rec.fw_gap - rec.d_norm**2) + 1e-10
             assert np.all(rec.model_decrease <= bound)
         np.testing.assert_array_equal(report.trace[-1].F, report.F)
+
+    def test_fixed_alphas_shared_read_only(self):
+        """A fixed mode's alphas vector is one read-only array held by every
+        record, not a copy per iteration."""
+        problem = get_problem("JOS1a")
+        report = solve(problem, np.full(problem.n, -1.5), SolverConfig(algorithm="pgmo_ls"))
+        first, second = report.trace[:2]
+        assert first.alphas is second.alphas
+        assert not first.alphas.flags.writeable
 
     def test_counters_track_work(self):
         problem = get_problem("JOS1a")
