@@ -4,7 +4,9 @@ Prints one line per recorded perfbench campaign seed (31 lines) and one per
 nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 
 * a campaign line covers every SolveReport field and every trace record
-  field except the wall times, for every trial and algorithm;
+  field except the wall times and the ``f_evals`` counter (a fixed multiple
+  of successful smooth evaluations, which a checkout may not have), for
+  every trial and algorithm;
 * a kind line covers d, lambda, fw_gap, model_decrease, -omega (the dual
   optimum), d_norm and the prox-call count of 400 inputs with m = 1..5,
   each solved cold and with three warm starts (a random multiplier, a
@@ -43,7 +45,7 @@ import sys
 import numpy as np
 
 KIND_INPUTS = 400
-_UNHASHED = ("time_s", "total_time")
+_UNHASHED = ("time_s", "total_time", "f_evals")
 _WORK = "prox_evals"
 
 
