@@ -23,7 +23,6 @@ from .bb import BBConfig
 from .exceptions import (
     DualSolveError,
     EvaluationError,
-    LineSearchError,
     UnknownProblemError,
 )
 from .linesearch import LineSearchConfig
@@ -84,7 +83,6 @@ __all__ = [
     "ExperimentSpec",
     "ExperimentSummary",
     "LineSearchConfig",
-    "LineSearchError",
     "MCOProblem",
     "QuadraticSpec",
     "SimplexIndicator",

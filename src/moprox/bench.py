@@ -41,10 +41,9 @@ class ExperimentSpec:
     algorithms: tuple
     trials: int = 200
     seed: int = 0
-    d_tol: float = 1e-6
-    max_iters: int = 500
+    d_tol: float = SolverConfig.d_tol
+    max_iters: int = SolverConfig.max_iters
     jobs: int = 1
-    start_sampling: str = "auto"      # auto | box | simplex
     markowitz_returns: str | None = None
 
     def __post_init__(self):
@@ -52,8 +51,6 @@ class ExperimentSpec:
             raise ValueError("trials must be positive")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
-        if self.start_sampling not in ("auto", "box", "simplex"):
-            raise ValueError("start_sampling must be auto, box or simplex")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
         if self.markowitz_returns is not None and self.problem != "markowitz":
@@ -92,7 +89,7 @@ def _parse_token(token, keys, what):
     return name, params
 
 
-def algo_config(token, d_tol=1e-6, max_iters=500):
+def algo_config(token, d_tol=SolverConfig.d_tol, max_iters=SolverConfig.max_iters):
     """Translate a CLI algorithm token (name[:key=value,...]) to a config."""
     name, params = _parse_token(token, ("ell", "tau"), "algorithm parameter")
     kwargs = {key: float(value) for key, value in params.items()}
@@ -129,20 +126,14 @@ def _campaign_problem(spec):
     return get_problem(token)
 
 
-def _sample_start(problem, sampling, rng):
-    if sampling == "auto":
-        if isinstance(problem.nonsmooth, SimplexIndicator):
-            sampling = "simplex"
-        else:
-            sampling = "box"
-    if sampling == "simplex":
+def _sample_start(problem, rng):
+    """A trial's start: Dirichlet on the simplex kind, else uniform in the
+    bounds; ValueError for a problem with neither."""
+    if isinstance(problem.nonsmooth, SimplexIndicator):
         return rng.dirichlet(np.ones(problem.n))
     if problem.bounds is None:
-        raise ValueError(
-            "box sampling needs bounds; give the problem a box or use simplex"
-        )
-    lo, hi = problem.bounds
-    return rng.uniform(lo, hi)
+        raise ValueError("start sampling needs bounds or the simplex kind")
+    return rng.uniform(*problem.bounds)
 
 
 def _run_trial(spec, configs, trial, problem=None):
@@ -151,7 +142,7 @@ def _run_trial(spec, configs, trial, problem=None):
     if problem is None:
         problem = _campaign_problem(spec)
     rng = np.random.default_rng(_child_seed(spec, trial + 1))
-    x0 = _sample_start(problem, spec.start_sampling, rng)
+    x0 = _sample_start(problem, rng)
     x0_hash = hashlib.sha1(x0.tobytes()).hexdigest()[:12]
 
     raw_rows = []
@@ -379,7 +370,6 @@ def main(argv=None):
     options.add_argument("--jobs", type=int, help="concurrent trials")
     options.add_argument("--d-tol", type=float)
     options.add_argument("--max-iters", type=int)
-    options.add_argument("--start-sampling", choices=("auto", "box", "simplex"))
     options.add_argument(
         "--markowitz-returns",
         help="raw return-history table overriding the embedded statistics",

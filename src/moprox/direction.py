@@ -39,7 +39,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -52,30 +51,21 @@ GAP_TOL = 1e-12
 MAX_ITERS = 2000  # m >= 3 cap; the loop also ends when lambda repeats
 
 
-@dataclass(frozen=True)
 class SubproblemInput:
-    """Frozen per-iteration data for one direction solve; each dual point of
-    the solve is a DirectionResult built from it. Nothing is checked here:
-    x is a float (n,) array in the domain of g, grads a finite float (m, n)
-    array and alphas a finite positive float (m,) array."""
+    """Per-iteration data for one direction solve; each dual point of the
+    solve is a DirectionResult built from it. Nothing is checked here: x is
+    a float (n,) array in the domain of g, grads a finite float (m, n) array,
+    alphas a finite positive float (m,) array and kind one of prox.KINDS.
+    The scaled gradients, the kind's prox and its model change at x are
+    bound once, for every dual point of every solve."""
 
-    x: np.ndarray
-    grads: np.ndarray     # (m, n)
-    alphas: np.ndarray    # (m,) positive
-    kind: object          # one of prox.KINDS
-    scaled_grads: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self):
-        sg = self.grads / self.alphas[:, None]
-        # _sgT, _prox and _gdiff are bound once, for every dual point of every solve
-        for name, value in (("scaled_grads", sg), ("_sgT", sg.T),
-                            ("_prox", self.kind.prox),
-                            ("_gdiff", self.kind.model_change(self.x, self.m))):
-            object.__setattr__(self, name, value)
-
-    @property
-    def m(self):
-        return self.grads.shape[0]
+    def __init__(self, x, grads, alphas, kind):
+        self.x, self.grads, self.alphas, self.kind = x, grads, alphas, kind
+        self.m = grads.shape[0]
+        self.scaled_grads = grads / alphas[:, None]
+        self._sgT = self.scaled_grads.T
+        self._prox = kind.prox
+        self._gdiff = kind.model_change(x, self.m)
 
     @functools.cached_property
     def g_at_x(self):

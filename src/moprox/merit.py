@@ -58,31 +58,28 @@ def merit_gap(problem, x, alphas, ell=1.0, counters=None):
 def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     """Grid lower bound of u0(x); exact up to grid resolution for n <= 3.
 
-    Grid points where any F_i is infinite (indicator kinds) or a smooth part
-    cannot be evaluated (outside its domain) are skipped. alphas is checked
-    as in ``merit_gap`` with ell = 1.
+    Grid points where ``evaluate_F`` raises EvaluationError (outside an
+    indicator's set or a smooth part's domain) are skipped; at x itself that
+    is a ValueError. alphas is checked as in ``merit_gap`` with ell = 1.
     """
     if problem.n > 3:
         raise ValueError("grid scan is limited to n <= 3")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
-    x = np.asarray(x, dtype=float)
     alphas = _scaled_weights(problem, alphas)
     lower = np.broadcast_to(np.asarray(lower, dtype=float), (problem.n,))
     upper = np.broadcast_to(np.asarray(upper, dtype=float), (problem.n,))
-    Fx = problem.smooth_values(x) + problem.g_values(x)
-    if not np.all(np.isfinite(Fx)):
-        raise ValueError("x itself must have finite objective values")
+    try:
+        Fx = problem.evaluate_F(x)
+    except EvaluationError as err:
+        raise ValueError(f"x itself must have finite objective values: {err}") from None
 
     axes = [np.linspace(lower[j], upper[j], resolution) for j in range(problem.n)]
     best = -np.inf
     for point in itertools.product(*axes):
-        y = np.asarray(point)
         try:
-            Fy = problem.smooth_values(y) + problem.g_values(y)
+            Fy = problem.evaluate_F(np.asarray(point))
         except EvaluationError:
-            continue
-        if not np.all(np.isfinite(Fy)):
             continue
         best = max(best, float(np.min((Fx - Fy) / alphas)))
     return best

@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .exceptions import EvaluationError
-from .prox import KINDS, Zero
+from .prox import KINDS, BoxIndicator, Zero
 
 
 @dataclass
@@ -23,13 +23,11 @@ class EvalCounters:
     """Work counters accumulated by a solve.
 
     ``F_evals`` counts full objective-vector evaluations (the headline feval
-    measure), ``f_evals`` the underlying per-component smooth evaluations,
-    ``grad_evals`` per-component gradient evaluations and ``prox_evals`` calls
-    to the combined proximal operator.
+    measure), ``grad_evals`` per-component gradient evaluations and
+    ``prox_evals`` calls to the combined proximal operator.
     """
 
     F_evals: int = 0
-    f_evals: int = 0
     grad_evals: int = 0
     prox_evals: int = 0
 
@@ -75,16 +73,12 @@ class MCOProblem:
             kinds = ", ".join(k.__name__ for k in KINDS)
             raise ValueError(f"nonsmooth must be one of {kinds}, not {self.nonsmooth}")
         self.nonsmooth.check_size(self.n, self.m)
-        if self.bounds is not None:
-            lo = np.asarray(self.bounds[0], dtype=float)
-            hi = np.asarray(self.bounds[1], dtype=float)
-            if lo.shape != (self.n,) or hi.shape != (self.n,):
-                raise ValueError("bounds must be two (n,) arrays")
-            if np.any(lo > hi):
-                raise ValueError("empty box: a lower bound exceeds its upper bound")
-            lo.flags.writeable = False
-            hi.flags.writeable = False
-            object.__setattr__(self, "bounds", (lo, hi))
+        # BoxIndicator checks and copies the bounds; bounds holds its arrays
+        box = None if self.bounds is None else BoxIndicator(*self.bounds)
+        if box is not None:
+            box.check_size(self.n, self.m)
+            object.__setattr__(self, "bounds", (box._lo, box._hi))
+        object.__setattr__(self, "_box", box)
         object.__setattr__(self, "smooth", tuple(self.smooth))
 
     @property
@@ -97,7 +91,7 @@ class MCOProblem:
             raise ValueError(f"expected point of shape ({self.n},), got {x.shape}")
         return x
 
-    def smooth_values(self, x, counters=None):
+    def smooth_values(self, x):
         """(f_1(x), ..., f_m(x)); raises EvaluationError on nonfinite output."""
         x = self._check_point(x)
         out = np.empty(self.m)
@@ -109,8 +103,6 @@ class MCOProblem:
                     objective=i,
                 )
             out[i] = fi
-        if counters is not None:
-            counters.f_evals += self.m
         return out
 
     def g_values(self, x):
@@ -120,15 +112,14 @@ class MCOProblem:
     def evaluate_F(self, x, counters=None):
         """Full objective vector F(x) = f(x) + g(x).
 
-        Counts one F evaluation per call, also one that raises (and m smooth
-        evaluations) when counters are given. Raises EvaluationError if any
-        component is nonfinite, which includes querying an indicator kind
-        outside its set.
+        Counts one F evaluation per call, also one that raises, when counters
+        are given. Raises EvaluationError if any component is nonfinite,
+        which includes querying an indicator kind outside its set.
         """
         if counters is not None:
             counters.F_evals += 1
         # smooth_values checks x's shape; g needs only the array
-        F = self.smooth_values(x, counters)
+        F = self.smooth_values(x)
         F += self.nonsmooth.g_values(np.asarray(x, dtype=float), self.m)
         if not all(map(math.isfinite, F)):
             i = int(np.isfinite(F).argmin())  # the first nonfinite entry
@@ -173,14 +164,7 @@ class MCOProblem:
     def is_feasible(self, x):
         """Membership in the indicator set and the box (within tiny slack)."""
         x = self._check_point(x)
-        if not self.nonsmooth.contains(x):
-            return False
-        if self.bounds is not None:
-            lo, hi = self.bounds
-            slack = 1e-12 * (1.0 + np.maximum(np.abs(lo), np.abs(hi)))
-            if np.any(x < lo - slack) or np.any(x > hi + slack):
-                return False
-        return True
+        return self.nonsmooth.contains(x) and (self._box is None or self._box.contains(x))
 
 
 def check_jacobian(problem, x, rel_step=1e-6, rtol=1e-5):

@@ -151,10 +151,10 @@ class BoxIndicator(_Kind):
     upper: tuple
 
     def __post_init__(self):
-        lo = np.array(self.lower, dtype=float)
-        hi = np.array(self.upper, dtype=float)
-        if (lo > hi).any():
-            raise ValueError("empty box: a lower bound exceeds its upper bound")
+        lo = np.array(self.lower, dtype=float, ndmin=1)
+        hi = np.array(self.upper, dtype=float, ndmin=1)
+        if not (lo <= hi).all():
+            raise ValueError("box bounds need lower <= upper in every entry, none NaN")
         object.__setattr__(self, "lower", tuple(lo.tolist()))
         object.__setattr__(self, "upper", tuple(hi.tolist()))
         # the tuples serve eq, hash and repr; the methods read arrays built
@@ -166,7 +166,7 @@ class BoxIndicator(_Kind):
             object.__setattr__(self, name, arr)
 
     def check_size(self, n, m):
-        if len(self.lower) != n or len(self.upper) != n:
+        if self._lo.shape != (n,) or self._hi.shape != (n,):
             raise ValueError(f"BoxIndicator bounds need n = {n} entries each")
 
     def contains(self, x):
@@ -204,11 +204,11 @@ class SimplexIndicator(_Kind):
         return project_simplex(v)
 
     def dual_hessian(self, V, p, alphas):
+        # the weights sum to more than 0, so p lies on the simplex and its
+        # support is never empty
         S = p > 0.0
         Vs = V[:, S]
         k = int(S.sum())
-        if k == 0:
-            return np.zeros((V.shape[0], V.shape[0]))
         row = Vs @ np.ones(k)
         # support coordinates move through the centered projector I - 11'/k
         return Vs @ Vs.T - np.outer(row, row) / k

@@ -364,7 +364,7 @@ def _quadratic_bound_violations(problem, x, f, grads, alphas, delta, counters):
     """
     counters.F_evals += 1
     try:
-        f_trial = problem.smooth_values(x + delta, counters)
+        f_trial = problem.smooth_values(x + delta)
     except EvaluationError as err:
         violated = np.zeros(problem.m, dtype=bool)
         violated[err.objective] = True

@@ -154,8 +154,8 @@ def load_returns_table(path):
             )
         rows.append(vals)
     R = np.array(rows)
-    if np.any(R <= 0):
-        raise ValueError("gross returns must be positive")
+    if not (np.isfinite(R) & (R > 0)).all():
+        raise ValueError("gross returns must be finite and positive")
     return names, R
 
 
@@ -191,8 +191,6 @@ def markowitz_portfolio(returns_path=None):
         cov = (V * np.maximum(w, 0.0)) @ V.T
         cov = 0.5 * (cov + cov.T)
         w = np.maximum(w, 0.0)
-    if np.linalg.eigvalsh(cov)[0] < -1e-10:
-        raise ValueError("covariance must be positive semidefinite")
     eigs = w
     mu.flags.writeable = False
     cov.flags.writeable = False

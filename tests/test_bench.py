@@ -116,12 +116,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError):
             ExperimentSpec(problem="BK1", algorithms=())
 
-    def test_sampling(self):
-        with pytest.raises(ValueError):
-            ExperimentSpec(
-                problem="BK1", algorithms=("bbpgmo",), start_sampling="gaussian"
-            )
-
     @pytest.mark.parametrize("jobs", (0, -4))
     def test_jobs(self, jobs):
         with pytest.raises(ValueError, match="jobs"):
@@ -486,7 +480,6 @@ class TestCLI:
             "seed": "11",
             "d_tol": "1e-5",
             "max_iters": "200",
-            "start_sampling": "box",
         }
         config = tmp_path / "campaign.cfg"
         config.write_text(
@@ -519,8 +512,8 @@ class TestCLI:
 
     def test_config_file_bad_value(self, tmp_path):
         config = tmp_path / "campaign.cfg"
-        config.write_text("problem = BK1\nalgos = bbpgmo\nstart_sampling = gaussian\n")
-        with pytest.raises(ValueError, match="invalid choice"):
+        config.write_text("problem = BK1\nalgos = bbpgmo\ntrials = many\n")
+        with pytest.raises(ValueError, match="invalid int value"):
             main(["run", "--config", str(config)])
         config.write_text("problem = BK1\nalgos = bbpgmo\ntrials\n")
         with pytest.raises(ValueError, match="campaign.cfg:3: expected key=value"):

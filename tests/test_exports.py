@@ -3,8 +3,8 @@
 import moprox
 
 # internal since solve() became the only boundary of the solver stack
-REMOVED = ("BBMemory", "DegenerateStepError", "FWConfig", "armijo_search",
-           "bb_stepsizes", "max_feasible_step")
+REMOVED = ("BBMemory", "DegenerateStepError", "FWConfig", "LineSearchError",
+           "armijo_search", "bb_stepsizes", "max_feasible_step")
 
 
 def test_every_listed_name_resolves():

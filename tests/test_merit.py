@@ -224,3 +224,15 @@ class TestGridGap:
             wide = weak_pareto_gap_grid(problem, x, np.ones(2), -1.0, 1.0)
         assert wide == weak_pareto_gap_grid(problem, x, np.ones(2), 0.0, 1.0)
         assert wide == pytest.approx(np.sqrt(0.5), rel=1e-15)
+
+    def test_x_outside_the_domain_rejected(self):
+        """x itself must have finite F, off the simplex and off a smooth
+        part's domain alike."""
+        comp = SmoothComponent(value=lambda x: float(np.dot(x, x)), gradient=lambda x: 2.0 * x)
+        toy = MCOProblem(n=2, smooth=(comp,), nonsmooth=SimplexIndicator())
+        with pytest.raises(ValueError, match="x itself must have finite objective values"):
+            weak_pareto_gap_grid(toy, np.array([0.5, 0.75]), np.ones(1), 0.0, 1.0)
+        nan_f = SmoothComponent(value=lambda x: float("nan"), gradient=lambda x: x)
+        with pytest.raises(ValueError, match="x itself must have finite objective values"):
+            weak_pareto_gap_grid(MCOProblem(n=1, smooth=(nan_f,)), np.zeros(1), np.ones(1),
+                                 -1.0, 1.0)

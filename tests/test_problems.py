@@ -65,13 +65,18 @@ class TestMCOProblem:
         p.evaluate_F(x, c)
         p.jacobian(x, c)
         assert c.F_evals == 2
-        assert c.f_evals == 2 * p.m
         assert c.grad_evals == p.m
 
     def test_wrong_shape_rejected(self):
         p = self._two_quadratics()
         with pytest.raises(ValueError):
             p.evaluate_F(np.zeros(4))
+
+    def test_gradient_of_wrong_shape_rejected(self):
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(3))
+        p = MCOProblem(n=2, smooth=(comp,))
+        with pytest.raises(ValueError, match=r"gradient 0 has shape \(3,\), expected \(2,\)"):
+            p.jacobian(np.zeros(2))
 
     def test_nonfinite_value_raises(self):
         bad = MCOProblem(
@@ -141,10 +146,32 @@ class TestMCOProblem:
         with pytest.raises(ValueError):
             MCOProblem(n=2, smooth=(comp,), bounds=(np.ones(2), np.zeros(2)))
 
+    def test_nan_bound_rejected(self):
+        """A NaN bound used to be accepted; every mode then ended at k = 0
+        blaming a nonfinite smooth value."""
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        for bounds in (([0.0, np.nan], [1.0, 1.0]), ([0.0, 0.0], [1.0, np.nan])):
+            with pytest.raises(ValueError, match="lower <= upper in every entry, none NaN"):
+                MCOProblem(n=2, smooth=(comp,), bounds=bounds)
+
+    def test_bound_arrays_are_copied(self):
+        """The problem keeps read-only copies of the bounds; the caller's
+        float arrays used to become read-only themselves."""
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        lo, hi = np.zeros(2), np.ones(2)
+        p = MCOProblem(n=2, smooth=(comp,), bounds=(lo, hi))
+        lo[0], hi[0] = -1.0, 2.0
+        np.testing.assert_array_equal(p.bounds[0], [0.0, 0.0])
+        np.testing.assert_array_equal(p.bounds[1], [1.0, 1.0])
+        assert not (p.bounds[0].flags.writeable or p.bounds[1].flags.writeable)
+
     def test_is_feasible(self):
         p = get_problem("BK1")
         assert p.is_feasible(np.array([0.0, 0.0]))
         assert not p.is_feasible(np.array([11.0, 0.0]))
+
+    def test_nan_point_is_not_feasible(self):
+        assert not get_problem("BK1").is_feasible(np.array([np.nan, 0.0]))
 
     @pytest.mark.parametrize(
         "kind, kind_only, outside_kind",
@@ -323,6 +350,14 @@ class TestReturnsIngestion:
     def test_nonpositive_returns_rejected(self, tmp_path):
         path = self._write(tmp_path, "A B\n1.0 1.1\n-0.2 1.0\n1.2 1.3")
         with pytest.raises(ValueError):
+            load_returns_table(path)
+
+    @pytest.mark.parametrize("bad", ("nan", "inf"))
+    def test_nonfinite_returns_rejected(self, tmp_path, bad):
+        """nan and inf passed the positivity test and failed later, in
+        markowitz_portfolio, as an asymmetric covariance."""
+        path = self._write(tmp_path, f"A B\n1.0 1.1\n{bad} 1.0\n1.2 1.3")
+        with pytest.raises(ValueError, match="gross returns must be finite and positive"):
             load_returns_table(path)
 
     def test_too_short_history_rejected(self, tmp_path):

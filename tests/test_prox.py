@@ -182,6 +182,17 @@ class TestKinds:
         with pytest.raises(ValueError):
             BoxIndicator(lower=(1.0,), upper=(0.0,))
 
+    def test_box_indicator_nan_bound_rejected(self):
+        """A NaN bound used to pass and fail only at solve time, as a start
+        outside the domain of g."""
+        for lower, upper in (((0.0, np.nan), (1.0, 1.0)), ((0.0, 0.0), (np.nan, 1.0))):
+            with pytest.raises(ValueError, match="lower <= upper in every entry, none NaN"):
+                BoxIndicator(lower, upper)
+
+    def test_weighted_l1_negative_coefficient_rejected(self):
+        with pytest.raises(ValueError, match="nonnegative"):
+            WeightedL1(coeffs=(1.0, -0.5))
+
     def test_simplex_indicator(self):
         s = SimplexIndicator()
         assert s.contains(np.array([0.25, 0.75]))

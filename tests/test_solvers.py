@@ -176,6 +176,17 @@ class TestModePrerequisites:
         with pytest.raises(ValueError, match="L_max / 2"):
             solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_fixed", ell=2.0))
 
+    def test_pgmo_fixed_needs_lipschitz_constants(self):
+        comp = SmoothComponent(value=lambda x: float(np.dot(x, x)), gradient=lambda x: 2.0 * x)
+        problem = MCOProblem(n=2, smooth=(comp,))
+        with pytest.raises(ValueError, match="pgmo_fixed needs known Lipschitz"):
+            solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_fixed"))
+
+    def test_pgmo_fixed_needs_a_positive_lmax(self):
+        problem = _diag_quadratic([[0.0, 0.0], [0.0, 0.0]])  # L_max = 0
+        with pytest.raises(ValueError, match="positive L_max"):
+            solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_fixed"))
+
     def test_pgmo_fixed_default_ell_is_lmax(self):
         problem = _diag_quadratic([[4.0, 4.0], [1.0, 1.0]])
         report = solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_fixed"))
