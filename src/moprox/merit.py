@@ -78,7 +78,7 @@ def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     best = -np.inf
     for point in itertools.product(*axes):
         try:
-            Fy = problem.evaluate_F(np.asarray(point))
+            Fy = problem.evaluate_F(point)
         except EvaluationError:
             continue
         best = max(best, float(np.min((Fx - Fy) / alphas)))

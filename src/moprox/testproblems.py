@@ -191,7 +191,6 @@ def markowitz_portfolio(returns_path=None):
         cov = (V * np.maximum(w, 0.0)) @ V.T
         cov = 0.5 * (cov + cov.T)
         w = np.maximum(w, 0.0)
-    eigs = w
     mu.flags.writeable = False
     cov.flags.writeable = False
 
@@ -204,8 +203,8 @@ def markowitz_portfolio(returns_path=None):
     risk = SmoothComponent(
         value=lambda x, cov=cov: float(x @ cov @ x),
         gradient=lambda x, cov=cov: 2.0 * (cov @ x),
-        lipschitz=2.0 * float(eigs[-1]),
-        strong_mu=2.0 * max(float(eigs[0]), 0.0),
+        lipschitz=2.0 * float(w[-1]),
+        strong_mu=2.0 * max(float(w[0]), 0.0),
     )
     return MCOProblem(
         n=n, smooth=(ret, risk), nonsmooth=SimplexIndicator(), name="markowitz"
