@@ -77,24 +77,21 @@ class DirectionResult:
     """One dual point: the multiplier ``lam`` (kept without a copy, so nothing
     may change it later), u = sum_i lam_i grad f_i / alpha_i, the prox point
     p = prox(x - u), the direction d = p - x, q_i = model_i / alpha_i at p
-    (the dual gradient is -q). Building it costs one prox call, counted in
-    ``counters`` when given; the Frank-Wolfe gap ``fw_gap``, ``omega``,
+    (the dual gradient is -q) and the Frank-Wolfe gap ``fw_gap``. Building
+    it costs one prox call, counted in ``counters`` when given; ``omega``,
     ``d_norm`` and ``model_decrease`` are computed on first read. When lam
     solves the dual, -omega is the primal optimum.
     """
 
     def __init__(self, inp, lam, counters=None):
         u = inp._sgT @ lam
-        p = inp._prox(lam / inp.alphas, inp.x - u)
+        p = inp._prox(lam, inp.alphas, inp.x - u)
         if counters is not None:
             counters.prox_evals += 1
         d = p - inp.x
         q = (inp.grads @ d + inp._gdiff(p)) / inp.alphas
         self.inp, self.lam, self.u, self.p, self.d, self.q = inp, lam, u, p, d, q
-
-    @functools.cached_property
-    def fw_gap(self):
-        return max(float(np.maximum.reduce(self.q) - self.lam.dot(self.q)), 0.0)
+        self.fw_gap = max(float(np.maximum.reduce(q) - lam.dot(q)), 0.0)
 
     @functools.cached_property
     def omega(self):
@@ -142,7 +139,8 @@ def _solve_m2(inp, counters, gap_tol, warm_t=None):
 
     def probe(t):
         pr = DirectionResult(inp, np.array([t, 1.0 - t]), counters)
-        return pr, pr.q[1] - pr.q[0]
+        q0, q1 = pr.q.tolist()
+        return pr, q1 - q0
 
     tw = 0.0 if warm_t is None else warm_t
     prw, hw = probe(tw)

@@ -1,7 +1,7 @@
 """Nonsmooth terms and their proximal operators.
 
 Every problem carries one "kind" describing the whole family g_1..g_m, so the
-weighted prox of sum_i w_i g_i stays a closed-form operation:
+weighted prox of sum_i (lambda_i / alpha_i) g_i stays a closed-form operation:
 
 * ``Zero``             g_i = 0
 * ``WeightedL1``       g_i(x) = c_i ||x||_1 with per-objective c_i > 0
@@ -9,8 +9,8 @@ weighted prox of sum_i w_i g_i stays a closed-form operation:
 * ``SimplexIndicator`` g_i = indicator of the unit simplex
 
 For the two indicator kinds all objectives share the same set, so the weighted
-sum is again the indicator (scaled by sum w_i) and the prox is the projection
-whenever sum w_i > 0, the identity when the weights vanish.
+sum is again the indicator (scaled by sum_i lambda_i / alpha_i > 0) and the
+prox is the projection.
 
 A kind is the only place that knows its math; ``KINDS`` lists the four, and a
 problem accepts no other nonsmooth term. Every kind implements
@@ -20,7 +20,9 @@ problem accepts no other nonsmooth term. Every kind implements
 * ``g_values(x, m)``: (g_1(x), ..., g_m(x)), +inf outside an indicator's set;
 * ``contains(x)`` and ``project(x)``: membership in, and the closest point
   of, the domain of g;
-* ``prox(weights, v)``: the prox of sum_i weights_i g_i at v;
+* ``prox(lam, alphas, v)``: the prox of sum_i (lam_i / alphas_i) g_i at the
+  float array v, for lam on the unit simplex and finite alphas > 0; it may
+  return v itself, so v must be a fresh array;
 * ``model_change(x, m)``: p -> (g_i(p) - g_i(x))_i for prox outputs p, the
   nonsmooth part of the direction model;
 * ``dual_hessian(V, p, alphas)``: the Hessian of the direction dual on the
@@ -97,8 +99,8 @@ class _Kind:
 class Zero(_Kind):
     """All nonsmooth terms vanish."""
 
-    def prox(self, weights, v):
-        return np.array(v, dtype=float, copy=True)
+    def prox(self, lam, alphas, v):
+        return v
 
     def dual_hessian(self, V, p, alphas):
         return V @ V.T
@@ -127,8 +129,8 @@ class WeightedL1(_Kind):
     def g_values(self, x, m):
         return self._c * float(np.add.reduce(np.abs(x)))
 
-    def prox(self, weights, v):
-        return soft_threshold(v, float(np.dot(weights, self._c)))
+    def prox(self, lam, alphas, v):
+        return soft_threshold(v, float(np.dot(lam / alphas, self._c)))
 
     def model_change(self, x, m):
         coeffs = self._c
@@ -175,10 +177,8 @@ class BoxIndicator(_Kind):
     def project(self, x):
         return np.asarray(x, dtype=float).clip(self._lo, self._hi)
 
-    def prox(self, weights, v):
-        if float(np.add.reduce(weights)) <= 0.0:
-            return np.array(v, dtype=float, copy=True)
-        return np.asarray(v, dtype=float).clip(self._lo, self._hi)
+    def prox(self, lam, alphas, v):
+        return v.clip(self._lo, self._hi)
 
     def dual_hessian(self, V, p, alphas):
         Vf = V[:, (p > self._lo) & (p < self._hi)]  # clamped coordinates do not move
@@ -198,14 +198,12 @@ class SimplexIndicator(_Kind):
     def project(self, x):
         return project_simplex(x)
 
-    def prox(self, weights, v):
-        if float(np.add.reduce(weights)) <= 0.0:
-            return np.array(v, dtype=float, copy=True)
+    def prox(self, lam, alphas, v):
         return project_simplex(v)
 
     def dual_hessian(self, V, p, alphas):
-        # the weights sum to more than 0, so p lies on the simplex and its
-        # support is never empty
+        # p is a prox point, so it lies on the simplex and its support is
+        # never empty
         S = p > 0.0
         Vs = V[:, S]
         k = int(S.sum())

@@ -645,3 +645,29 @@ class TestDualPointsKeepLambda:
                 assert all(lam.tobytes() == before for lam, before in records)
                 built += len(records)
         assert built > 30 * 3 * 5
+
+
+class TestDualPointIsOneProx:
+    @pytest.mark.parametrize("m", (2, 3))
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_solved_point_equals_a_fresh_one(self, k, m):
+        """The dual point a solve returns, cold or warm, is the point its
+        lambda makes: a fresh DirectionResult at that lambda has the same
+        bytes of u, p, d, q and fw_gap, and fw_gap, set when the point is
+        built, is max(max_i q_i - lambda.q, 0)."""
+        rng = np.random.default_rng(130 + 10 * m + k)
+        for _ in range(25):
+            n = int(rng.integers(1, 7))
+            inp = _random_input(rng, n=n, m=m, kind=_kinds_for(rng, n, m)[k])
+            for warm in (None, rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))]):
+                try:
+                    res = frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
+                except DualSolveError as err:
+                    res = err.result
+                fresh = DirectionResult(inp, res.lam)
+                assert "fw_gap" in vars(fresh)
+                for name in ("u", "p", "d", "q"):
+                    assert getattr(res, name).tobytes() == getattr(fresh, name).tobytes()
+                assert np.float64(res.fw_gap).tobytes() == np.float64(fresh.fw_gap).tobytes()
+                gap = max(float(np.maximum.reduce(res.q) - res.lam.dot(res.q)), 0.0)
+                assert res.fw_gap == gap

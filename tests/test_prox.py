@@ -153,7 +153,7 @@ class TestKinds:
         z = Zero()
         assert z.g_values(np.zeros(3), 2)[0] == 0.0
         v = np.array([1.0, -2.0])
-        np.testing.assert_array_equal(z.prox([1.0, 1.0], v), v)
+        np.testing.assert_array_equal(z.prox([1.0, 1.0], np.ones(2), v), v)
 
     def test_weighted_l1_prox_combines_weights(self):
         """prox of sum_i w_i c_i |.| is soft thresholding at sum w_i c_i."""
@@ -161,7 +161,7 @@ class TestKinds:
         w = np.array([2.0, 4.0])
         v = np.array([3.0, -0.5, 1.9])
         expect = soft_threshold(v, 0.5 * 2.0 + 0.25 * 4.0)
-        np.testing.assert_allclose(kind.prox(w, v), expect, atol=1e-15)
+        np.testing.assert_allclose(kind.prox(w, np.ones(2), v), expect, atol=1e-15)
 
     def test_weighted_l1_g_values(self):
         kind = WeightedL1(coeffs=(1.0, 0.5))
@@ -173,7 +173,7 @@ class TestKinds:
         assert box.contains(np.array([0.0, 1.5]))
         assert not box.contains(np.array([0.0, 2.5]))
         assert box.g_values(np.array([0.0, 2.5]), 2)[0] == np.inf
-        out = box.prox([1.0, 1.0], np.array([-3.0, 5.0]))
+        out = box.prox([1.0, 1.0], np.ones(2), np.array([-3.0, 5.0]))
         np.testing.assert_array_equal(out, [-1.0, 2.0])
         # an infeasible start is projected by the same componentwise clip
         np.testing.assert_array_equal(box.project(np.array([-3.0, 5.0])), [-1.0, 2.0])
@@ -197,15 +197,29 @@ class TestKinds:
         s = SimplexIndicator()
         assert s.contains(np.array([0.25, 0.75]))
         assert not s.contains(np.array([0.5, 0.75]))
-        out = s.prox([1.0, 1.0], np.array([2.0, -1.0]))
+        out = s.prox([1.0, 1.0], np.ones(2), np.array([2.0, -1.0]))
         np.testing.assert_allclose(out, [1.0, 0.0], atol=1e-12)
 
-    def test_zero_total_weight_is_identity(self):
-        """With all-zero weights every kind's prox degenerates to a copy."""
-        v = np.array([2.0, -3.0])
-        for kind in (BoxIndicator(lower=(-1.0, -1.0), upper=(1.0, 1.0)),
-                     SimplexIndicator(), WeightedL1(coeffs=(1.0, 1.0))):
-            np.testing.assert_array_equal(kind.prox([0.0, 0.0], v), v)
+    def test_prox_contract_on_the_simplex(self):
+        """For lam on the unit simplex (vertices included) and alphas > 0 the
+        indicator kinds project, Zero returns v itself, and WeightedL1
+        thresholds at sum_i lam_i c_i / alpha_i."""
+        rng = np.random.default_rng(12)
+        n, m = 4, 3
+        box = BoxIndicator(lower=(-1.0,) * n, upper=(1.0,) * n)
+        simplex = SimplexIndicator()
+        l1 = WeightedL1(coeffs=(0.2, 0.5, 1.5))
+        lams = [*np.eye(m), np.full(m, 1.0 / m), *rng.dirichlet(np.ones(m), size=5)]
+        for lam in lams:
+            alphas = np.exp(rng.uniform(-3.0, 3.0, size=m))
+            v = rng.normal(size=n) * 3.0
+            assert np.array_equal(box.prox(lam, alphas, v), box.project(v))
+            assert np.array_equal(simplex.prox(lam, alphas, v), simplex.project(v))
+            assert Zero().prox(lam, alphas, v) is v
+            kappa = sum(li * ci / ai for li, ci, ai in zip(lam, l1.coeffs, alphas))
+            np.testing.assert_allclose(
+                l1.prox(lam, alphas, v), soft_threshold(v, kappa), rtol=0, atol=1e-14
+            )
 
     def test_g_values_broadcasts_shared_value(self):
         box = BoxIndicator(lower=(0.0,), upper=(1.0,))
@@ -227,7 +241,7 @@ class TestProxOptimality:
         for _ in range(50):
             v = rng.normal(size=5) * 2.0
             w = rng.uniform(0.1, 2.0, size=2)
-            p = kind.prox(w, v)
+            p = kind.prox(w, np.ones(2), v)
             base = self._objective(kind, w, v, p)
             for _ in range(20):
                 z = p + rng.normal(size=5) * rng.uniform(1e-4, 1.0)
@@ -241,12 +255,12 @@ class TestProxOptimality:
             v = rng.normal(size=4) * 3.0
             w = rng.uniform(0.1, 2.0, size=2)
 
-            p = box.prox(w, v)
+            p = box.prox(w, np.ones(2), v)
             assert box.contains(p)
             z = rng.uniform(-1.0, 1.0, size=4)
             assert np.linalg.norm(p - v) <= np.linalg.norm(z - v) + 1e-10
 
-            q = simplex.prox(w, v)
+            q = simplex.prox(w, np.ones(2), v)
             assert simplex.contains(q)
             y = rng.dirichlet(np.ones(4))
             assert np.linalg.norm(q - v) <= np.linalg.norm(y - v) + 1e-10
