@@ -32,7 +32,8 @@ from .testproblems import (
     random_quadratic,
 )
 
-_HARD_FAILURES = ("line_search_failure", "dual_failure", "evaluation_failure")
+# "exception": a solve raised (say from a user callable); its row holds the text
+_HARD_FAILURES = ("line_search_failure", "dual_failure", "evaluation_failure", "exception")
 
 
 @dataclass(frozen=True)
@@ -97,11 +98,12 @@ def algo_config(token, d_tol=SolverConfig.d_tol, max_iters=SolverConfig.max_iter
 
 
 def _parse_quadratic_token(token):
-    _, fields = _parse_token(token, ("n", "xl", "xu", "g"), "quadratic fields")
+    _, fields = _parse_token(token, ("n", "m", "xl", "xu", "g"), "quadratic fields")
     if "n" not in fields:
         raise ValueError("quadratic problems need n=<dim>, e.g. quadratic:n=10")
     return QuadraticSpec(
         n=int(fields["n"]),
+        n_objectives=int(fields.get("m", 2)),
         xl=float(fields.get("xl", -2.0)),
         xu=float(fields.get("xu", 2.0)),
         g_kind=fields.get("g", "l1"),
@@ -138,7 +140,9 @@ def _sample_start(problem, rng):
 
 def _run_trial(spec, configs, trial, problem=None):
     """One trial: the campaign instance, one start, one solve per algorithm
-    token; returns (raw rows, {token: SolveReport})."""
+    token; returns (raw rows, {token: SolveReport}). A solve that raises gets
+    status "exception", zero counters, its error text under ``error`` and no
+    report."""
     if problem is None:
         problem = _campaign_problem(spec)
     rng = np.random.default_rng(_child_seed(spec, trial + 1))
@@ -148,21 +152,26 @@ def _run_trial(spec, configs, trial, problem=None):
     raw_rows = []
     reports = {}
     for token in spec.algorithms:
-        report = reports[token] = solve(problem, x0, configs[token])
-        raw_rows.append(
-            {
-                "trial": trial,
-                "algo": token,
-                "x0_hash": x0_hash,
-                "status": report.status,
-                "iterations": report.iterations,
-                "fevals": report.counters.F_evals,
-                "grad_evals": report.counters.grad_evals,
-                "prox_evals": report.counters.prox_evals,
-                "stepsize_mean": report.stepsize_mean,
-                "time_ms": report.total_time * 1000.0,
-            }
-        )
+        row = {"trial": trial, "algo": token, "x0_hash": x0_hash}
+        started = time.perf_counter()
+        try:
+            report = reports[token] = solve(problem, x0, configs[token])
+        except Exception as err:
+            row.update(status="exception", iterations=0, fevals=0, grad_evals=0,
+                       prox_evals=0, stepsize_mean=float("nan"),
+                       time_ms=(time.perf_counter() - started) * 1000.0,
+                       error=f"{type(err).__name__}: {err}")
+        else:
+            row.update(
+                status=report.status,
+                iterations=report.iterations,
+                fevals=report.counters.F_evals,
+                grad_evals=report.counters.grad_evals,
+                prox_evals=report.counters.prox_evals,
+                stepsize_mean=report.stepsize_mean,
+                time_ms=report.total_time * 1000.0,
+            )
+        raw_rows.append(row)
     return raw_rows, reports
 
 
@@ -186,10 +195,12 @@ def run_campaign(spec):
 
     raw = [row for rows, _ in outcomes for row in rows]
     reports = [trial_reports for _, trial_reports in outcomes]
-    pareto = []
+    pareto = []  # a solve that raised has no final point
     for trial, trial_reports in enumerate(reports):
         for token in spec.algorithms:
-            report = trial_reports[token]
+            report = trial_reports.get(token)
+            if report is None:
+                continue
             row = {"trial": trial, "algo": token}
             row.update((f"F{i}", float(v)) for i, v in enumerate(report.F, start=1))
             if problem.n == 2:
@@ -229,13 +240,17 @@ def run_campaign(spec):
 
 
 def _write_csv(path, rows):
-    """One CSV row per dict; the first dict's keys are the header."""
+    """One CSV row per dict. The header holds every key in the order of first
+    appearance (only a raising solve's row has ``error``); a row without a
+    key leaves its cell empty, and no rows make an empty file."""
+    header = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(rows[0])
+        if header:
+            writer.writerow(header)
         for row in rows:
-            writer.writerow([repr(v) if isinstance(v, float) else str(v)
-                             for v in row.values()])
+            cells = (row.get(key, "") for key in header)
+            writer.writerow([repr(v) if isinstance(v, float) else str(v) for v in cells])
 
 
 def export_results(summary, out_dir):
@@ -355,7 +370,7 @@ def main(argv=None):
     )
     options.add_argument(
         "--problem",
-        help="registry key (see bench run --list) or quadratic:n=..,xl=..,xu=..",
+        help="registry key (see bench run --list) or quadratic:n=..,m=..,xl=..,xu=..",
     )
     options.add_argument(
         "--algos",

@@ -162,9 +162,11 @@ class MCOProblem:
         return np.array([float(mu) for mu in mus])
 
     def is_feasible(self, x):
-        """Membership in the indicator set and the box (within tiny slack)."""
+        """Finite coordinates, membership in the indicator set and the box
+        (within tiny slack)."""
         x = self._check_point(x)
-        return self.nonsmooth.contains(x) and (self._box is None or self._box.contains(x))
+        return (bool(np.isfinite(x).all()) and self.nonsmooth.contains(x)
+                and (self._box is None or self._box.contains(x)))
 
 
 def check_jacobian(problem, x, rel_step=1e-6, rtol=1e-5):

@@ -55,6 +55,38 @@ def bad_gradient_problem():
 
 
 @pytest.fixture
+def poisoned_start_problem():
+    """Registered BK1-like problem whose objective raises a RuntimeError,
+    not an EvaluationError, at the start of trial 1 of a seed-0 campaign;
+    removed from the registry afterwards. Returns the key."""
+    key = "bench-test-poisoned-start"
+    lo, hi = np.full(2, -2.0), np.full(2, 2.0)
+    spec = ExperimentSpec(problem=key, algorithms=("bbpgmo",), seed=0)
+    poisoned = np.random.default_rng(_child_seed(spec, 2)).uniform(lo, hi)
+
+    def value(x, s):
+        if np.array_equal(x, poisoned):
+            raise RuntimeError("poisoned start")
+        return float(np.dot(x - s, x - s))
+
+    def factory():
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, s=s: value(x, s),
+                gradient=lambda x, s=s: 2.0 * (x - s),
+                lipschitz=2.0,
+                strong_mu=2.0,
+            )
+            for s in (0.0, 1.0)
+        )
+        return MCOProblem(n=2, smooth=comps, bounds=(lo, hi), name=key)
+
+    testproblems.register_problem(key, factory)
+    yield key
+    del testproblems._REGISTRY[key]
+
+
+@pytest.fixture
 def three_objective_problem():
     key = "bench-test-three-objectives"
 
@@ -282,6 +314,51 @@ class TestCampaign:
         assert summary.hard_failures == 2
         assert summary.rows[0]["failures"] == 2
 
+    def test_campaign_survives_a_raising_solve(self, poisoned_start_problem, tmp_path):
+        """A solve that raises something other than EvaluationError becomes
+        its trial's row: status "exception" (a hard failure), zero counters
+        and the error text, no report and no pareto row. The other trials
+        run as usual, and the exports still write."""
+        spec = ExperimentSpec(
+            problem=poisoned_start_problem, algorithms=("bbpgmo", "pgmo_ls"), trials=4,
+            seed=0,
+        )
+        summary = run_campaign(spec)
+        bad = [r for r in summary.raw if r["trial"] == 1]
+        assert [r["status"] for r in bad] == ["exception"] * 2
+        assert all(r["error"] == "RuntimeError: poisoned start" for r in bad)
+        assert all(r["iterations"] == r["fevals"] == r["prox_evals"] == 0 for r in bad)
+        others = [r for r in summary.raw if r["trial"] != 1]
+        assert {r["status"] for r in others} == {"critical_point"}
+        assert not any("error" in r for r in others)
+        assert summary.hard_failures == 2
+        assert [row["failures"] for row in summary.rows] == [1, 1]
+        assert summary.reports[1] == {}
+        assert [(r["trial"], r["algo"]) for r in summary.pareto] == [
+            (t, a) for t in (0, 2, 3) for a in ("bbpgmo", "pgmo_ls")
+        ]
+        export_results(summary, str(tmp_path))
+        with open(tmp_path / "runs.csv") as fh:
+            rows = list(csv.reader(fh))
+        assert rows[0][-1] == "error" and rows[3][-1] == "RuntimeError: poisoned start"
+        assert {row[-1] for row in rows[1:3] + rows[5:]} == {""}
+
+    def test_jobs_do_not_change_a_raising_campaign(self, poisoned_start_problem):
+        spec = ExperimentSpec(
+            problem=poisoned_start_problem, algorithms=("bbpgmo", "pgmo_ls"), trials=4,
+            seed=0,
+        )
+        serial = run_campaign(spec)
+        pooled = run_campaign(ExperimentSpec(**{**vars(spec), "jobs": 2}))
+
+        def untimed(rows):
+            return [{k: v for k, v in r.items() if k != "time_ms"} for r in rows]
+
+        # repr: the raising rows' stepsize_mean is NaN
+        assert repr(untimed(pooled.raw)) == repr(untimed(serial.raw))
+        assert pooled.pareto == serial.pareto
+        assert pooled.hard_failures == serial.hard_failures == 2
+
     def test_evaluation_failure_is_hard(self):
         statuses = ("evaluation_failure", "max_iters", "critical_point")
         raw = [{"status": s} for s in statuses]
@@ -442,6 +519,13 @@ class TestCLI:
         assert summary.n == 3 and summary.m == 2
         assert summary.spec.markowitz_returns == str(table)
         assert "n=3 m=2" in capsys.readouterr().out
+
+    def test_quadratic_token_sets_the_objective_count(self, capsys):
+        """quadratic:n=10,m=3 runs a campaign on a three-objective instance."""
+        code = main(["run", "--problem", "quadratic:n=10,m=3", "--algos", "bbpgmo,abbpgmo",
+                     "--trials", "2", "--seed", "4"])
+        assert code == 0
+        assert "n=10 m=3" in capsys.readouterr().out
 
     def test_run_list(self, capsys):
         assert main(["run", "--list"]) == 0

@@ -197,6 +197,18 @@ class TestMCOProblem:
             assert not alone.is_feasible(np.array(outside_kind))
             assert not boxed.is_feasible(np.array(outside_kind))
 
+    @pytest.mark.parametrize("kind", [Zero(), WeightedL1(coeffs=(1.0,))])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_nonfinite_point_is_not_feasible_without_bounds(self, kind, bad):
+        """Zero and WeightedL1 have all of R^n as their domain, so without
+        bounds only the finiteness check can refuse such a point; it used to
+        return True for [nan, 0] and [inf, 0]."""
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        problem = MCOProblem(n=2, smooth=(comp,), nonsmooth=kind)
+        assert problem.is_feasible([0.0, 0.0])
+        assert not problem.is_feasible([bad, 0.0])
+        assert not problem.is_feasible([0.0, bad])
+
 
 class TestBundledProblems:
     def test_bk1_values(self):
