@@ -42,10 +42,8 @@ def main():
     for algo in ("bbpgmo", "abbpgmo"):
         report = solve(problem, x0, SolverConfig(algorithm=algo))
         recs = report.trace
-        backtracks = sum(rec.backtracks for rec in recs)
-        inflations = sum(
-            int(rec.inflations.sum()) for rec in recs if rec.inflations is not None
-        )
+        backtracks = int(recs.backtracks.sum())
+        inflations = 0 if recs.inflations is None else int(recs.inflations.sum())
         print(f"{algo}:")
         print(f"  iterations      {report.iterations}")
         print(f"  backtracks      {backtracks}")

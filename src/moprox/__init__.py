@@ -44,6 +44,7 @@ from .prox import (
 from .solvers import (
     SolverConfig,
     SolveReport,
+    Trace,
     TraceRecord,
     solve,
 )
@@ -89,6 +90,7 @@ __all__ = [
     "SmoothComponent",
     "SolveReport",
     "SolverConfig",
+    "Trace",
     "TraceRecord",
     "UnknownProblemError",
     "WeightedL1",

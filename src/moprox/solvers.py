@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 import time
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -82,6 +83,72 @@ class TraceRecord:
     time_s: float
 
 
+class Trace(Sequence):
+    """The iterations of one solve, one read-only column per TraceRecord field.
+
+    The scalar fields are (k,) columns, ``x`` is (k, n), and ``alphas``,
+    ``lam``, ``F``, ``model_decrease`` and ``inflations`` are (k, m);
+    ``inflations`` is None outside abbpgmo. len(), indexing, slices and
+    iteration give TraceRecord rows whose arrays are views into the columns.
+    The columns live in a few field-major blocks, so a trace holds the same
+    few arrays however long its solve ran.
+    """
+
+    __slots__ = ("_ints", "_floats", "_vectors", "x", "inflations")
+
+    def __init__(self, ints, floats, vectors, x, inflations=None):
+        # (2, k) k and backtracks; (4, k) d_norm, t, fw_gap and time_s;
+        # (4, k, m) alphas, lam, F and model_decrease
+        self._ints, self._floats, self._vectors = ints, floats, vectors
+        self.x, self.inflations = x, inflations
+        for block in (ints, floats, vectors, x, inflations):
+            if block is not None:
+                block.flags.writeable = False
+
+    @classmethod
+    def from_rows(cls, rows, n, m, adaptive):
+        """Pack one (k, backtracks, d_norm, t, fw_gap, time_s, alphas, lam,
+        F, model_decrease, x, inflations) tuple per iteration; inflations are
+        kept only when ``adaptive``."""
+        k = len(rows)
+        cols = list(zip(*rows)) or [()] * 12
+        return cls(
+            np.array(cols[0:2], dtype=int).reshape(2, k),
+            np.array(cols[2:6], dtype=float).reshape(4, k),
+            np.array(cols[6:10], dtype=float).reshape(4, k, m),
+            np.array(cols[10], dtype=float).reshape(k, n),
+            np.array(cols[11], dtype=int).reshape(k, m) if adaptive else None,
+        )
+
+    def __reduce__(self):
+        return Trace, (self._ints, self._floats, self._vectors, self.x, self.inflations)
+
+    k = property(lambda self: self._ints[0])
+    backtracks = property(lambda self: self._ints[1])
+    d_norm = property(lambda self: self._floats[0])
+    t = property(lambda self: self._floats[1])
+    fw_gap = property(lambda self: self._floats[2])
+    time_s = property(lambda self: self._floats[3])
+    alphas = property(lambda self: self._vectors[0])
+    lam = property(lambda self: self._vectors[1])
+    F = property(lambda self: self._vectors[2])
+    model_decrease = property(lambda self: self._vectors[3])
+
+    def __len__(self):
+        return len(self.x)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative indices; IndexError past the end
+        k, backtracks = self._ints[:, i].tolist()
+        d_norm, t, fw_gap, time_s = self._floats[:, i].tolist()
+        alphas, lam, F, model_decrease = self._vectors[:, i]
+        inflations = None if self.inflations is None else self.inflations[i]
+        return TraceRecord(k, d_norm, t, alphas, lam, self.x[i], F, fw_gap,
+                           model_decrease, backtracks, inflations, time_s)
+
+
 @dataclass
 class SolveReport:
     status: str  # critical_point | max_iters | line_search_failure |
@@ -90,7 +157,7 @@ class SolveReport:
     F: np.ndarray
     iterations: int
     counters: EvalCounters
-    trace: list
+    trace: Trace
     total_time: float
     warnings: list
     x0_projected: bool
@@ -103,7 +170,7 @@ class SolveReport:
     def stepsize_mean(self):
         if not self.trace:
             return float("nan")
-        return float(np.mean([rec.t for rec in self.trace]))
+        return float(np.mean(self.trace.t))
 
 
 def _canonical_mode(name):
@@ -116,7 +183,7 @@ def _canonical_mode(name):
 def _fixed_alphas(problem, mode, cfg):
     """Constant alpha vector for the non-BB modes, with prerequisite checks;
     the one place, once per solve, where it is checked finite and positive.
-    It is read-only, so every trace record can share it."""
+    It is read-only, so every iteration can share it."""
     m = problem.m
     if mode == "pgmo_ls":
         alphas, what = np.full(m, 1.0 if cfg.ell is None else float(cfg.ell)), "ell"
@@ -218,7 +285,7 @@ def solve(problem, x0, cfg=None):
     x, x0_projected = _prepare_start(problem, x0)
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
     bounds = problem.bounds
-    trace = []
+    rows = []  # one tuple per iteration, packed into the Trace at the end
     warnings = []
     status = None
     warm_lambda = None
@@ -316,24 +383,11 @@ def solve(problem, x0, cfg=None):
                 x_prev, grads_prev = x, grads
             warm_lambda = res.lam
             x, F, grads = x_new, F_new, grads_new
-            # x, F and model_decrease are fresh arrays every iteration; the
-            # fixed modes share their read-only alphas vector
-            trace.append(
-                TraceRecord(
-                    k=k,
-                    d_norm=res.d_norm,
-                    t=t,
-                    alphas=alphas,
-                    lam=res.lam,
-                    x=x,
-                    F=F,
-                    fw_gap=res.fw_gap,
-                    model_decrease=res.model_decrease,
-                    backtracks=backtracks,
-                    inflations=inflations,
-                    time_s=time.perf_counter() - iter_started,
-                )
-            )
+            rows.append((
+                k, backtracks, res.d_norm, t, res.fw_gap,
+                time.perf_counter() - iter_started,
+                alphas, res.lam, F, res.model_decrease, x, inflations,
+            ))
     except EvaluationError as err:
         status = "evaluation_failure"
         warnings.append(str(err))
@@ -342,9 +396,9 @@ def solve(problem, x0, cfg=None):
         status=status or "max_iters",
         x=x,
         F=F,
-        iterations=len(trace),
+        iterations=len(rows),
         counters=counters,
-        trace=trace,
+        trace=Trace.from_rows(rows, problem.n, problem.m, mode == "abbpgmo"),
         total_time=time.perf_counter() - started,
         warnings=warnings,
         x0_projected=x0_projected,

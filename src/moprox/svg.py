@@ -5,6 +5,8 @@ No plotting dependency; output bytes are deterministic for fixed input.
 
 from __future__ import annotations
 
+import math
+
 _PALETTE = (
     "#1f77b4",
     "#d62728",
@@ -34,9 +36,17 @@ def scatter_svg(series, xlabel, ylabel, title):
     """Render labeled point sets to an SVG string.
 
     ``series`` maps label -> (xs, ys) sequences; all series share the axes.
+    A point with a nonfinite coordinate (F = NaN after an evaluation failure
+    at the start) is neither drawn nor counted in the axis ranges; its
+    series keeps its legend entry.
     """
-    xs_all = [float(v) for _, (xs, _ys) in series.items() for v in xs]
-    ys_all = [float(v) for _, (_xs, ys) in series.items() for v in ys]
+    points = {
+        label: [(x, y) for x, y in zip(map(float, xs), map(float, ys))
+                if math.isfinite(x) and math.isfinite(y)]
+        for label, (xs, ys) in series.items()
+    }
+    xs_all = [x for pts in points.values() for x, _ in pts]
+    ys_all = [y for pts in points.values() for _, y in pts]
     if not xs_all:
         xs_all, ys_all = [0.0, 1.0], [0.0, 1.0]
     x_lo, x_hi = min(xs_all), max(xs_all)
@@ -91,11 +101,11 @@ def scatter_svg(series, xlabel, ylabel, title):
         f'font-size="13" text-anchor="middle" '
         f'transform="rotate(-90 18 {(_MT + _H - _MB) / 2:.1f})">{ylabel}</text>'
     )
-    for idx, (label, (xs, ys)) in enumerate(series.items()):
+    for idx, (label, pts) in enumerate(points.items()):
         color = _PALETTE[idx % len(_PALETTE)]
-        for xv, yv in zip(xs, ys):
+        for xv, yv in pts:
             out.append(
-                f'<circle cx="{sx(float(xv)):.2f}" cy="{sy(float(yv)):.2f}" r="3" '
+                f'<circle cx="{sx(xv):.2f}" cy="{sy(yv):.2f}" r="3" '
                 f'fill="{color}" fill-opacity="0.7"/>'
             )
         ly = _MT + 18 * idx

@@ -106,10 +106,12 @@ def _check_armijo_floor(rng):
             rng.uniform(-2, 2, size=4),
             SolverConfig(algorithm="bbpgmo", max_iters=60),
         )
-        for rec in report.trace:
-            floor = min(1.0, float(np.min(2 * ls.gamma * (1 - ls.sigma) * rec.alphas / L)))
-            if rec.t < floor - 1e-12:
-                return False, f"step {rec.t:.3e} below floor {floor:.3e}"
+        trace = report.trace
+        floors = np.minimum(1.0, np.min(2 * ls.gamma * (1 - ls.sigma) * trace.alphas / L, axis=1))
+        below = trace.t < floors - 1e-12
+        if below.any():
+            i = below.argmax()  # the first step below its floor
+            return False, f"step {trace.t[i]:.3e} below floor {floors[i]:.3e}"
     return True, "floor holds"
 
 
@@ -122,11 +124,8 @@ def _check_solver_descent(rng):
             rng.uniform(-2, 2, size=6),
             SolverConfig(algorithm=algo, max_iters=120),
         )
-        F_prev = None
-        for rec in report.trace:
-            if F_prev is not None and np.any(rec.F > F_prev + 1e-10):
-                return False, f"{algo} increased an objective"
-            F_prev = rec.F
+        if np.any(np.diff(report.trace.F, axis=0) > 1e-10):
+            return False, f"{algo} increased an objective"
         if report.status not in ("critical_point", "max_iters"):
             return False, f"{algo} failed with {report.status}"
     return True, "monotone on all modes"

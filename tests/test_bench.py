@@ -1,6 +1,7 @@
 """Tests for campaign execution, CSV/SVG export, and the bench CLI."""
 
 import csv
+import dataclasses
 import os
 import subprocess
 import sys
@@ -20,6 +21,7 @@ from moprox.bench import (
     run_campaign,
 )
 from moprox.problems import MCOProblem, SmoothComponent
+from moprox.svg import scatter_svg
 
 # the perfbench quad_m4 instance, registered on first use
 _QUAD_M4 = "bench-test-quad-m4"
@@ -263,6 +265,15 @@ class TestCampaign:
 
         assert untimed(pooled.raw) == untimed(serial.raw)
         assert pooled.pareto == serial.pareto
+        # every trace column but the wall times crosses the pool unchanged
+        fields = dataclasses.fields(moprox.TraceRecord)
+        columns = [f.name for f in fields if f.name != "time_s"]
+        for serial_trial, pooled_trial in zip(serial.reports, pooled.reports, strict=True):
+            for token, report in serial_trial.items():
+                got, want = pooled_trial[token].trace, report.trace
+                assert len(got) == len(want) > 0
+                for name in columns:
+                    np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
 
     def test_configs_built_once_per_token(self, monkeypatch):
         """Each distinct token is parsed into its SolverConfig once per
@@ -456,6 +467,22 @@ class TestExport:
         svg = (tmp_path / "pareto_values.svg").read_text()
         assert svg.lstrip().startswith("<svg")
         assert "F1" in svg and "F2" in svg
+
+    def test_svg_skips_nonfinite_points(self):
+        """An F = NaN row (an evaluation failure at the start) is not drawn and
+        does not turn the axis ticks into NaN, also when it comes first; a
+        series with no finite point keeps its legend entry."""
+        nan = float("nan")
+        svg = scatter_svg(
+            {"a": ([nan, 1.0, 2.0], [nan, 3.0, 4.0]), "b": ([nan], [1.0])},
+            "F1", "F2", "t",
+        )
+        assert "nan" not in svg
+        # two points of "a" and the two legend markers
+        assert svg.count("<circle") == 4
+        assert ">b</text>" in svg
+        finite = scatter_svg({"a": ([1.0, 2.0], [3.0, 4.0]), "b": ([], [])}, "F1", "F2", "t")
+        assert svg == finite
 
     def test_no_value_svg_for_three_objectives(
         self, tmp_path, three_objective_problem, capsys

@@ -1,18 +1,24 @@
 """Tests for the solver loop: mode semantics, monotonicity, trace integrity."""
 
+import dataclasses
 import functools
+import gc
+import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from moprox import direction, solvers
 from moprox.bb import BBConfig
+from moprox.bench import ExperimentSpec, run_campaign
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
-from moprox.solvers import SolverConfig, solve
+from moprox.solvers import SolverConfig, TraceRecord, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
 ALL_MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
+TRACE_FIELDS = tuple(f.name for f in dataclasses.fields(TraceRecord))
 
 
 def _diag_quadratic(diags, bs=None, bounds=None):
@@ -81,7 +87,7 @@ class TestBasicConvergence:
         report = solve(problem, np.zeros(2), SolverConfig(algorithm="bbpgmo"))
         assert report.status == "critical_point"
         assert report.iterations == 0
-        assert report.trace == []
+        assert len(report.trace) == 0
         assert np.isnan(report.stepsize_mean)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
@@ -546,13 +552,116 @@ class TestTraceIntegrity:
         np.testing.assert_array_equal(report.trace[-1].F, report.F)
 
     def test_fixed_alphas_shared_read_only(self):
-        """A fixed mode's alphas vector is one read-only array held by every
-        record, not a copy per iteration."""
+        """A fixed mode's alphas column repeats its one fixed vector in every
+        row, and is read-only."""
         problem = get_problem("JOS1a")
         report = solve(problem, np.full(problem.n, -1.5), SolverConfig(algorithm="pgmo_ls"))
-        first, second = report.trace[:2]
-        assert first.alphas is second.alphas
-        assert not first.alphas.flags.writeable
+        assert report.iterations >= 2
+        ones = np.ones((report.iterations, problem.m))
+        np.testing.assert_array_equal(report.trace.alphas, ones)
+        assert not report.trace.alphas.flags.writeable
+        assert not report.trace[1].alphas.flags.writeable
+
+    @staticmethod
+    def _assert_columns(trace, n, m):
+        """One read-only column per field: (k,) scalars, (k, n) x and (k, m)
+        vectors, inflations (k, m) ints in abbpgmo and None elsewhere."""
+        k = len(trace)
+        shapes = {"x": (k, n), "alphas": (k, m), "lam": (k, m), "F": (k, m),
+                  "model_decrease": (k, m), "inflations": (k, m)}
+        for name in TRACE_FIELDS:
+            column = getattr(trace, name)
+            if column is None and name == "inflations":
+                continue
+            assert column.shape == shapes.get(name, (k,)), name
+            ints = name in ("k", "backtracks", "inflations")
+            assert column.dtype == (int if ints else float), name
+            assert not column.flags.writeable, name
+
+    def test_column_shapes_dtypes_read_only(self):
+        spec = QuadraticSpec(n=4, n_objectives=3, xl=None, xu=None, g_kind="l1")
+        problem = random_quadratic(spec, seed=9)
+        for mode in ("bbpgmo", "abbpgmo"):
+            report = solve(problem, np.full(4, 1.1), SolverConfig(algorithm=mode))
+            assert report.iterations == len(report.trace) > 2
+            self._assert_columns(report.trace, 4, 3)
+
+    def test_zero_iteration_trace(self):
+        problem = _diag_quadratic([[1.0, 1.0], [2.0, 3.0]])
+        for mode in ("bbpgmo", "abbpgmo"):
+            report = solve(problem, np.zeros(2), SolverConfig(algorithm=mode))
+            assert report.iterations == len(report.trace) == 0
+            assert list(report.trace) == [] and report.trace[:2] == []
+            self._assert_columns(report.trace, 2, 2)
+            assert np.isnan(report.stepsize_mean)
+        assert report.trace.inflations.shape == (0, 2)
+
+    def test_rows_are_views_of_the_columns(self):
+        spec = QuadraticSpec(n=4, n_objectives=3, xl=None, xu=None, g_kind="l1")
+        problem = random_quadratic(spec, seed=9)
+        trace = solve(problem, np.full(4, 1.1), SolverConfig(algorithm="bbpgmo")).trace
+        rows = list(trace)
+        assert len(rows) == len(trace) > 2
+        for pos, rec in enumerate(rows):
+            assert type(rec.k) is int and rec.k == pos
+            assert type(rec.backtracks) is int and type(rec.d_norm) is float
+            for name in TRACE_FIELDS:
+                column = getattr(trace, name)
+                np.testing.assert_array_equal(
+                    getattr(rec, name), None if column is None else column[pos]
+                )
+            assert np.shares_memory(rec.x, trace.x) and not rec.lam.flags.writeable
+        for got, want in ((trace[0], rows[0]), (trace[-1], rows[-1]),
+                          *zip(trace[:2], rows[:2])):
+            for name in TRACE_FIELDS:
+                np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
+        assert len(trace[:2]) == 2 and trace[-1].k == len(trace) - 1
+        with pytest.raises(IndexError):
+            trace[len(trace)]
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_inflations_column_only_in_abbpgmo(self, mode):
+        spec = QuadraticSpec(n=5, n_objectives=2, diag_low=0.5, diag_high=60.0)
+        problem = random_quadratic(spec, seed=21)
+        trace = solve(problem, np.full(5, 1.2), SolverConfig(algorithm=mode)).trace
+        if mode != "abbpgmo":
+            assert trace.inflations is None
+            return
+        assert trace.inflations.shape == (len(trace), 2)
+        assert trace.inflations.dtype == int and trace.inflations.sum() > 0
+        assert not trace.inflations.flags.writeable
+
+    def test_pickle_round_trip(self):
+        spec = QuadraticSpec(n=5, n_objectives=2, diag_low=0.5, diag_high=60.0)
+        problem = random_quadratic(spec, seed=21)
+        report = solve(problem, np.full(5, 1.2), SolverConfig(algorithm="abbpgmo"))
+        copy = pickle.loads(pickle.dumps(report))
+        assert len(copy.trace) == len(report.trace) > 0
+        for name in TRACE_FIELDS:
+            column = getattr(copy.trace, name)
+            np.testing.assert_array_equal(column, getattr(report.trace, name))
+            assert not column.flags.writeable, name
+        np.testing.assert_array_equal(copy.trace[-1].x, report.trace[-1].x)
+
+    def test_reports_hold_few_bytes_per_iteration(self):
+        """A campaign's reports hold each trace field once per iteration, in a
+        few arrays per solve: under 400 B per iteration at n = 10, where a
+        record and five small arrays per iteration take about 890 B."""
+        spec = ExperimentSpec(problem="quadratic:n=10", trials=8, seed=0,
+                              algorithms=("bbpgmo", "pgmo_separate", "pgmo_mu"))
+        tracemalloc.start()
+        try:
+            summary = run_campaign(spec)
+            gc.collect()
+            held = tracemalloc.get_traced_memory()[0]
+            summary.reports = None
+            gc.collect()
+            held -= tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        iterations = sum(row["iterations"] for row in summary.raw)
+        assert iterations > 1000
+        assert held / iterations <= 400
 
     def test_counters_track_work(self):
         problem = get_problem("JOS1a")

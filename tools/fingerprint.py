@@ -6,7 +6,9 @@ nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 * a campaign line covers every SolveReport field and every trace record
   field except the wall times and the ``f_evals`` counter (a fixed multiple
   of successful smooth evaluations, which a checkout may not have), for
-  every trial and algorithm;
+  every trial and algorithm; a trace hashes as the list of its records, so
+  a list of TraceRecords and a columnar ``Trace`` with equal records give
+  the same line;
 * a kind line covers d, lambda, fw_gap, model_decrease, -omega (the dual
   optimum), d_norm and the prox-call count of 400 inputs with m = 1..5,
   each solved cold and with three warm starts (a random multiplier, a
@@ -41,6 +43,7 @@ import hashlib
 import itertools
 import os
 import sys
+from collections.abc import Sequence
 
 import numpy as np
 
@@ -50,13 +53,18 @@ _WORK = "prox_evals"
 
 
 def _feed(h, value, work):
-    """Hash value's bytes: arrays with dtype and shape, floats by hex. The
-    values of ``prox_evals`` fields go to the list ``work`` instead."""
+    """Hash value's bytes: arrays with dtype and shape, floats by hex, any
+    sequence (a columnar trace too) as the list of its items. The values of
+    ``prox_evals`` fields go to the list ``work`` instead."""
     if isinstance(value, np.ndarray):
         h.update(f"a{value.dtype}{value.shape}".encode())
         h.update(np.ascontiguousarray(value).tobytes())
     elif isinstance(value, float):
         h.update(b"f" + value.hex().encode())
+    elif isinstance(value, Sequence) and not isinstance(value, str):
+        h.update(f"l{len(value)}".encode())
+        for item in value:
+            _feed(h, item, work)
     elif dataclasses.is_dataclass(value):
         for f in dataclasses.fields(value):
             if f.name == _WORK:
@@ -64,10 +72,6 @@ def _feed(h, value, work):
             elif f.name not in _UNHASHED:
                 h.update(f"|{f.name}=".encode())
                 _feed(h, getattr(value, f.name), work)
-    elif isinstance(value, (list, tuple)):
-        h.update(f"l{len(value)}".encode())
-        for item in value:
-            _feed(h, item, work)
     elif isinstance(value, dict):
         h.update(f"d{len(value)}".encode())
         for key, item in value.items():
