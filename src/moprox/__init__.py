@@ -15,8 +15,7 @@ Typical use::
     print(report.status, report.iterations)
 
 The ``bench`` console script (``moprox.bench``) runs seeded benchmark
-campaigns and exports CSV/SVG artifacts; ``bench verify`` runs an invariant
-battery over random instances.
+campaigns and exports CSV/SVG artifacts.
 """
 
 from .bb import BBConfig
@@ -31,7 +30,6 @@ from .problems import (
     EvalCounters,
     MCOProblem,
     SmoothComponent,
-    check_jacobian,
 )
 from .prox import (
     BoxIndicator,
@@ -97,7 +95,6 @@ __all__ = [
     "Zero",
     "available_problems",
     "bk1",
-    "check_jacobian",
     "export_results",
     "get_problem",
     "jos1",

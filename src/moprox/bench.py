@@ -351,12 +351,6 @@ def _cmd_run(args, options):
     return 0
 
 
-def _cmd_verify(args):
-    from . import verify
-
-    return 0 if verify.run_all(seed=args.seed) else 1
-
-
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="bench",
@@ -396,17 +390,12 @@ def main(argv=None):
         "--list", action="store_true", help="list registry problems and exit"
     )
 
-    verifyp = sub.add_parser("verify", help="run the invariant check battery")
-    verifyp.add_argument("--seed", type=int, default=0)
-
     args = parser.parse_args(argv)
-    if args.command == "run":
-        if args.list:
-            for key in available_problems():
-                print(key)
-            return 0
-        return _cmd_run(args, options)
-    return _cmd_verify(args)
+    if args.list:
+        for key in available_problems():
+            print(key)
+        return 0
+    return _cmd_run(args, options)
 
 
 if __name__ == "__main__":

@@ -120,6 +120,9 @@ class MCOProblem:
             counters.F_evals += 1
         # smooth_values checks x's shape; g needs only the array
         F = self.smooth_values(x)
+        # g re-checks membership even for projected points: solve() relies on
+        # it to stop with evaluation_failure when a projection that lost
+        # precision returns a point off the set
         F += self.nonsmooth.g_values(np.asarray(x, dtype=float), self.m)
         if not all(map(math.isfinite, F)):
             i = int(np.isfinite(F).argmin())  # the first nonfinite entry
@@ -168,27 +171,3 @@ class MCOProblem:
         return (bool(np.isfinite(x).all()) and self.nonsmooth.contains(x)
                 and (self._box is None or self._box.contains(x)))
 
-
-def check_jacobian(problem, x, rel_step=1e-6, rtol=1e-5):
-    """Compare analytic gradients against central differences.
-
-    Returns the worst relative error; raises AssertionError above ``rtol``.
-    Step per coordinate is rel_step * (1 + |x_j|).
-    """
-    x = np.asarray(x, dtype=float)
-    J = problem.jacobian(x)
-    J_fd = np.empty_like(J)
-    for j in range(problem.n):
-        h = rel_step * (1.0 + abs(x[j]))
-        xp = x.copy()
-        xm = x.copy()
-        xp[j] += h
-        xm[j] -= h
-        fp = problem.smooth_values(xp)
-        fm = problem.smooth_values(xm)
-        J_fd[:, j] = (fp - fm) / (2.0 * h)
-    scale = np.maximum(np.abs(J), 1.0)
-    err = float(np.max(np.abs(J - J_fd) / scale))
-    if err > rtol:
-        raise AssertionError(f"jacobian mismatch: relative error {err:.3e} > {rtol:g}")
-    return err

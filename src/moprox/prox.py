@@ -53,7 +53,7 @@ def soft_threshold(v, kappa):
 
 def project_simplex(v):
     """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
-    v = np.asarray(v, dtype=float)
+    v0 = v = np.asarray(v, dtype=float)
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
     v = v - np.add.reduce(v) / v.size
@@ -68,7 +68,13 @@ def project_simplex(v):
         if ui - t > 0.0:
             theta = t
     if theta is None:
-        raise ValueError("simplex projection needs a finite vector")
+        if not np.isfinite(v0).all():
+            raise ValueError("simplex projection needs a finite vector")
+        # a spread of 2**53 or more leaves no sorted entry above its
+        # threshold; the projection's float limit is the vertex of the
+        # largest entry, shared evenly among ties
+        top = v0 == v0.max()
+        return top / np.add.reduce(top)
     v -= theta
     return np.maximum(v, 0.0, out=v)
 

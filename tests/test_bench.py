@@ -649,11 +649,12 @@ class TestCLI:
         assert code == 1
         assert "hard failure" in capsys.readouterr().err
 
-    def test_verify_battery(self, capsys):
-        assert main(["verify", "--seed", "0"]) == 0
-        printed = capsys.readouterr().out
-        assert printed.count("[PASS]") == 7
-        assert "all checks passed" in printed
+    def test_run_is_the_only_command(self, capsys):
+        """The invariant checks live in the test suite; ``verify`` is unknown."""
+        with pytest.raises(SystemExit) as exc:
+            main(["verify"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'verify'" in capsys.readouterr().err
 
 
 def test_package_import_defers_bench():

@@ -21,6 +21,7 @@ from moprox.direction import (
 from moprox.exceptions import DualSolveError
 from moprox.problems import EvalCounters
 from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
+from moprox.testproblems import QuadraticSpec, random_quadratic
 
 
 def _random_input(rng, n=4, m=3, kind=None, x=None):
@@ -244,6 +245,23 @@ class TestSolutionCertificates:
             res = frank_wolfe_solve(inp)
             bound = inp.alphas * (res.fw_gap - res.d_norm**2)
             assert np.all(res.model_decrease <= bound + 1e-10)
+
+    def test_absolute_certificate_on_random_quadratics(self):
+        """On random_quadratic instances (l1 and box, n = 5) at m = 2 and 3,
+        model_i + alpha_i ||d||^2 <= 1e-8 outright, and the primal value of d
+        equals the dual optimum -omega to max(1e-8, 10 gap)."""
+        rng = np.random.default_rng(0)
+        for m in (2,) * 25 + (3,) * 25:
+            problem = random_quadratic(QuadraticSpec(n=5, n_objectives=m), rng)
+            x = rng.uniform(-2.0, 2.0, size=5)
+            inp = SubproblemInput(x=x, grads=problem.jacobian(x),
+                                  alphas=rng.uniform(0.1, 10.0, size=m),
+                                  kind=problem.nonsmooth)
+            res = frank_wolfe_solve(inp)
+            d_sq = res.d_norm**2
+            assert np.max(res.model_decrease + inp.alphas * d_sq) <= 1e-8, m
+            primal = np.max(res.model_decrease / inp.alphas) + 0.5 * d_sq
+            assert abs(primal + res.omega) <= max(1e-8, 10.0 * res.fw_gap), m
 
     def test_scaled_decreases_equal_on_active_set(self):
         """Active multipliers equalize model_i / alpha_i at the optimum."""

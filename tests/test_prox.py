@@ -140,6 +140,14 @@ class TestProjectSimplex:
         for v in cases:
             assert np.array_equal(project_simplex(v), wrapper_form(v))
 
+    def test_spread_beyond_float_resolution(self):
+        """At a spread of 2**53 or more no threshold resolves: the result is
+        the float limit, the vertex of the largest entry, ties split evenly."""
+        np.testing.assert_array_equal(project_simplex([1e17, -1e17, 0.0, 0.0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(project_simplex([1e17, 1e17, -1e17, 0.0]), [0.5, 0.5, 0, 0])
+        with np.errstate(over="ignore", invalid="ignore"):  # the centring sum overflows
+            np.testing.assert_array_equal(project_simplex([1.7e308, 1.7e308]), [0.5, 0.5])
+
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, bad):
         v = np.zeros(3)

@@ -54,6 +54,22 @@ def _sqrt_problem(**known):
     return MCOProblem(n=1, smooth=(sqrt, shifted))
 
 
+def _linear_simplex_problem(c1, c2):
+    """f_i = c_i' x on the unit simplex in R^4, with L_i = mu_i = 1e-12: the
+    modes whose stepsizes are L_i or mu_i scale the gradients by 1e12 before
+    projecting."""
+    comps = tuple(
+        SmoothComponent(
+            value=lambda x, c=np.array(c, dtype=float): float(np.dot(c, x)),
+            gradient=lambda x, c=np.array(c, dtype=float): c.copy(),
+            lipschitz=1e-12,
+            strong_mu=1e-12,
+        )
+        for c in (c1, c2)
+    )
+    return MCOProblem(n=4, smooth=comps, nonsmooth=SimplexIndicator())
+
+
 def _recording_problem(mu=1.0):
     """Two copies of f = 0.5 ||x||^2 on R^2 with L = 1 and modulus mu; each
     call of f or its gradient is appended to the returned list."""
@@ -119,6 +135,19 @@ class TestMonotonicity:
         for rec in report.trace:
             assert np.all(rec.F <= F_prev + 1e-10 * np.maximum(1.0, np.abs(F_prev)))
             F_prev = rec.F
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_absolute_decrease_on_random_quadratics(self, mode):
+        """A default random_quadratic instance (n = 6, l1 and box): no
+        objective rises by more than 1e-10 in absolute terms, and the solve
+        ends at a critical point."""
+        rng = np.random.default_rng(0)
+        problem = random_quadratic(QuadraticSpec(n=6), rng)
+        x0 = rng.uniform(-2.0, 2.0, size=6)
+        report = solve(problem, x0, SolverConfig(algorithm=mode))
+        assert report.status == "critical_point"
+        F = np.vstack([problem.evaluate_F(x0), report.trace.F])
+        assert np.all(np.diff(F, axis=0) <= 1e-10)
 
 
 class TestDeterminism:
@@ -408,6 +437,34 @@ class TestStopsThatReturnAStatus:
         assert report.warnings == ["accepted step underflowed; iterate unchanged"]
         assert report.iterations == 0
         np.testing.assert_array_equal(report.x, [1e5])
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_projection_beyond_float_resolution(self, mode):
+        """With c1 = (1e5, -1e5, 0, 0) and c2 = (0, 1e5, -1e5, 0) pgmo_fixed,
+        pgmo_separate and pgmo_mu project vectors whose spread is about 2e17,
+        beyond float resolution: project_simplex returns its float limit, a
+        vertex, so every mode returns a status with a feasible x instead of
+        raising (pgmo_mu's direction is not a descent direction in every
+        objective, so its line search stops at k = 0)."""
+        problem = _linear_simplex_problem((1e5, -1e5, 0.0, 0.0), (0.0, 1e5, -1e5, 0.0))
+        report = solve(problem, np.full(4, 0.25), SolverConfig(algorithm=mode))
+        assert report.status in ("critical_point", "line_search_failure")
+        assert problem.is_feasible(report.x)
+
+    @pytest.mark.parametrize("mode", ALL_MODES)
+    def test_projection_off_the_simplex_is_caught(self, mode):
+        """With c1 = (3e3, -1e3, 0, 2e3) and c2 = (-2e3, 1e3, 5e2, 0) the
+        projected trial point of pgmo_fixed and pgmo_separate lies off the
+        simplex (the projection loses precision at a spread of order 1e15). The
+        membership re-check in evaluate_F turns it into evaluation_failure
+        at k = 0; no mode accepts an infeasible iterate."""
+        problem = _linear_simplex_problem((3e3, -1e3, 0.0, 2e3), (-2e3, 1e3, 5e2, 0.0))
+        report = solve(problem, np.full(4, 0.25), SolverConfig(algorithm=mode))
+        if mode in ("pgmo_fixed", "pgmo_separate"):
+            assert report.status == "evaluation_failure"
+            assert report.iterations == 0
+        assert problem.is_feasible(report.x)
+        assert all(problem.is_feasible(rec.x) for rec in report.trace)
 
     def test_iterate_outside_the_kind_domain_raises(self):
         """Bounds that cut the simplex away leave no feasible start: the
