@@ -51,14 +51,10 @@ def soft_threshold(v, kappa):
     return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
-def project_simplex(v):
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
-    v0 = v = np.asarray(v, dtype=float)
-    # the projection is invariant to uniform shifts; centering first keeps
-    # full float resolution when v carries a large common offset
-    v = v - np.add.reduce(v) / v.size
-    # the threshold of the last sorted entry that stays positive; a float
-    # loop costs half of the equivalent numpy calls at the sizes solved here
+def _simplex_threshold(v):
+    """The threshold of the last sorted entry of v that stays positive, or
+    None when none does; a float loop costs half of the equivalent numpy
+    calls at the sizes solved here."""
     theta = None
     css = k = 0.0
     for ui in sorted(v.tolist(), reverse=True):
@@ -67,14 +63,24 @@ def project_simplex(v):
         t = (css - 1.0) / k
         if ui - t > 0.0:
             theta = t
+    return theta
+
+
+def project_simplex(v):
+    """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
+    v0 = v = np.asarray(v, dtype=float)
+    # the projection is invariant to uniform shifts; centering first keeps
+    # full float resolution when v carries a large common offset
+    v = v - np.add.reduce(v) / v.size
+    theta = _simplex_threshold(v)
     if theta is None:
         if not np.isfinite(v0).all():
             raise ValueError("simplex projection needs a finite vector")
-        # a spread of 2**53 or more leaves no sorted entry above its
-        # threshold; the projection's float limit is the vertex of the
-        # largest entry, shared evenly among ties
-        top = v0 == v0.max()
-        return top / np.add.reduce(top)
+        # at a spread of 2**53 or more the mean can absorb the top entries;
+        # shifting by the maximum keeps them at full resolution, and the
+        # shifted top entry 0 always stays above its threshold -1
+        v = v0 - v0.max()
+        theta = _simplex_threshold(v)
     v -= theta
     return np.maximum(v, 0.0, out=v)
 

@@ -7,6 +7,7 @@ from moprox.exceptions import EvaluationError
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.problems import MCOProblem, SmoothComponent
 from moprox.prox import SimplexIndicator
+from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
 
@@ -121,6 +122,23 @@ class TestScalingLaws:
             scale = max(1.0, w_ell, w_r)
             assert w_r <= w_ell + 1e-8 * scale
             assert w_ell <= (r / ell) * w_r + 1e-8 * scale
+
+    @pytest.mark.parametrize("seed", range(5))
+    def test_half_curvature_sandwich_on_solved_l1_quadratics(self, seed):
+        """On an l1 random_quadratic (n = 4): w_1 <= 1e-8 at the point solve()
+        returns, w_1 > 1e-8 at a random point, and there w_1 <= w_{1/2} <=
+        2 w_1 to 1e-12 in absolute terms."""
+        rng = np.random.default_rng(seed)
+        problem = random_quadratic(QuadraticSpec(n=4, g_kind="l1"), rng)
+        report = solve(problem, rng.uniform(-2.0, 2.0, size=4), SolverConfig(d_tol=1e-10))
+        alphas = np.ones(2)
+        assert merit_gap(problem, report.x, alphas) <= 1e-8
+        x = rng.uniform(-2.0, 2.0, size=4)
+        w_one = merit_gap(problem, x, alphas)
+        w_half = merit_gap(problem, x, alphas, ell=0.5)
+        assert w_one > 1e-8
+        assert w_one <= w_half + 1e-12
+        assert w_half <= 2.0 * w_one + 1e-12
 
     def test_weight_ordering(self):
         """Componentwise alpha2 <= alpha1 implies

@@ -16,7 +16,7 @@ from moprox.prox import (
 
 
 def _simplex_qp_oracle(v):
-    """Projection onto the simplex by enumerating KKT active sets (n <= 4).
+    """Projection onto the simplex by enumerating KKT active sets (small n).
 
     For support S the candidate is v_S - (sum(v_S) - 1)/|S| on S and zero
     elsewhere; the optimal one is feasible and satisfies the multiplier
@@ -88,6 +88,15 @@ class TestProjectSimplex:
                 project_simplex(v), _simplex_qp_oracle(v), atol=1e-10
             )
 
+    def test_matches_active_set_oracle_up_to_n8(self):
+        """The oracle enumerates 2**n supports, so larger n gets fewer draws."""
+        rng = np.random.default_rng(0)
+        for _ in range(50):
+            v = rng.normal(size=rng.integers(5, 9)) * 10.0
+            np.testing.assert_allclose(
+                project_simplex(v), _simplex_qp_oracle(v), atol=1e-10
+            )
+
     def test_uniform_shift_invariance(self):
         """P(v + c*1) = P(v) up to the roundoff of the shift itself."""
         rng = np.random.default_rng(4)
@@ -141,12 +150,18 @@ class TestProjectSimplex:
             assert np.array_equal(project_simplex(v), wrapper_form(v))
 
     def test_spread_beyond_float_resolution(self):
-        """At a spread of 2**53 or more no threshold resolves: the result is
-        the float limit, the vertex of the largest entry, ties split evenly."""
+        """At a spread of 2**53 or more the mean-centred copy resolves no
+        threshold; the projection is then taken after shifting by the
+        maximum, which keeps the top entries exact."""
         np.testing.assert_array_equal(project_simplex([1e17, -1e17, 0.0, 0.0]), [1, 0, 0, 0])
         np.testing.assert_array_equal(project_simplex([1e17, 1e17, -1e17, 0.0]), [0.5, 0.5, 0, 0])
+        # one very negative entry: the mean absorbs the three top entries
+        np.testing.assert_allclose(
+            project_simplex([0.5, 0.3, 0.2, -3e17]), [0.5, 0.3, 0.2, 0.0], rtol=0, atol=1e-15
+        )
         with np.errstate(over="ignore", invalid="ignore"):  # the centring sum overflows
             np.testing.assert_array_equal(project_simplex([1.7e308, 1.7e308]), [0.5, 0.5])
+            np.testing.assert_array_equal(project_simplex([1.7e308, -1.7e308]), [1, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_nonfinite_input_rejected(self, bad):

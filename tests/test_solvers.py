@@ -442,14 +442,25 @@ class TestStopsThatReturnAStatus:
     def test_projection_beyond_float_resolution(self, mode):
         """With c1 = (1e5, -1e5, 0, 0) and c2 = (0, 1e5, -1e5, 0) pgmo_fixed,
         pgmo_separate and pgmo_mu project vectors whose spread is about 2e17,
-        beyond float resolution: project_simplex returns its float limit, a
-        vertex, so every mode returns a status with a feasible x instead of
-        raising (pgmo_mu's direction is not a descent direction in every
+        beyond float resolution: project_simplex shifts them by their
+        maximum and returns a vertex, so every mode returns a status with a
+        feasible x instead of raising (pgmo_mu's direction is not a descent direction in every
         objective, so its line search stops at k = 0)."""
         problem = _linear_simplex_problem((1e5, -1e5, 0.0, 0.0), (0.0, 1e5, -1e5, 0.0))
         report = solve(problem, np.full(4, 0.25), SolverConfig(algorithm=mode))
         assert report.status in ("critical_point", "line_search_failure")
         assert problem.is_feasible(report.x)
+
+    @pytest.mark.parametrize("mode", ["pgmo_fixed", "pgmo_mu", "pgmo_separate"])
+    def test_projection_of_one_large_gradient_component(self, mode):
+        """With c1 = c2 = (0, 0, 0, 3e5) the first trial point projects
+        x0 - 3e17 e_3, whose mean swamps the three top entries: the step
+        still lands on the exact projection of x0's first three entries,
+        not on a vertex."""
+        problem = _linear_simplex_problem((0.0, 0.0, 0.0, 3e5), (0.0, 0.0, 0.0, 3e5))
+        report = solve(problem, np.array([0.4, 0.3, 0.2, 0.1]), SolverConfig(algorithm=mode))
+        assert report.status == "critical_point"
+        np.testing.assert_allclose(report.x, [13 / 30, 1 / 3, 7 / 30, 0.0], rtol=0, atol=1e-12)
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_projection_off_the_simplex_is_caught(self, mode):
