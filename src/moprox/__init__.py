@@ -18,13 +18,11 @@ The ``bench`` console script (``moprox.bench``) runs seeded benchmark
 campaigns and exports CSV/SVG artifacts.
 """
 
-from .bb import BBConfig
 from .exceptions import (
     DualSolveError,
     EvaluationError,
     UnknownProblemError,
 )
-from .linesearch import LineSearchConfig
 from .merit import merit_gap, weak_pareto_gap_grid
 from .problems import (
     EvalCounters,
@@ -74,14 +72,12 @@ def __getattr__(name):
 
 
 __all__ = [
-    "BBConfig",
     "BoxIndicator",
     "DualSolveError",
     "EvalCounters",
     "EvaluationError",
     "ExperimentSpec",
     "ExperimentSummary",
-    "LineSearchConfig",
     "MCOProblem",
     "QuadraticSpec",
     "SimplexIndicator",

@@ -19,28 +19,16 @@ enter, so ``bb_stepsizes`` checks nothing.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass
-
 import numpy as np
 
 _ZERO_CURVATURE_REL = 1e-14
 
 
-@dataclass(frozen=True)
-class BBConfig:
-    alpha_min: float = 1e-3
-    alpha_max: float = 1e3
-
-    def __post_init__(self):
-        if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
-            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
-
-
-def bb_stepsizes(x_prev, grads_prev, x, grads, config):
+def bb_stepsizes(x_prev, grads_prev, x, grads, cfg):
     """(m,) array of alpha_i from the secant pair (x_prev, grads_prev) ->
     (x, grads): float arrays with x != x_prev, which ``solve()`` guarantees
-    (it stops before a step that leaves the iterate unchanged)."""
+    (it stops before a step that leaves the iterate unchanged); ``cfg`` is a
+    ``SolverConfig``, read for its clamp alpha_min, alpha_max."""
     s = x - x_prev
     ss = float(np.dot(s, s))
     s_norm = np.sqrt(ss)
@@ -48,7 +36,7 @@ def bb_stepsizes(x_prev, grads_prev, x, grads, config):
     sy = Y @ s
     y_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y))
 
-    lo, hi = config.alpha_min, config.alpha_max
+    lo, hi = cfg.alpha_min, cfg.alpha_max
     alphas = np.full(sy.size, lo)  # flat or NaN curvature
     near_zero = np.abs(sy) <= _ZERO_CURVATURE_REL * s_norm * y_norms
     positive = (sy > 0.0) & ~near_zero

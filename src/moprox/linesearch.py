@@ -14,24 +14,9 @@ and a cap t_cap >= 1e-12, so nothing here checks them again.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .exceptions import EvaluationError, LineSearchError
-
-
-@dataclass(frozen=True)
-class LineSearchConfig:
-    sigma: float = 1e-4
-    gamma: float = 0.5
-    max_backtracks: int = 60
-
-    def __post_init__(self):
-        if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
-            raise ValueError("need sigma, gamma in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
 
 
 def max_feasible_step(x, d, lower, upper):
@@ -51,6 +36,7 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg, t_cap=1.0, counters=None):
 
     ``backtracks`` counts rejected trials; every trial costs one F evaluation
     on the counters. A trial with a nonfinite F is rejected like any other.
+    ``cfg`` is a ``SolverConfig``: sigma, gamma and max_backtracks are read.
     """
     # a capped dual accepted within the descent slack can hand over a model
     # decrease >= 0 in some component

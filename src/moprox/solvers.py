@@ -27,14 +27,14 @@ from __future__ import annotations
 import math
 import time
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .bb import BBConfig, bb_stepsizes
+from .bb import bb_stepsizes
 from .direction import SubproblemInput, frank_wolfe_solve
 from .exceptions import DualSolveError, EvaluationError, LineSearchError
-from .linesearch import LineSearchConfig, armijo_search, max_feasible_step
+from .linesearch import armijo_search, max_feasible_step
 from .problems import EvalCounters
 
 _MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
@@ -54,8 +54,11 @@ class SolverConfig:
     algorithm: str = "bbpgmo"
     ell: float | None = None        # pgmo_ls / pgmo_fixed stepsize parameter
     tau: float = 2.0                # abbpgmo inflation factor
-    bb: BBConfig = field(default_factory=BBConfig)
-    ls: LineSearchConfig = field(default_factory=LineSearchConfig)
+    alpha_min: float = 1e-3         # BB clamp [alpha_min, alpha_max]
+    alpha_max: float = 1e3
+    sigma: float = 1e-4             # Armijo sufficient decrease fraction
+    gamma: float = 0.5              # Armijo backtracking factor
+    max_backtracks: int = 60
     d_tol: float = 1e-6
     max_iters: int = 500
 
@@ -65,6 +68,12 @@ class SolverConfig:
             raise ValueError("d_tol must be positive and max_iters >= 1")
         if not 1.0 < self.tau < math.inf:
             raise ValueError("tau must be finite and exceed 1")
+        if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
+            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
+        if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
+            raise ValueError("need sigma, gamma in (0, 1)")
+        if self.max_backtracks < 0:
+            raise ValueError("max_backtracks must be nonnegative")
 
 
 @dataclass
@@ -304,7 +313,7 @@ def solve(problem, x0, cfg=None):
         for k in range(cfg.max_iters):
             iter_started = time.perf_counter()
             if alphas_fixed is None:
-                alphas = bb_stepsizes(x_prev, grads_prev, x, grads, cfg.bb)
+                alphas = bb_stepsizes(x_prev, grads_prev, x, grads, cfg)
             else:
                 alphas = alphas_fixed
             inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
@@ -352,7 +361,7 @@ def solve(problem, x0, cfg=None):
             if mode in _LINE_SEARCH_MODES:
                 try:
                     t, F_new, backtracks = armijo_search(
-                        problem, x, res.d, F, res.model_decrease, cfg.ls, t_cap, counters
+                        problem, x, res.d, F, res.model_decrease, cfg, t_cap, counters
                     )
                 except LineSearchError as err:
                     status = "line_search_failure"

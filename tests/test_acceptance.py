@@ -17,7 +17,6 @@ from moprox.direction import (
     SubproblemInput,
     frank_wolfe_solve,
 )
-from moprox.linesearch import LineSearchConfig
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.prox import WeightedL1, Zero
 from moprox.solvers import SolverConfig, solve
@@ -183,7 +182,7 @@ def test_criterion_04_descent_certificate(all_summaries):
 
 
 def test_criterion_05_stepsize_floor():
-    ls = LineSearchConfig()
+    ls = SolverConfig()
     rng = np.random.default_rng(77)
     violations = 0
     total = 0
@@ -541,7 +540,7 @@ def test_criterion_09_adaptive_stepsize_bound():
         with np.errstate(divide="ignore"):
             caps = np.where(
                 curved,
-                np.ceil(np.log(np.maximum(Ls, cfg.bb.alpha_min) / cfg.bb.alpha_min)
+                np.ceil(np.log(np.maximum(Ls, cfg.alpha_min) / cfg.alpha_min)
                         / np.log(cfg.tau)) + 1,
                 0,
             )

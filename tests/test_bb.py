@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from moprox.bb import BBConfig, bb_stepsizes
+from moprox.bb import bb_stepsizes
+from moprox.solvers import SolverConfig
 
 
 def _pair_from_hessians(hessians, x_prev, x):
@@ -21,7 +22,7 @@ class TestSecantBranches:
         x_prev = np.array([0.0, 0.0])
         x = np.array([1.0, 0.0])
         grads_prev, grads = _pair_from_hessians([H1, H2], x_prev, x)
-        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())
         np.testing.assert_allclose(alphas, [2.0, 7.0])
 
     def test_rayleigh_quotient_for_general_step(self):
@@ -35,14 +36,14 @@ class TestSecantBranches:
             grads_prev, grads = _pair_from_hessians([H], x_prev, x)
             s = x - x_prev
             expect = float(s @ H @ s / (s @ s))
-            got = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())[0]
+            got = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())[0]
             assert got == pytest.approx(np.clip(expect, 1e-3, 1e3), rel=1e-12)
 
     def test_linear_objective_hits_floor(self):
         """Zero gradient change means no curvature signal: alpha_min."""
         grads_prev = np.array([[3.0, -1.0]])
         alphas = bb_stepsizes(
-            np.zeros(2), grads_prev, np.array([0.7, 0.2]), grads_prev.copy(), BBConfig()
+            np.zeros(2), grads_prev, np.array([0.7, 0.2]), grads_prev.copy(), SolverConfig()
         )
         assert alphas[0] == 1e-3
 
@@ -51,7 +52,7 @@ class TestSecantBranches:
         grads_prev = np.array([[0.0, 1.0]])
         grads = np.array([[0.0, 2.0]])  # y = (0, 1), s = (1, 0)
         alphas = bb_stepsizes(
-            np.zeros(2), grads_prev, np.array([1.0, 0.0]), grads, BBConfig()
+            np.zeros(2), grads_prev, np.array([1.0, 0.0]), grads, SolverConfig()
         )
         assert alphas[0] == 1e-3
 
@@ -61,7 +62,7 @@ class TestSecantBranches:
         x_prev = np.array([1.0, 1.0])
         x = np.array([2.0, 1.0])
         grads_prev, grads = _pair_from_hessians([H], x_prev, x)
-        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())
         assert alphas[0] == pytest.approx(4.0)
 
     def test_clamped_to_bounds(self):
@@ -70,7 +71,7 @@ class TestSecantBranches:
         x_prev = np.zeros(2)
         x = np.array([1.0, 0.0])
         grads_prev, grads = _pair_from_hessians([H_big, H_small], x_prev, x)
-        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())
         np.testing.assert_allclose(alphas, [1e3, 1e-3])
 
     def test_step_scale_invariance(self):
@@ -83,7 +84,7 @@ class TestSecantBranches:
             x_prev = np.zeros(3)
             x = c * d
             grads_prev, grads = _pair_from_hessians([H], x_prev, x)
-            val = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())[0]
+            val = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())[0]
             if base is None:
                 base = val
             assert val == pytest.approx(base, rel=1e-12)
@@ -92,18 +93,18 @@ class TestSecantBranches:
 class TestEdgeCases:
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            BBConfig(alpha_min=0.0)
+            SolverConfig(alpha_min=0.0)
         with pytest.raises(ValueError):
-            BBConfig(alpha_min=2.0, alpha_max=1.0)
+            SolverConfig(alpha_min=2.0, alpha_max=1.0)
         # infinite bounds are refused here, so every BB stepsize is finite
         for bounds in ((1e-3, np.inf), (np.inf, np.inf)):
             with pytest.raises(ValueError, match="alpha_max < inf"):
-                BBConfig(*bounds)
+                SolverConfig(alpha_min=bounds[0], alpha_max=bounds[1])
 
     def test_nan_curvature_hits_floor(self):
         """A NaN gradient change gives a NaN <s, y_i>, which is neither flat
         nor signed: alpha_min, like a flat objective."""
-        cfg = BBConfig(alpha_min=0.1, alpha_max=10.0)
+        cfg = SolverConfig(alpha_min=0.1, alpha_max=10.0)
         grads = np.array([[np.nan, 1.0], [4.0, 0.0]])
         alphas = bb_stepsizes(
             np.zeros(2), np.zeros((2, 2)), np.array([1.0, 0.0]), grads, cfg
@@ -115,7 +116,7 @@ class TestEdgeCases:
         x_prev = np.zeros(2)
         x = np.array([1.0, 0.0])
         grads_prev, grads = _pair_from_hessians([H], x_prev, x)
-        cfg = BBConfig(alpha_min=0.1, alpha_max=10.0)
+        cfg = SolverConfig(alpha_min=0.1, alpha_max=10.0)
         assert bb_stepsizes(x_prev, grads_prev, x, grads, cfg)[0] == 10.0
 
     def test_mixed_objectives_handled_independently(self):
@@ -125,6 +126,6 @@ class TestEdgeCases:
         x = np.array([0.5, 0.0])
         grads_prev = np.array([[1.0, 1.0], [0.0, 0.0]])
         grads = np.vstack([[1.0, 1.0], H @ x])
-        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, BBConfig())
+        alphas = bb_stepsizes(x_prev, grads_prev, x, grads, SolverConfig())
         assert alphas[0] == 1e-3
         assert alphas[1] == pytest.approx(6.0)

@@ -6,9 +6,11 @@ import re
 import moprox
 
 # internal since solve() became the only boundary of the solver stack;
-# check_jacobian moved into tests/test_problems.py, its only caller
+# check_jacobian moved into tests/test_problems.py, its only caller; the BB
+# and line-search settings are fields of SolverConfig
 REMOVED = ("BBMemory", "DegenerateStepError", "FWConfig", "LineSearchError",
-           "armijo_search", "bb_stepsizes", "max_feasible_step", "check_jacobian")
+           "armijo_search", "bb_stepsizes", "max_feasible_step", "check_jacobian",
+           "BBConfig", "LineSearchConfig")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from moprox.exceptions import LineSearchError
-from moprox.linesearch import LineSearchConfig, armijo_search, max_feasible_step
+from moprox.linesearch import armijo_search, max_feasible_step
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
+from moprox.solvers import SolverConfig
 
 
 def _quadratic_problem(curvatures):
@@ -108,14 +109,14 @@ class TestArmijoSearch:
         d = -x  # direction from the subproblem with alpha = L = 1
         F = problem.evaluate_F(x)
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
-        t, F_new, backtracks = armijo_search(problem, x, d, F, rhs, LineSearchConfig())
+        t, F_new, backtracks = armijo_search(problem, x, d, F, rhs, SolverConfig())
         assert t == 1.0
         assert backtracks == 0
         np.testing.assert_allclose(F_new, [0.0], atol=1e-15)
 
     def test_stepsize_floor(self):
         """Accepted t never falls below 2 gamma (1 - sigma) alpha / L."""
-        cfg = LineSearchConfig()
+        cfg = SolverConfig()
         rng = np.random.default_rng(18)
         for L in (1.0, 10.0, 100.0):
             problem = _quadratic_problem([L])
@@ -138,7 +139,7 @@ class TestArmijoSearch:
         with pytest.raises(LineSearchError):
             armijo_search(
                 problem, x, x.copy(), problem.evaluate_F(x), np.array([1.0]),
-                LineSearchConfig(),
+                SolverConfig(),
             )
 
     def test_zero_rhs_rejected(self):
@@ -147,7 +148,7 @@ class TestArmijoSearch:
         with pytest.raises(LineSearchError):
             armijo_search(
                 problem, x, -x, problem.evaluate_F(x), np.array([0.0]),
-                LineSearchConfig(),
+                SolverConfig(),
             )
 
     def test_every_trial_counts_one_feval(self):
@@ -157,7 +158,7 @@ class TestArmijoSearch:
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
         counters = EvalCounters()
         t, _F, backtracks = armijo_search(
-            problem, x, d, problem.evaluate_F(x), rhs, LineSearchConfig(),
+            problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(),
             counters=counters,
         )
         assert backtracks > 0
@@ -175,7 +176,7 @@ class TestArmijoSearch:
         counters = EvalCounters()
         with np.errstate(invalid="ignore"):
             t, F, backtracks = armijo_search(
-                problem, x, d, problem.evaluate_F(x), rhs, LineSearchConfig(),
+                problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(),
                 counters=counters,
             )
         assert (t, backtracks) == (0.5, 1)
@@ -189,13 +190,13 @@ class TestArmijoSearch:
         d = -x
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
         t, _F, backtracks = armijo_search(
-            problem, x, d, problem.evaluate_F(x), rhs, LineSearchConfig(), t_cap=0.375
+            problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(), t_cap=0.375
         )
         assert t == 0.375
         assert backtracks == 0
 
     def test_exhaustion_raises_with_context(self):
-        cfg = LineSearchConfig(max_backtracks=3)
+        cfg = SolverConfig(max_backtracks=3)
         problem = _quadratic_problem([1e6])
         x = np.array([1.0, 0.0])
         d = -1e3 * x
@@ -205,8 +206,8 @@ class TestArmijoSearch:
 
     def test_config_validation(self):
         with pytest.raises(ValueError):
-            LineSearchConfig(sigma=0.0)
+            SolverConfig(sigma=0.0)
         with pytest.raises(ValueError):
-            LineSearchConfig(gamma=1.0)
+            SolverConfig(gamma=1.0)
         with pytest.raises(ValueError):
-            LineSearchConfig(max_backtracks=-1)
+            SolverConfig(max_backtracks=-1)

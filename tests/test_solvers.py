@@ -10,7 +10,6 @@ import numpy as np
 import pytest
 
 from moprox import direction, solvers
-from moprox.bb import BBConfig
 from moprox.bench import ExperimentSpec, run_campaign
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
@@ -176,7 +175,7 @@ class TestDeterminism:
         b = solve(
             problem_b,
             x0,
-            SolverConfig(algorithm="bbpgmo", bb=BBConfig(alpha_min=c, alpha_max=c)),
+            SolverConfig(algorithm="bbpgmo", alpha_min=c, alpha_max=c),
         )
         assert a.status == b.status
         assert a.iterations == b.iterations
@@ -339,7 +338,7 @@ class TestStopsThatReturnAStatus:
         assert report.status == "line_search_failure"
         assert 0.0 <= report.x[0] < 1e-6
         trials = sum(rec.backtracks + 1 for rec in report.trace)
-        assert report.counters.F_evals == trials + cfg.ls.max_backtracks + 1
+        assert report.counters.F_evals == trials + cfg.max_backtracks + 1
 
     @pytest.mark.parametrize("x0", (0.2, 2.0))
     @pytest.mark.parametrize("mode", ("pgmo_fixed", "pgmo_separate"))
