@@ -120,9 +120,9 @@ class MCOProblem:
             counters.F_evals += 1
         # smooth_values checks x's shape; g needs only the array
         F = self.smooth_values(x)
-        # g re-checks membership even for projected points: solve() relies on
-        # it to stop with evaluation_failure when a projection that lost
-        # precision returns a point off the set
+        # g re-checks membership even for projected points, so a trial point
+        # that roundoff put off the set ends a solve with evaluation_failure
+        # instead of becoming an iterate
         F += self.nonsmooth.g_values(np.asarray(x, dtype=float), self.m)
         if not all(map(math.isfinite, F)):
             i = int(np.isfinite(F).argmin())  # the first nonfinite entry

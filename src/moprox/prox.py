@@ -41,6 +41,10 @@ import numpy as np
 # to roundoff, and iterates re-enter these checks after arithmetic.
 _SIMPLEX_FEAS_TOL = 1e-9
 _BOX_FEAS_TOL = 1e-12
+# largest top entry of a mean-centred vector that project_simplex thresholds
+# as it is: above it the mean lies far below the top entries and rounds them
+# (every fingerprint input stays under 106)
+_CENTRED_TOP_MAX = 1e3
 
 
 def soft_threshold(v, kappa):
@@ -53,11 +57,15 @@ def soft_threshold(v, kappa):
 
 def _simplex_threshold(v):
     """The threshold of the last sorted entry of v that stays positive, or
-    None when none does; a float loop costs half of the equivalent numpy
-    calls at the sizes solved here."""
+    None when none does or the largest entry is not at most _CENTRED_TOP_MAX;
+    a float loop costs half of the equivalent numpy calls at the sizes solved
+    here."""
+    u = sorted(v.tolist(), reverse=True)
+    if u and not u[0] <= _CENTRED_TOP_MAX:  # NaN too
+        return None
     theta = None
     css = k = 0.0
-    for ui in sorted(v.tolist(), reverse=True):
+    for ui in u:
         css += ui
         k += 1.0
         t = (css - 1.0) / k
@@ -76,9 +84,9 @@ def project_simplex(v):
     if theta is None:
         if not np.isfinite(v0).all():
             raise ValueError("simplex projection needs a finite vector")
-        # at a spread of 2**53 or more the mean can absorb the top entries;
-        # shifting by the maximum keeps them at full resolution, and the
-        # shifted top entry 0 always stays above its threshold -1
+        # at a large spread the mean can absorb the top entries; shifting by
+        # the maximum keeps them at full resolution, and the shifted top
+        # entry 0 always stays above its threshold -1
         v = v0 - v0.max()
         theta = _simplex_threshold(v)
     v -= theta

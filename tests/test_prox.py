@@ -150,20 +150,23 @@ class TestProjectSimplex:
             assert np.array_equal(project_simplex(v), wrapper_form(v))
 
     def test_spread_beyond_float_resolution(self):
-        """At a spread of 2**53 or more the mean-centred copy resolves no
-        threshold; the projection is then taken after shifting by the
-        maximum, which keeps the top entries exact."""
+        """When the mean-centred copy has a top entry above 1e3, or resolves
+        no threshold (a spread of 2**53 or more), the projection is taken
+        after shifting by the maximum, which keeps the top entries exact."""
         np.testing.assert_array_equal(project_simplex([1e17, -1e17, 0.0, 0.0]), [1, 0, 0, 0])
         np.testing.assert_array_equal(project_simplex([1e17, 1e17, -1e17, 0.0]), [0.5, 0.5, 0, 0])
-        # one very negative entry: the mean absorbs the three top entries
-        np.testing.assert_allclose(
-            project_simplex([0.5, 0.3, 0.2, -3e17]), [0.5, 0.3, 0.2, 0.0], rtol=0, atol=1e-15
-        )
+        # one very negative entry: the mean rounds off, or absorbs, the three
+        # top entries (centred, -3e15 gave [0.5, 0.25, 0.25, 0] and -3e16 a
+        # point off the simplex)
+        for low in (-3e13, -3e15, -3e16, -3e17):
+            np.testing.assert_allclose(
+                project_simplex([0.5, 0.3, 0.2, low]), [0.5, 0.3, 0.2, 0.0], rtol=0, atol=1e-15
+            )
         with np.errstate(over="ignore", invalid="ignore"):  # the centring sum overflows
             np.testing.assert_array_equal(project_simplex([1.7e308, 1.7e308]), [0.5, 0.5])
             np.testing.assert_array_equal(project_simplex([1.7e308, -1.7e308]), [1, 0])
 
-    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_rejected(self, bad):
         v = np.zeros(3)
         v[1] = bad

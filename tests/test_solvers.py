@@ -53,9 +53,9 @@ def _sqrt_problem(**known):
     return MCOProblem(n=1, smooth=(sqrt, shifted))
 
 
-def _linear_simplex_problem(c1, c2):
-    """f_i = c_i' x on the unit simplex in R^4, with L_i = mu_i = 1e-12: the
-    modes whose stepsizes are L_i or mu_i scale the gradients by 1e12 before
+def _linear_simplex_problem(*cs):
+    """f_i = c_i' x on the unit simplex, with L_i = mu_i = 1e-12: the modes
+    whose stepsizes are L_i or mu_i scale the gradients by 1e12 before
     projecting."""
     comps = tuple(
         SmoothComponent(
@@ -64,9 +64,16 @@ def _linear_simplex_problem(c1, c2):
             lipschitz=1e-12,
             strong_mu=1e-12,
         )
-        for c in (c1, c2)
+        for c in cs
     )
-    return MCOProblem(n=4, smooth=comps, nonsmooth=SimplexIndicator())
+    return MCOProblem(n=len(cs[0]), smooth=comps, nonsmooth=SimplexIndicator())
+
+
+def _assert_feasible_path(problem, report):
+    """The final x and every trace row lie in the domain with finite F."""
+    for x, F in [(report.x, report.F), *((rec.x, rec.F) for rec in report.trace)]:
+        assert problem.is_feasible(x)
+        assert np.isfinite(F).all()
 
 
 def _recording_problem(mu=1.0):
@@ -463,18 +470,34 @@ class TestStopsThatReturnAStatus:
 
     @pytest.mark.parametrize("mode", ALL_MODES)
     def test_projection_off_the_simplex_is_caught(self, mode):
-        """With c1 = (3e3, -1e3, 0, 2e3) and c2 = (-2e3, 1e3, 5e2, 0) the
-        projected trial point of pgmo_fixed and pgmo_separate lies off the
-        simplex (the projection loses precision at a spread of order 1e15). The
-        membership re-check in evaluate_F turns it into evaluation_failure
-        at k = 0; no mode accepts an infeasible iterate."""
+        """With c1 = (3e3, -1e3, 0, 2e3) and c2 = (-2e3, 1e3, 5e2, 0),
+        pgmo_fixed and pgmo_separate project vectors with a spread of order
+        1e15. A mean-centred threshold used to lose precision there and put
+        the trial point off the simplex (evaluation_failure at k = 0); the
+        projection now shifts by the maximum and is exact, so no mode meets
+        an infeasible trial point, and every iterate is feasible with finite
+        F. The membership re-check itself is pinned in test_problems.py."""
         problem = _linear_simplex_problem((3e3, -1e3, 0.0, 2e3), (-2e3, 1e3, 5e2, 0.0))
         report = solve(problem, np.full(4, 0.25), SolverConfig(algorithm=mode))
-        if mode in ("pgmo_fixed", "pgmo_separate"):
-            assert report.status == "evaluation_failure"
-            assert report.iterations == 0
-        assert problem.is_feasible(report.x)
-        assert all(problem.is_feasible(rec.x) for rec in report.trace)
+        assert report.status != "evaluation_failure"
+        _assert_feasible_path(problem, report)
+
+    @pytest.mark.parametrize("seed", (19, 72))
+    def test_abbpgmo_on_badly_scaled_linear_objectives(self, seed):
+        """Linear objectives with gradients of order 1e8 to 1e16 and
+        L_i = mu_i = 1e-12 on the simplex. abbpgmo forms F at a new iterate
+        from its bound check's smooth values and g, without evaluate_F's
+        finiteness check, so a projection off the simplex would become an
+        iterate with F = inf (seed 19 ended at max_iters with sum(x) =
+        1.015625, seed 72 at a critical point with sum(x) = 1.000061)."""
+        rng = np.random.default_rng(seed)
+        n, m = int(rng.integers(3, 7)), int(rng.integers(2, 4))
+        problem = _linear_simplex_problem(
+            *(rng.normal(size=n) * 10 ** rng.uniform(8, 16) for _ in range(m))
+        )
+        x0 = rng.dirichlet(np.ones(n))
+        report = solve(problem, x0, SolverConfig(algorithm="abbpgmo", max_iters=50))
+        _assert_feasible_path(problem, report)
 
     def test_iterate_outside_the_kind_domain_raises(self):
         """Bounds that cut the simplex away leave no feasible start: the
