@@ -172,9 +172,9 @@ def _solve_m2(inp, counters, gap_tol, warm_t=None):
             break
         if prm.fw_gap < best.fw_gap:
             best = prm
-        if hm < 0.0 and mid > a:
+        if hm < 0.0:
             a, ha = mid, hm
-        elif hm > 0.0 and mid < b:
+        elif hm > 0.0:
             b, hb = mid, hm
     return best
 
