@@ -14,7 +14,9 @@ nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
   each solved cold and with three warm starts (a random multiplier, a
   vertex, the cold solution).
 
-Each line holds two sha256 values, then its label and total prox-call count.
+Each line holds two sha256 values, then its label and total prox-call count;
+a kind line ends with the number of its 1,600 solves that ended capped
+(``DualSolveError``).
 The first (iterates) hashes all of the above but the prox-call counts, the
 second (work) hashes those counts in the order they were produced.
 
@@ -98,7 +100,7 @@ def campaign_hashes(workloads, filters=()):
             summary = run_campaign(workload.spec(seed))
             h, work = hashlib.sha256(), []
             _feed(h, summary.reports, work)
-            yield label, h, work
+            yield label, h, work, ""
 
 
 def _kind_inputs(make_kind, rng):
@@ -124,15 +126,16 @@ def _hash_solve(h, work, inp, warm_lambda):
     from moprox.direction import frank_wolfe_solve
 
     counters = EvalCounters()
+    capped = False
     try:
         res = frank_wolfe_solve(inp, counters=counters, warm_lambda=warm_lambda)
     except DualSolveError as err:
-        res = err.result
+        res, capped = err.result, True
         h.update(b"capped")
     values = (res.d, res.lam, res.fw_gap, res.model_decrease, -res.omega, res.d_norm)
     _feed(h, values, work)
     work.append(counters.prox_evals)
-    return res
+    return res, capped
 
 
 def kind_hashes(filters=()):
@@ -148,14 +151,15 @@ def kind_hashes(filters=()):
         if not _wanted(f"kind {name}", filters):
             continue
         rng = np.random.default_rng(seed)
-        h, work = hashlib.sha256(), []
+        h, work, capped = hashlib.sha256(), [], 0
         for inp in _kind_inputs(make_kind, rng):
-            cold = _hash_solve(h, work, inp, None)
+            cold, cold_capped = _hash_solve(h, work, inp, None)
+            capped += cold_capped
             m = inp.m
             for warm in (rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))],
                          cold.lam):
-                _hash_solve(h, work, inp, warm)
-        yield f"kind {name}", h, work
+                capped += _hash_solve(h, work, inp, warm)[1]
+        yield f"kind {name}", h, work, f"  capped {capped}"
 
 
 def main(argv):
@@ -165,11 +169,12 @@ def main(argv):
     import workloads
 
     filters = argv[2:]
-    for label, h, work in itertools.chain(campaign_hashes(workloads, filters),
-                                          kind_hashes(filters)):
+    for label, h, work, tail in itertools.chain(campaign_hashes(workloads, filters),
+                                                kind_hashes(filters)):
         w = hashlib.sha256()
         _feed(w, work, None)
-        print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}", flush=True)
+        print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}{tail}",
+              flush=True)
 
 
 if __name__ == "__main__":
