@@ -13,15 +13,7 @@ class EvaluationError(RuntimeError):
 
 
 class DualSolveError(RuntimeError):
-    """Dual subproblem solve hit its iteration cap with a large gap.
-
-    ``result`` carries the best feasible solution found; callers may still
-    use its direction when the per-objective descent certificate holds.
-    """
-
-    def __init__(self, message, result=None):
-        super().__init__(message)
-        self.result = result
+    """``merit_gap``'s dual solve ended capped, its gap above 100x target."""
 
 
 class LineSearchError(RuntimeError):

@@ -26,7 +26,7 @@ import itertools
 import numpy as np
 
 from .direction import SubproblemInput, frank_wolfe_solve
-from .exceptions import EvaluationError
+from .exceptions import DualSolveError, EvaluationError
 
 
 def _scaled_weights(problem, alphas, ell=1.0):
@@ -43,7 +43,8 @@ def _scaled_weights(problem, alphas, ell=1.0):
 def merit_gap(problem, x, alphas, ell=1.0, counters=None):
     """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
     Raises ValueError unless ell > 0, beta is m finite positive values and x
-    lies in the domain of g, and EvaluationError for a nonfinite gradient."""
+    lies in the domain of g, EvaluationError for a nonfinite gradient and
+    DualSolveError when the dual solve ends capped."""
     beta = _scaled_weights(problem, alphas, ell)
     x = np.asarray(x, dtype=float)
     grads = problem.jacobian(x, counters)  # checks x's shape, grads finite
@@ -51,6 +52,8 @@ def merit_gap(problem, x, alphas, ell=1.0, counters=None):
         raise ValueError("base point lies outside the domain of g")
     inp = SubproblemInput(x=x, grads=grads, alphas=beta, kind=problem.nonsmooth)
     res = frank_wolfe_solve(inp, counters)
+    if res.capped:
+        raise DualSolveError(f"dual gap {res.fw_gap:.3e} above 100x tolerance")
     # -omega is the primal optimum (a min), so omega is the merit
     return ell * res.omega
 

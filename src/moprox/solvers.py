@@ -33,7 +33,7 @@ import numpy as np
 
 from .bb import bb_stepsizes
 from .direction import SubproblemInput, frank_wolfe_solve
-from .exceptions import DualSolveError, EvaluationError, LineSearchError
+from .exceptions import EvaluationError, LineSearchError
 from .linesearch import armijo_search, max_feasible_step
 from .problems import EvalCounters
 
@@ -252,30 +252,25 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     is still usable when its best direction carries the descent certificate;
     otherwise this returns None and the caller must abort with dual_failure.
     """
-    try:
-        res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
-        for _ in range(4):
-            if res.d_norm <= cfg.d_tol:
-                break  # caller stops here; no certificate needed
-            need = 0.05 * res.d_norm**2
-            if res.fw_gap <= need:
-                break
-            res = frank_wolfe_solve(inp, counters, warm_lambda=res.lam, gap_tol=need)
+    res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
+    for _ in range(4):
+        if res.capped or res.d_norm <= cfg.d_tol:
+            break  # caller stops at d_tol; no certificate needed
+        need = 0.05 * res.d_norm**2
+        if res.fw_gap <= need:
+            break
+        res = frank_wolfe_solve(inp, counters, warm_lambda=res.lam, gap_tol=need)
+    if not res.capped:
         return res
-    except DualSolveError as err:
-        res = err.result
-        dd = float(np.dot(res.d, res.d))
-        certified = np.all(
-            res.model_decrease <= -inp.alphas * dd + _DESCENT_SLACK
+    dd = float(np.dot(res.d, res.d))
+    if dd > 0 and np.all(res.model_decrease <= -inp.alphas * dd + _DESCENT_SLACK):
+        warnings.append(
+            f"dual solve capped with gap {res.fw_gap:.2e}; "
+            "using best lambda (descent certificate holds)"
         )
-        if certified and res.d_norm > 0:
-            warnings.append(
-                f"dual solve capped with gap {res.fw_gap:.2e}; "
-                "using best lambda (descent certificate holds)"
-            )
-            return res
-        warnings.append(str(err))
-        return None
+        return res
+    warnings.append(f"dual gap {res.fw_gap:.3e} above 100x tolerance")
+    return None
 
 
 def solve(problem, x0, cfg=None):

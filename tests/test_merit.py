@@ -1,9 +1,12 @@
 """Tests for the merit functions against closed forms and scaling laws."""
 
+import functools
+
 import numpy as np
 import pytest
 
-from moprox.exceptions import EvaluationError
+from moprox import direction, merit
+from moprox.exceptions import DualSolveError, EvaluationError
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.problems import MCOProblem, SmoothComponent
 from moprox.prox import SimplexIndicator
@@ -103,6 +106,28 @@ class TestInputValidation:
         problem = MCOProblem(n=2, smooth=(comp,), nonsmooth=SimplexIndicator())
         with pytest.raises(ValueError, match="outside the domain"):
             merit_gap(problem, np.array([2.0, 2.0]), np.ones(1))
+
+
+class TestCappedDual:
+    def test_capped_dual_solve_raises(self, monkeypatch):
+        """One Frank-Wolfe iteration leaves the m = 3 dual of gradients
+        (1, 0), (0, 1), (-1, 2) at x = 0 at the uniform multiplier, gap 1:
+        a merit priced from that point would be wrong, so merit_gap refuses
+        it."""
+        monkeypatch.setattr(
+            merit, "frank_wolfe_solve",
+            functools.partial(direction.frank_wolfe_solve, max_iters=1),
+        )
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, c=np.array(c): float(np.dot(c, x)),
+                gradient=lambda x, c=np.array(c): c.copy(),
+            )
+            for c in ((1.0, 0.0), (0.0, 1.0), (-1.0, 2.0))
+        )
+        problem = MCOProblem(n=2, smooth=comps)
+        with pytest.raises(DualSolveError, match="dual gap 1.000e\\+00 above 100x"):
+            merit_gap(problem, np.zeros(2), np.ones(3))
 
 
 class TestScalingLaws:

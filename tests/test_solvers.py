@@ -560,7 +560,7 @@ class TestCappedDualSolve:
         assert report.status == "dual_failure"
         assert report.iterations == 0
         assert report.warnings == [
-            "dual gap 1.111e-01 above 100x tolerance after 1 iterations"
+            "dual gap 1.111e-01 above 100x tolerance"
         ]
         np.testing.assert_array_equal(report.x, [0.0, 0.0])
 
