@@ -249,8 +249,9 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     the certificate model_i <= alpha_i * (gap - ||d||^2) into a strictly
     negative per-objective model decrease, so the line search never sees a
     non-descent direction for a non-critical iterate. A capped dual solve
-    is still usable when its best direction carries the descent certificate;
-    otherwise this returns None and the caller must abort with dual_failure.
+    is still usable when its best direction carries the descent certificate
+    or has ||d|| <= d_tol, so that the caller stops there; otherwise this
+    returns None and the caller must abort with dual_failure.
     """
     res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
     for _ in range(4):
@@ -268,6 +269,10 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
             f"dual solve capped with gap {res.fw_gap:.2e}; "
             "using best lambda (descent certificate holds)"
         )
+        return res
+    if res.d_norm <= cfg.d_tol:
+        # d(lambda) = 0 at any lambda certifies criticality
+        warnings.append(f"dual solve capped with gap {res.fw_gap:.2e}; ||d|| <= d_tol")
         return res
     warnings.append(f"dual gap {res.fw_gap:.3e} above 100x tolerance")
     return None

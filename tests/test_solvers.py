@@ -564,6 +564,29 @@ class TestCappedDualSolve:
         ]
         np.testing.assert_array_equal(report.x, [0.0, 0.0])
 
+    @pytest.mark.parametrize("algorithm", ("pgmo_mu", "pgmo_separate"))
+    def test_small_capped_direction_is_a_critical_stop(self, algorithm):
+        """Gradients (1, 3e-7), (0, 1), (-1, -1) at x0 = 0, L = mu = 1: the
+        uniform multiplier gives d = (0, -1e-7), along which f_3 rises, at
+        dual gap 1e-7. No certificate holds, but ||d|| <= d_tol, and d = 0
+        at any multiplier would certify criticality, so the solve stops
+        there as an uncapped one does."""
+        comps = tuple(
+            SmoothComponent(
+                value=lambda x, c=np.array(c): float(np.dot(c, x)),
+                gradient=lambda x, c=np.array(c): c.copy(),
+                lipschitz=1.0,
+                strong_mu=1.0,
+            )
+            for c in ((1.0, 3e-7), (0.0, 1.0), (-1.0, -1.0))
+        )
+        problem = MCOProblem(n=2, smooth=comps)
+        report = solve(problem, np.zeros(2), SolverConfig(algorithm=algorithm))
+        assert report.status == "critical_point"
+        assert report.iterations == 0
+        assert report.warnings == ["dual solve capped with gap 1.00e-07; ||d|| <= d_tol"]
+        np.testing.assert_array_equal(report.x, [0.0, 0.0])
+
 
 class TestAdaptiveMode:
     def test_inflation_on_underestimated_curvature(self):
