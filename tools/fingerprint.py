@@ -16,7 +16,9 @@ nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 
 Each line holds two sha256 values, then its label and total prox-call count;
 a kind line ends with the number of its 1,600 solves that ended capped
-(``DualSolveError``).
+(``res.capped``). A checkout whose ``frank_wolfe_solve`` raises
+``DualSolveError`` instead is fingerprinted with its own copy of this tool,
+which hashes such a solve the same way.
 The first (iterates) hashes all of the above but the prox-call counts, the
 second (work) hashes those counts in the order they were produced.
 
@@ -122,20 +124,17 @@ def _kind_inputs(make_kind, rng):
 
 
 def _hash_solve(h, work, inp, warm_lambda):
-    from moprox import DualSolveError, EvalCounters
+    from moprox import EvalCounters
     from moprox.direction import frank_wolfe_solve
 
     counters = EvalCounters()
-    capped = False
-    try:
-        res = frank_wolfe_solve(inp, counters=counters, warm_lambda=warm_lambda)
-    except DualSolveError as err:
-        res, capped = err.result, True
+    res = frank_wolfe_solve(inp, counters=counters, warm_lambda=warm_lambda)
+    if res.capped:
         h.update(b"capped")
     values = (res.d, res.lam, res.fw_gap, res.model_decrease, -res.omega, res.d_norm)
     _feed(h, values, work)
     work.append(counters.prox_evals)
-    return res, capped
+    return res
 
 
 def kind_hashes(filters=()):
@@ -153,12 +152,12 @@ def kind_hashes(filters=()):
         rng = np.random.default_rng(seed)
         h, work, capped = hashlib.sha256(), [], 0
         for inp in _kind_inputs(make_kind, rng):
-            cold, cold_capped = _hash_solve(h, work, inp, None)
-            capped += cold_capped
+            cold = _hash_solve(h, work, inp, None)
+            capped += cold.capped
             m = inp.m
             for warm in (rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))],
                          cold.lam):
-                capped += _hash_solve(h, work, inp, warm)[1]
+                capped += _hash_solve(h, work, inp, warm).capped
         yield f"kind {name}", h, work, f"  capped {capped}"
 
 
