@@ -34,8 +34,6 @@ from .prox import (
     SimplexIndicator,
     WeightedL1,
     Zero,
-    project_simplex,
-    soft_threshold,
 )
 from .solvers import (
     SolverConfig,
@@ -50,7 +48,6 @@ from .testproblems import (
     bk1,
     get_problem,
     jos1,
-    load_returns_table,
     markowitz_portfolio,
     random_quadratic,
     register_problem,
@@ -94,14 +91,11 @@ __all__ = [
     "export_results",
     "get_problem",
     "jos1",
-    "load_returns_table",
     "markowitz_portfolio",
     "merit_gap",
-    "project_simplex",
     "random_quadratic",
     "register_problem",
     "run_campaign",
-    "soft_threshold",
     "solve",
     "weak_pareto_gap_grid",
 ]

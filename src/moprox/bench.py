@@ -28,7 +28,6 @@ from .testproblems import (
     QuadraticSpec,
     available_problems,
     get_problem,
-    markowitz_portfolio,
     random_quadratic,
 )
 
@@ -45,7 +44,6 @@ class ExperimentSpec:
     d_tol: float = SolverConfig.d_tol
     max_iters: int = SolverConfig.max_iters
     jobs: int = 1
-    markowitz_returns: str | None = None
 
     def __post_init__(self):
         if self.trials < 1:
@@ -54,8 +52,6 @@ class ExperimentSpec:
             raise ValueError("need at least one algorithm")
         if self.jobs < 1:
             raise ValueError("jobs must be at least 1")
-        if self.markowitz_returns is not None and self.problem != "markowitz":
-            raise ValueError("markowitz_returns applies only to problem markowitz")
         object.__setattr__(self, "algorithms", tuple(self.algorithms))
 
 
@@ -123,8 +119,6 @@ def _campaign_problem(spec):
         qspec = _parse_quadratic_token(token)
         instance_rng = np.random.default_rng(_child_seed(spec, 0))
         return random_quadratic(qspec, instance_rng)
-    if spec.markowitz_returns is not None:
-        return markowitz_portfolio(spec.markowitz_returns)
     return get_problem(token)
 
 
@@ -379,10 +373,6 @@ def main(argv=None):
     options.add_argument("--jobs", type=int, help="concurrent trials")
     options.add_argument("--d-tol", type=float)
     options.add_argument("--max-iters", type=int)
-    options.add_argument(
-        "--markowitz-returns",
-        help="raw return-history table overriding the embedded statistics",
-    )
 
     runp = sub.add_parser("run", parents=[options], help="run a campaign and export results")
     runp.add_argument("--config", help="key = value file of run options")

@@ -172,10 +172,6 @@ class SolveReport:
     x0_projected: bool
 
     @property
-    def converged(self):
-        return self.status == "critical_point"
-
-    @property
     def stepsize_mean(self):
         if not self.trace:
             return float("nan")

@@ -10,7 +10,7 @@ Families
 * A mean/variance portfolio selection over the unit simplex: maximize
   expected gross return mu'x against variance x'Sigma x, with the
   eight-security annual statistics (1983..1994) from Vanderbei's portfolio
-  dataset embedded. Raw return histories can be ingested instead.
+  dataset embedded.
 """
 
 from __future__ import annotations
@@ -137,62 +137,23 @@ PORTFOLIO_MEAN.flags.writeable = False
 PORTFOLIO_COV.flags.writeable = False
 
 
-def load_returns_table(path):
-    """Whitespace-delimited gross returns: header row of security names,
-    then one row per year. Returns (names, (T, k) array)."""
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if len(lines) < 3:
-        raise ValueError("need a header row and at least two return rows")
-    names = lines[0].split()
-    rows = []
-    for ln in lines[1:]:
-        vals = [float(tok) for tok in ln.split()]
-        if len(vals) != len(names):
-            raise ValueError(
-                f"row has {len(vals)} entries, header names {len(names)} securities"
-            )
-        rows.append(vals)
-    R = np.array(rows)
-    if not (np.isfinite(R) & (R > 0)).all():
-        raise ValueError("gross returns must be finite and positive")
-    return names, R
-
-
-def markowitz_portfolio(returns_path=None):
+def markowitz_portfolio():
     """Two-objective portfolio problem on the unit simplex.
 
     f_1(x) = -mu'x (negated expected gross return), f_2(x) = x'Sigma x
-    (variance), g_i the simplex indicator. With ``returns_path`` given, mu is
-    the per-security geometric mean and Sigma the sample covariance (ddof=1)
-    of the supplied history; otherwise the embedded statistics are used.
+    (variance), g_i the simplex indicator, with the embedded statistics.
     """
-    if returns_path is None:
-        mu = PORTFOLIO_MEAN
-        cov = PORTFOLIO_COV
-    else:
-        _names, R = load_returns_table(returns_path)
-        mu = np.exp(np.mean(np.log(R), axis=0))
-        cov = np.cov(R, rowvar=False, ddof=1)
-    mu = np.asarray(mu, dtype=float)
-    cov = np.asarray(cov, dtype=float)
-    n = mu.size
-    if cov.shape != (n, n):
-        raise ValueError("covariance shape does not match the mean vector")
-    if not np.allclose(cov, cov.T, atol=1e-12):
-        raise ValueError("covariance must be symmetric")
+    mu = PORTFOLIO_MEAN
+    cov = PORTFOLIO_COV
     # Entries rounded for publication can leave the matrix slightly
     # indefinite; clip the spectrum at zero. The repair stays below the
     # rounding half-ulp, so the entries round back to the published table.
     w, V = np.linalg.eigh(cov)
-    if w[0] < -1e-3 * max(w[-1], 1e-300):
-        raise ValueError("covariance must be positive semidefinite")
     if w[0] < 0.0:
         cov = (V * np.maximum(w, 0.0)) @ V.T
         cov = 0.5 * (cov + cov.T)
         w = np.maximum(w, 0.0)
-    mu.flags.writeable = False
-    cov.flags.writeable = False
+        cov.flags.writeable = False
 
     ret = SmoothComponent(
         value=lambda x, mu=mu: -float(np.dot(mu, x)),
@@ -207,7 +168,7 @@ def markowitz_portfolio(returns_path=None):
         strong_mu=2.0 * max(float(w[0]), 0.0),
     )
     return MCOProblem(
-        n=n, smooth=(ret, risk), nonsmooth=SimplexIndicator(), name="markowitz"
+        n=mu.size, smooth=(ret, risk), nonsmooth=SimplexIndicator(), name="markowitz"
     )
 
 

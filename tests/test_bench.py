@@ -157,22 +157,6 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="jobs"):
             main(["run", "--problem", "BK1", "--algos", "bbpgmo", "--jobs", str(jobs)])
 
-    def test_markowitz_returns_needs_markowitz(self, tmp_path):
-        with pytest.raises(ValueError, match="markowitz_returns"):
-            ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), markowitz_returns="r.txt")
-        with pytest.raises(ValueError, match="markowitz_returns"):
-            main(["run", "--problem", "BK1", "--algos", "bbpgmo",
-                  "--markowitz-returns", str(tmp_path / "r.txt")])
-
-    def test_empty_markowitz_returns_path_is_read(self):
-        """An empty path names no file; it does not fall back to the
-        embedded statistics."""
-        spec = ExperimentSpec(
-            problem="markowitz", algorithms=("bbpgmo",), trials=1, markowitz_returns=""
-        )
-        with pytest.raises(FileNotFoundError):
-            run_campaign(spec)
-
     def test_quadratic_token_needs_n(self):
         spec = ExperimentSpec(problem="quadratic", algorithms=("bbpgmo",), trials=1)
         with pytest.raises(ValueError, match="n=<dim>"):
@@ -523,29 +507,6 @@ class TestCLI:
         assert "problem BK1" in printed
         assert "bbpgmo" in printed
         assert (out_dir / "summary.csv").exists()
-
-    def test_markowitz_returns_file(self, tmp_path, capsys, monkeypatch):
-        """--markowitz-returns FILE builds the campaign problem from the
-        table: one variable per security (the embedded statistics have 8)."""
-        rng = np.random.default_rng(4)
-        table = tmp_path / "returns.txt"
-        table.write_text("A B C\n" + "".join(
-            " ".join(f"{v:.6f}" for v in row) + "\n" for row in rng.uniform(0.8, 1.4, (12, 3))
-        ))
-        summaries = []
-
-        def recorded(spec):
-            summaries.append(run_campaign(spec))
-            return summaries[-1]
-
-        monkeypatch.setattr(bench, "run_campaign", recorded)
-        code = main(["run", "--problem", "markowitz", "--algos", "bbpgmo,pgmo_ls",
-                     "--trials", "2", "--markowitz-returns", str(table)])
-        assert code == 0
-        (summary,) = summaries
-        assert summary.n == 3 and summary.m == 2
-        assert summary.spec.markowitz_returns == str(table)
-        assert "n=3 m=2" in capsys.readouterr().out
 
     def test_quadratic_token_sets_the_objective_count(self, capsys):
         """quadratic:n=10,m=3 runs a campaign on a three-objective instance."""

@@ -7,10 +7,12 @@ import moprox
 
 # internal since solve() became the only boundary of the solver stack;
 # check_jacobian moved into tests/test_problems.py, its only caller; the BB
-# and line-search settings are fields of SolverConfig
+# and line-search settings are fields of SolverConfig; the return-history
+# ingest is gone, and the two prox helpers live on in moprox.prox
 REMOVED = ("BBMemory", "DegenerateStepError", "FWConfig", "LineSearchError",
            "armijo_search", "bb_stepsizes", "max_feasible_step", "check_jacobian",
-           "BBConfig", "LineSearchConfig")
+           "BBConfig", "LineSearchConfig", "load_returns_table", "project_simplex",
+           "soft_threshold")
 
 ROOT = pathlib.Path(__file__).resolve().parents[1]
 

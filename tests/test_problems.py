@@ -14,7 +14,6 @@ from moprox.testproblems import (
     bk1,
     get_problem,
     jos1,
-    load_returns_table,
     markowitz_portfolio,
     random_quadratic,
     register_problem,
@@ -350,53 +349,6 @@ class TestRegistry:
             from moprox import testproblems
 
             del testproblems._REGISTRY["tmp-registry-entry"]
-
-
-class TestReturnsIngestion:
-    def _write(self, tmp_path, text):
-        path = tmp_path / "returns.txt"
-        path.write_text(text)
-        return str(path)
-
-    def test_statistics_from_history(self, tmp_path):
-        rng = np.random.default_rng(10)
-        R = rng.uniform(0.8, 1.4, size=(12, 3))
-        lines = ["A B C"] + [" ".join(f"{v:.6f}" for v in row) for row in R]
-        path = self._write(tmp_path, "\n".join(lines))
-
-        names, table = load_returns_table(path)
-        assert names == ["A", "B", "C"]
-        R_read = table
-        problem = markowitz_portfolio(returns_path=path)
-        mu = np.exp(np.mean(np.log(R_read), axis=0))
-        cov = np.cov(R_read, rowvar=False, ddof=1)
-        x = rng.dirichlet(np.ones(3))
-        F = problem.evaluate_F(x)
-        assert F[0] == pytest.approx(-float(mu @ x), abs=1e-12)
-        assert F[1] == pytest.approx(float(x @ cov @ x), abs=1e-12)
-
-    def test_ragged_row_rejected(self, tmp_path):
-        path = self._write(tmp_path, "A B\n1.0 1.1\n1.0\n1.2 1.3")
-        with pytest.raises(ValueError):
-            load_returns_table(path)
-
-    def test_nonpositive_returns_rejected(self, tmp_path):
-        path = self._write(tmp_path, "A B\n1.0 1.1\n-0.2 1.0\n1.2 1.3")
-        with pytest.raises(ValueError):
-            load_returns_table(path)
-
-    @pytest.mark.parametrize("bad", ("nan", "inf"))
-    def test_nonfinite_returns_rejected(self, tmp_path, bad):
-        """nan and inf passed the positivity test and failed later, in
-        markowitz_portfolio, as an asymmetric covariance."""
-        path = self._write(tmp_path, f"A B\n1.0 1.1\n{bad} 1.0\n1.2 1.3")
-        with pytest.raises(ValueError, match="gross returns must be finite and positive"):
-            load_returns_table(path)
-
-    def test_too_short_history_rejected(self, tmp_path):
-        path = self._write(tmp_path, "A B\n1.0 1.1")
-        with pytest.raises(ValueError):
-            load_returns_table(path)
 
 
 class TestCovarianceRepair:
