@@ -74,11 +74,13 @@ class ExperimentSummary:
 
 def _parse_token(token, keys, what):
     """Split ``name[:key=value,...]`` into (name, {key: value}); a key outside
-    ``keys`` raises ValueError naming ``what``."""
+    ``keys`` or given twice raises ValueError naming ``what``."""
     name, _, body = token.partition(":")
     params = {}
     for piece in filter(None, body.split(",")):
         key, _, value = piece.partition("=")
+        if key in params:
+            raise ValueError(f"repeated {what} {key!r} in {token!r}")
         params[key] = value
     unknown = sorted(set(params) - set(keys))
     if unknown:
@@ -115,7 +117,7 @@ def _child_seed(spec, i):
 def _campaign_problem(spec):
     """The fixed instance every trial solves; seeded for the random family."""
     token = spec.problem
-    if token.startswith("quadratic"):
+    if token.partition(":")[0] == "quadratic":
         qspec = _parse_quadratic_token(token)
         instance_rng = np.random.default_rng(_child_seed(spec, 0))
         return random_quadratic(qspec, instance_rng)

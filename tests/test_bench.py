@@ -20,6 +20,7 @@ from moprox.bench import (
     main,
     run_campaign,
 )
+from moprox.exceptions import UnknownProblemError
 from moprox.problems import MCOProblem, SmoothComponent
 from moprox.svg import scatter_svg
 
@@ -140,6 +141,10 @@ class TestAlgoConfig:
         with pytest.raises(ValueError, match="unknown algorithm"):
             algo_config("gradientdescent")
 
+    def test_repeated_parameter_rejected(self):
+        with pytest.raises(ValueError, match="repeated algorithm parameter 'ell'"):
+            algo_config("pgmo_ls:ell=1,ell=2")
+
 
 class TestSpecValidation:
     def test_trials(self):
@@ -167,6 +172,27 @@ class TestSpecValidation:
             problem="quadratic:n=3,rho=2", algorithms=("bbpgmo",), trials=1
         )
         with pytest.raises(ValueError, match="unknown quadratic fields"):
+            run_campaign(spec)
+
+    def test_quadratic_token_repeated_field(self):
+        spec = ExperimentSpec(
+            problem="quadratic:n=2,n=5", algorithms=("bbpgmo",), trials=1
+        )
+        with pytest.raises(ValueError, match="repeated quadratic fields 'n'"):
+            run_campaign(spec)
+
+    def test_only_the_quadratic_token_draws_an_instance(self):
+        """A registry key that begins with "quadratic" names its registered
+        problem, and a token whose name is not exactly "quadratic" is looked
+        up in the registry."""
+        testproblems.register_problem("quadratic_bk1", testproblems.bk1)
+        try:
+            spec = ExperimentSpec(problem="quadratic_bk1", algorithms=("bbpgmo",), trials=1)
+            assert run_campaign(spec).problem_name == "BK1"
+        finally:
+            del testproblems._REGISTRY["quadratic_bk1"]
+        spec = ExperimentSpec(problem="quadraticfoo:n=2", algorithms=("bbpgmo",), trials=1)
+        with pytest.raises(UnknownProblemError, match="quadraticfoo:n=2"):
             run_campaign(spec)
 
 
