@@ -299,38 +299,11 @@ def _print_summary(summary, elapsed):
     print(f"campaign wall time {elapsed:.2f} s")
 
 
-def _config_tokens(path):
-    """A config file's ``key = value`` lines as ``--key=value`` flag tokens."""
-    tokens = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise ValueError(f"{path}:{lineno}: expected key=value")
-            key, _, value = line.partition("=")
-            tokens.append(f"--{key.strip().replace('_', '-')}={value.strip()}")
-    return tokens
-
-
-def _cmd_run(args, options):
-    if args.config:
-        # config values fill the flags the command line left unset
-        try:
-            config, unknown = options.parse_known_args(_config_tokens(args.config))
-        except argparse.ArgumentError as err:
-            raise ValueError(f"{args.config}: {err}") from None
-        if unknown:
-            keys = sorted(tok.partition("=")[0][2:] for tok in unknown)
-            raise ValueError(f"unknown config keys: {keys}")
-        for key, value in vars(config).items():
-            if getattr(args, key) is None:
-                setattr(args, key, value)
+def _cmd_run(args):
     if not args.problem:
-        raise ValueError("a problem is required (flag --problem or config)")
+        raise ValueError("a problem is required (flag --problem)")
     if args.algorithms is None:
-        raise ValueError("algorithms are required (flag --algos or config)")
+        raise ValueError("algorithms are required (flag --algos)")
     # unset options fall back to ExperimentSpec's defaults
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)}
     spec = ExperimentSpec(**{k: v for k, v in given.items() if v is not None})
@@ -354,30 +327,27 @@ def main(argv=None):
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    # the campaign options, declared once: the run flags and the config keys
-    options = argparse.ArgumentParser(
-        add_help=False, allow_abbrev=False, exit_on_error=False
+    # @FILE reads one argument per line; a later flag overrides an earlier one
+    runp = sub.add_parser(
+        "run", fromfile_prefix_chars="@", help="run a campaign and export results"
     )
-    options.add_argument(
+    runp.add_argument(
         "--problem",
         help="registry key (see bench run --list) or quadratic:n=..,m=..,xl=..,xu=..",
     )
-    options.add_argument(
+    runp.add_argument(
         "--algos",
         dest="algorithms",
         metavar="ALGOS",
         type=lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
         help="comma list, e.g. bbpgmo,pgmo_ls,pgmo_L",
     )
-    options.add_argument("--trials", type=int)
-    options.add_argument("--seed", type=int)
-    options.add_argument("--out", help="directory for CSV/SVG exports")
-    options.add_argument("--jobs", type=int, help="concurrent trials")
-    options.add_argument("--d-tol", type=float)
-    options.add_argument("--max-iters", type=int)
-
-    runp = sub.add_parser("run", parents=[options], help="run a campaign and export results")
-    runp.add_argument("--config", help="key = value file of run options")
+    runp.add_argument("--trials", type=int)
+    runp.add_argument("--seed", type=int)
+    runp.add_argument("--out", help="directory for CSV/SVG exports")
+    runp.add_argument("--jobs", type=int, help="concurrent trials")
+    runp.add_argument("--d-tol", type=float)
+    runp.add_argument("--max-iters", type=int)
     runp.add_argument(
         "--list", action="store_true", help="list registry problems and exit"
     )
@@ -387,7 +357,7 @@ def main(argv=None):
         for key in available_problems():
             print(key)
         return 0
-    return _cmd_run(args, options)
+    return _cmd_run(args)
 
 
 if __name__ == "__main__":

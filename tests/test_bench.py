@@ -546,45 +546,18 @@ class TestCLI:
         listed = capsys.readouterr().out.split()
         assert "BK1" in listed and "markowitz" in listed
 
-    def test_config_file_with_cli_override(self, tmp_path, capsys):
-        config = tmp_path / "campaign.cfg"
-        config.write_text(
-            "# campaign defaults\n"
-            "problem = BK1\n"
-            "algos = bbpgmo\n"
-            "trials = 5\n"
-            "seed = 3\n"
-        )
-        code = main(["run", "--config", str(config), "--trials", "2"])
-        assert code == 0
-        printed = capsys.readouterr().out
-        assert "trials=2" in printed       # CLI wins
-        assert "seed=3" in printed         # config fills the rest
+    @staticmethod
+    def _args_file(path, lines):
+        path.write_text("".join(f"{line}\n" for line in lines))
+        return f"@{path}"
 
-    def test_config_file_unknown_key(self, tmp_path):
-        config = tmp_path / "campaign.cfg"
-        config.write_text("problem = BK1\nalgos = bbpgmo\nbudget = 9\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
-            main(["run", "--config", str(config)])
-
-    @pytest.mark.parametrize("sep", ("_", "-"))
-    def test_config_file_matches_flags(self, tmp_path, capsys, sep):
-        """A config file and the same options as flags write the same runs
-        (time aside) and pareto files; keys may use _ or - between words."""
-        options = {
-            "problem": "quadratic:n=2,xl=-1,xu=1",
-            "algos": "bbpgmo, pgmo_ls:ell=2",
-            "trials": "3",
-            "seed": "11",
-            "d_tol": "1e-5",
-            "max_iters": "200",
-        }
-        config = tmp_path / "campaign.cfg"
-        config.write_text(
-            "".join(f"{k.replace('_', sep)} = {v}\n" for k, v in options.items())
-        )
-        flags = [tok for k, v in options.items() for tok in ("--" + k.replace("_", "-"), v)]
-        assert main(["run", "--config", str(config), "--out", str(tmp_path / "a")]) == 0
+    def test_args_file_matches_flags(self, tmp_path, capsys):
+        """An @FILE and the same options as flags write the same runs (time
+        aside) and pareto files."""
+        flags = ["--problem=quadratic:n=2,xl=-1,xu=1", "--algos=bbpgmo, pgmo_ls:ell=2",
+                 "--trials=3", "--seed=11", "--d-tol=1e-5", "--max-iters=200"]
+        args_file = self._args_file(tmp_path / "campaign.args", flags)
+        assert main(["run", args_file, "--out", str(tmp_path / "a")]) == 0
         assert main(["run", *flags, "--out", str(tmp_path / "b")]) == 0
         capsys.readouterr()
 
@@ -598,24 +571,32 @@ class TestCLI:
             a, b = read(f"a/{name}", drop), read(f"b/{name}", drop)
             assert a == b and len(a) == 1 + 3 * 2
 
-    @pytest.mark.parametrize(
-        "line", ("config = other.cfg", "list = true", "help = 1", "algorithms = bbpgmo",
-                 "prob = BK1")
-    )
-    def test_config_file_rejects_keys_that_are_no_campaign_option(self, tmp_path, line):
-        config = tmp_path / "campaign.cfg"
-        config.write_text(f"problem = BK1\nalgos = bbpgmo\n{line}\n")
-        with pytest.raises(ValueError, match="unknown config keys"):
-            main(["run", "--config", str(config)])
+    def test_args_file_with_cli_override(self, tmp_path, capsys):
+        args_file = self._args_file(
+            tmp_path / "campaign.args",
+            ["--problem=BK1", "--algos=bbpgmo", "--trials=5", "--seed=3"],
+        )
+        assert main(["run", args_file, "--trials", "2"]) == 0
+        printed = capsys.readouterr().out
+        assert "trials=2" in printed       # the later flag wins
+        assert "seed=3" in printed         # the file fills the rest
 
-    def test_config_file_bad_value(self, tmp_path):
-        config = tmp_path / "campaign.cfg"
-        config.write_text("problem = BK1\nalgos = bbpgmo\ntrials = many\n")
-        with pytest.raises(ValueError, match="invalid int value"):
-            main(["run", "--config", str(config)])
-        config.write_text("problem = BK1\nalgos = bbpgmo\ntrials\n")
-        with pytest.raises(ValueError, match="campaign.cfg:3: expected key=value"):
-            main(["run", "--config", str(config)])
+    @pytest.mark.parametrize(
+        "line, message",
+        (("--budget=9", "unrecognized arguments: --budget=9"),
+         ("--trials=many", "invalid int value: 'many'")),
+        ids=("unknown_option", "bad_value"),
+    )
+    def test_args_file_bad_option(self, tmp_path, capsys, line, message):
+        """A bad option or value in a file is a usage error, as on the
+        command line."""
+        args_file = self._args_file(
+            tmp_path / "campaign.args", ["--problem=BK1", "--algos=bbpgmo", line]
+        )
+        with pytest.raises(SystemExit) as exc:
+            main(["run", args_file])
+        assert exc.value.code == 2
+        assert message in capsys.readouterr().err
 
     def test_missing_problem_rejected(self):
         with pytest.raises(ValueError, match="problem is required"):
