@@ -72,9 +72,10 @@ class ExperimentSummary:
         return sum(1 for r in self.raw if r["status"] in _HARD_FAILURES)
 
 
-def _parse_token(token, keys, what):
-    """Split ``name[:key=value,...]`` into (name, {key: value}); a key outside
-    ``keys`` or given twice raises ValueError naming ``what``."""
+def _parse_token(token, converters, what):
+    """Split ``name[:key=value,...]`` into (name, {key: value}), each value
+    converted by ``converters[key]``; a key outside ``converters``, a key
+    given twice or a value its converter rejects raises ValueError."""
     name, _, body = token.partition(":")
     params = {}
     for piece in filter(None, body.split(",")):
@@ -82,28 +83,37 @@ def _parse_token(token, keys, what):
         if key in params:
             raise ValueError(f"repeated {what} {key!r} in {token!r}")
         params[key] = value
-    unknown = sorted(set(params) - set(keys))
+    unknown = sorted(set(params) - set(converters))
     if unknown:
         raise ValueError(f"unknown {what} {unknown} in {token!r}")
+    for key, value in params.items():
+        convert = converters[key]
+        try:
+            params[key] = convert(value)
+        except ValueError:
+            raise ValueError(
+                f"invalid {convert.__name__} value {value!r} for {key!r} in {token!r}"
+            ) from None
     return name, params
 
 
 def algo_config(token, d_tol=SolverConfig.d_tol, max_iters=SolverConfig.max_iters):
     """Translate a CLI algorithm token (name[:key=value,...]) to a config."""
-    name, params = _parse_token(token, ("ell", "tau"), "algorithm parameter")
-    kwargs = {key: float(value) for key, value in params.items()}
-    return SolverConfig(algorithm=name, d_tol=d_tol, max_iters=max_iters, **kwargs)
+    name, params = _parse_token(token, {"ell": float, "tau": float}, "algorithm parameter")
+    return SolverConfig(algorithm=name, d_tol=d_tol, max_iters=max_iters, **params)
 
 
 def _parse_quadratic_token(token):
-    _, fields = _parse_token(token, ("n", "m", "xl", "xu", "g"), "quadratic fields")
+    _, fields = _parse_token(
+        token, {"n": int, "m": int, "xl": float, "xu": float, "g": str}, "quadratic fields"
+    )
     if "n" not in fields:
         raise ValueError("quadratic problems need n=<dim>, e.g. quadratic:n=10")
     return QuadraticSpec(
-        n=int(fields["n"]),
-        n_objectives=int(fields.get("m", 2)),
-        xl=float(fields.get("xl", -2.0)),
-        xu=float(fields.get("xu", 2.0)),
+        n=fields["n"],
+        n_objectives=fields.get("m", 2),
+        xl=fields.get("xl", -2.0),
+        xu=fields.get("xu", 2.0),
         g_kind=fields.get("g", "l1"),
     )
 

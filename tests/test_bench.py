@@ -145,6 +145,11 @@ class TestAlgoConfig:
         with pytest.raises(ValueError, match="repeated algorithm parameter 'ell'"):
             algo_config("pgmo_ls:ell=1,ell=2")
 
+    @pytest.mark.parametrize("token", ("pgmo_ls:ell", "pgmo_ls:ell="))
+    def test_bad_parameter_value_named(self, token):
+        with pytest.raises(ValueError, match=f"invalid float value '' for 'ell' in '{token}'"):
+            algo_config(token)
+
 
 class TestSpecValidation:
     def test_trials(self):
@@ -179,6 +184,11 @@ class TestSpecValidation:
             problem="quadratic:n=2,n=5", algorithms=("bbpgmo",), trials=1
         )
         with pytest.raises(ValueError, match="repeated quadratic fields 'n'"):
+            run_campaign(spec)
+
+    def test_quadratic_token_bad_value_named(self):
+        spec = ExperimentSpec(problem="quadratic:n=2.5", algorithms=("bbpgmo",), trials=1)
+        with pytest.raises(ValueError, match="invalid int value '2.5' for 'n' in 'quadratic:n=2.5'"):
             run_campaign(spec)
 
     def test_only_the_quadratic_token_draws_an_instance(self):
