@@ -64,8 +64,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _canonical_mode(self.algorithm)
-        if self.d_tol <= 0 or self.max_iters < 1:
-            raise ValueError("d_tol must be positive and max_iters >= 1")
+        if not 0.0 < self.d_tol < math.inf or self.max_iters < 1:
+            raise ValueError("need 0 < d_tol < inf and max_iters >= 1")
         if not 1.0 < self.tau < math.inf:
             raise ValueError("tau must be finite and exceed 1")
         if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):

@@ -246,6 +246,13 @@ class TestModePrerequisites:
             with pytest.raises(ValueError, match="tau must be finite"):
                 SolverConfig(tau=tau)
 
+    @pytest.mark.parametrize("d_tol", (np.nan, np.inf))
+    def test_nonfinite_d_tol_rejected(self, d_tol):
+        """A NaN d_tol passed a d_tol <= 0 check and ended BK1 from (1, 2)
+        in line_search_failure; an infinite one stopped every solve at k = 0."""
+        with pytest.raises(ValueError, match="0 < d_tol < inf"):
+            SolverConfig(d_tol=d_tol, max_iters=20)
+
     @pytest.mark.parametrize("ell", (np.inf, np.nan))
     @pytest.mark.parametrize("mode", ("pgmo_ls", "pgmo_fixed"))
     def test_nonfinite_ell_rejected_before_evaluating(self, mode, ell):
