@@ -6,6 +6,7 @@ No plotting dependency; output bytes are deterministic for fixed input.
 from __future__ import annotations
 
 import math
+from html import escape
 
 _PALETTE = (
     "#1f77b4",
@@ -38,8 +39,10 @@ def scatter_svg(series, xlabel, ylabel, title):
     ``series`` maps label -> (xs, ys) sequences; all series share the axes.
     A point with a nonfinite coordinate (F = NaN after an evaluation failure
     at the start) is neither drawn nor counted in the axis ranges; its
-    series keeps its legend entry.
+    series keeps its legend entry. Title, axis and legend labels are
+    escaped, so a name holding ``&``, ``<`` or ``>`` stays well-formed XML.
     """
+    title, xlabel, ylabel = (escape(text, quote=False) for text in (title, xlabel, ylabel))
     points = {
         label: [(x, y) for x, y in zip(map(float, xs), map(float, ys))
                 if math.isfinite(x) and math.isfinite(y)]
@@ -114,7 +117,7 @@ def scatter_svg(series, xlabel, ylabel, title):
         )
         out.append(
             f'<text x="{_W - _MR + 26}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{label}</text>'
+            f'font-size="12">{escape(label, quote=False)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -5,6 +5,7 @@ import dataclasses
 import os
 import subprocess
 import sys
+from xml.etree import ElementTree
 
 import numpy as np
 import pytest
@@ -503,6 +504,14 @@ class TestExport:
         assert ">b</text>" in svg
         finite = scatter_svg({"a": ([1.0, 2.0], [3.0, 4.0]), "b": ([], [])}, "F1", "F2", "t")
         assert svg == finite
+
+    def test_svg_escapes_text(self):
+        """Title, axis and legend labels holding &, < or > give well-formed
+        XML that reads back as the original text."""
+        svg = scatter_svg({"a<b&c": ([1.0], [2.0])}, "F1 & F2", "<F2>", "R&D <test>")
+        texts = [el.text for el in ElementTree.fromstring(svg).iter(
+            "{http://www.w3.org/2000/svg}text")]
+        assert {"a<b&c", "F1 & F2", "<F2>", "R&D <test>"} <= set(texts)
 
     def test_no_value_svg_for_three_objectives(
         self, tmp_path, three_objective_problem, capsys
