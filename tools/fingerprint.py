@@ -1,7 +1,8 @@
 """Byte-identity fingerprint of a checkout's solver outputs.
 
-Prints one line per recorded perfbench campaign seed (31 lines) and one per
-nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
+Prints one line per recorded perfbench campaign seed (31 lines), one per
+nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines) and
+one per exported campaign (2 lines):
 
 * a campaign line covers every SolveReport field and every trace record
   field except the wall times and the ``f_evals`` counter (a fixed multiple
@@ -12,7 +13,11 @@ nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines):
 * a kind line covers d, lambda, fw_gap, model_decrease, -omega (the dual
   optimum), d_norm and the prox-call count of 400 inputs with m = 1..5,
   each solved cold and with three warm starts (a random multiplier, a
-  vertex, the cold solution).
+  vertex, the cold solution);
+* an export line covers every file ``export_results`` writes for one
+  seeded campaign of all six modes: the CSVs without their ``time_ms`` and
+  ``time_ms_mean`` columns, and the SVGs. BK1 draws both scatters, the
+  three-objective ``quadratic:n=3,m=3`` only the variable-space one.
 
 Each line holds two sha256 values, then its label and total prox-call count;
 a kind line ends with the number of its 1,600 solves that ended capped
@@ -20,7 +25,8 @@ a kind line ends with the number of its 1,600 solves that ended capped
 ``DualSolveError`` instead is fingerprinted with its own copy of this tool,
 which hashes such a solve the same way.
 The first (iterates) hashes all of the above but the prox-call counts, the
-second (work) hashes those counts in the order they were produced.
+second (work) hashes those counts in the order they were produced (for an
+export line, the ``prox_evals`` column of ``runs.csv``).
 
 A refactor that must leave every iterate alone passes when the two outputs
 are equal; one that only removes work passes when the first column is::
@@ -42,16 +48,22 @@ campaign and the kind lines reach, is checked with::
 
 from __future__ import annotations
 
+import csv
 import dataclasses
 import hashlib
 import itertools
 import os
 import sys
+import tempfile
 from collections.abc import Sequence
 
 import numpy as np
 
 KIND_INPUTS = 400
+EXPORT_PROBLEMS = ("BK1", "quadratic:n=3,m=3")
+EXPORT_ALGOS = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo",
+                "abbpgmo:tau=3")
+_TIME_COLUMNS = ("time_ms", "time_ms_mean")
 _UNHASHED = ("time_s", "total_time", "f_evals")
 _WORK = "prox_evals"
 
@@ -161,6 +173,32 @@ def kind_hashes(filters=()):
         yield f"kind {name}", h, work, f"  capped {capped}"
 
 
+def export_hashes(filters=()):
+    from moprox import ExperimentSpec, export_results, run_campaign
+
+    for problem in EXPORT_PROBLEMS:
+        label = f"export {problem}"
+        if not _wanted(label, filters):
+            continue
+        spec = ExperimentSpec(problem=problem, algorithms=EXPORT_ALGOS, trials=10)
+        h, work = hashlib.sha256(), []
+        with tempfile.TemporaryDirectory() as out:
+            for path in sorted(export_results(run_campaign(spec), out)):
+                h.update(os.path.basename(path).encode())
+                with open(path, newline="") as fh:
+                    if not path.endswith(".csv"):
+                        _feed(h, fh.read(), work)
+                        continue
+                    header, *rows = csv.reader(fh)
+                for i, column in enumerate(header):
+                    cells = [row[i] for row in rows]
+                    if column == _WORK:
+                        work.extend(map(int, cells))
+                    elif column not in _TIME_COLUMNS:
+                        _feed(h, (column, cells), work)
+        yield label, h, work, ""
+
+
 def main(argv):
     root = os.path.abspath(argv[1] if len(argv) > 1 else
                            os.path.join(os.path.dirname(__file__), os.pardir))
@@ -169,7 +207,8 @@ def main(argv):
 
     filters = argv[2:]
     for label, h, work, tail in itertools.chain(campaign_hashes(workloads, filters),
-                                                kind_hashes(filters)):
+                                                kind_hashes(filters),
+                                                export_hashes(filters)):
         w = hashlib.sha256()
         _feed(w, work, None)
         print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}{tail}",
