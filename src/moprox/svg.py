@@ -6,7 +6,6 @@ No plotting dependency; output bytes are deterministic for fixed input.
 from __future__ import annotations
 
 import math
-from html import escape
 
 _PALETTE = (
     "#1f77b4",
@@ -33,6 +32,11 @@ def _fmt(v):
     return f"{v:.4g}"
 
 
+def _escape(text):
+    """html.escape(text, quote=False), without loading html's entity tables."""
+    return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
 def scatter_svg(series, xlabel, ylabel, title):
     """Render labeled point sets to an SVG string.
 
@@ -42,7 +46,7 @@ def scatter_svg(series, xlabel, ylabel, title):
     series keeps its legend entry. Title, axis and legend labels are
     escaped, so a name holding ``&``, ``<`` or ``>`` stays well-formed XML.
     """
-    title, xlabel, ylabel = (escape(text, quote=False) for text in (title, xlabel, ylabel))
+    title, xlabel, ylabel = map(_escape, (title, xlabel, ylabel))
     points = {
         label: [(x, y) for x, y in zip(map(float, xs), map(float, ys))
                 if math.isfinite(x) and math.isfinite(y)]
@@ -117,7 +121,7 @@ def scatter_svg(series, xlabel, ylabel, title):
         )
         out.append(
             f'<text x="{_W - _MR + 26}" y="{ly + 4}" font-family="sans-serif" '
-            f'font-size="12">{escape(label, quote=False)}</text>'
+            f'font-size="12">{_escape(label)}</text>'
         )
     out.append("</svg>")
     return "\n".join(out) + "\n"
