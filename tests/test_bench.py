@@ -570,25 +570,38 @@ class TestCLI:
         path.write_text("".join(f"{line}\n" for line in lines))
         return f"@{path}"
 
-    def test_args_file_matches_flags(self, tmp_path, capsys):
-        """An @FILE and the same options as flags write the same runs (time
-        aside) and pareto files."""
+    @pytest.mark.parametrize("sep", ("_", "-"))
+    def test_config_file_matches_flags(self, tmp_path, capsys, sep):
+        """An @FILE does exactly what the same options as flags do, whichever
+        separator the two-word options use: with '-' both write the same runs
+        (time aside) and pareto files; '_' spells no option, so both exit 2
+        with the same usage error."""
         flags = ["--problem=quadratic:n=2,xl=-1,xu=1", "--algos=bbpgmo, pgmo_ls:ell=2",
-                 "--trials=3", "--seed=11", "--d-tol=1e-5", "--max-iters=200"]
+                 "--trials=3", "--seed=11", f"--d{sep}tol=1e-5", f"--max{sep}iters=200"]
         args_file = self._args_file(tmp_path / "campaign.args", flags)
-        assert main(["run", args_file, "--out", str(tmp_path / "a")]) == 0
-        assert main(["run", *flags, "--out", str(tmp_path / "b")]) == 0
-        capsys.readouterr()
 
-        def read(name, drop=()):
-            with open(tmp_path / name) as fh:
-                rows = list(csv.reader(fh))
-            keep = [i for i, c in enumerate(rows[0]) if c not in drop]
-            return [[row[i] for i in keep] for row in rows]
+        def outcome(argv, out):
+            try:
+                assert main(["run", *argv, "--out", str(tmp_path / out)]) == 0
+            except SystemExit as exc:
+                return exc.code, capsys.readouterr().err
+            capsys.readouterr()
+            tables = []
+            for name, drop in (("runs.csv", ("time_ms",)), ("pareto.csv", ())):
+                with open(tmp_path / out / name) as fh:
+                    rows = list(csv.reader(fh))
+                keep = [i for i, c in enumerate(rows[0]) if c not in drop]
+                tables.append([[row[i] for i in keep] for row in rows])
+            return tables
 
-        for name, drop in (("runs.csv", ("time_ms",)), ("pareto.csv", ())):
-            a, b = read(f"a/{name}", drop), read(f"b/{name}", drop)
-            assert a == b and len(a) == 1 + 3 * 2
+        from_file = outcome([args_file], "a")
+        assert from_file == outcome(flags, "b")
+        if sep == "-":
+            assert [len(table) for table in from_file] == [1 + 3 * 2] * 2
+        else:
+            code, err = from_file
+            assert code == 2
+            assert "unrecognized arguments: --d_tol=1e-5 --max_iters=200" in err
 
     def test_args_file_with_cli_override(self, tmp_path, capsys):
         args_file = self._args_file(
