@@ -21,6 +21,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from .exceptions import UnknownProblemError
 from .prox import SimplexIndicator
 from .solvers import SolverConfig, solve
 from .svg import scatter_svg
@@ -309,16 +310,16 @@ def _print_summary(summary, elapsed):
     print(f"campaign wall time {elapsed:.2f} s")
 
 
-def _cmd_run(args):
-    if not args.problem:
-        raise ValueError("a problem is required (flag --problem)")
-    if args.algorithms is None:
-        raise ValueError("algorithms are required (flag --algos)")
-    # unset options fall back to ExperimentSpec's defaults
+def _cmd_run(args, error):
+    # unset options fall back to ExperimentSpec's defaults; run_campaign raises
+    # only before its first solve, so ``error`` (usage, exit 2) gets bad input
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)}
-    spec = ExperimentSpec(**{k: v for k, v in given.items() if v is not None})
     started = time.perf_counter()
-    summary = run_campaign(spec)
+    try:
+        spec = ExperimentSpec(**{k: v for k, v in given.items() if v is not None})
+        summary = run_campaign(spec)
+    except (ValueError, UnknownProblemError) as err:
+        error(err.args[0])
     elapsed = time.perf_counter() - started
     _print_summary(summary, elapsed)
     if args.out:
@@ -343,11 +344,14 @@ def main(argv=None):
     )
     runp.add_argument(
         "--problem",
-        help="registry key (see bench run --list) or quadratic:n=..,m=..,xl=..,xu=..",
+        required=True,
+        help=f"one of {', '.join(available_problems())}, "
+        "or quadratic:n=..,m=..,xl=..,xu=..",
     )
     runp.add_argument(
         "--algos",
         dest="algorithms",
+        required=True,
         metavar="ALGOS",
         type=lambda text: tuple(tok.strip() for tok in text.split(",") if tok.strip()),
         help="comma list, e.g. bbpgmo,pgmo_ls,pgmo_L",
@@ -358,16 +362,7 @@ def main(argv=None):
     runp.add_argument("--jobs", type=int, help="concurrent trials")
     runp.add_argument("--d-tol", type=float)
     runp.add_argument("--max-iters", type=int)
-    runp.add_argument(
-        "--list", action="store_true", help="list registry problems and exit"
-    )
-
-    args = parser.parse_args(argv)
-    if args.list:
-        for key in available_problems():
-            print(key)
-        return 0
-    return _cmd_run(args)
+    return _cmd_run(parser.parse_args(argv), runp.error)
 
 
 if __name__ == "__main__":

@@ -162,11 +162,13 @@ class TestSpecValidation:
             ExperimentSpec(problem="BK1", algorithms=())
 
     @pytest.mark.parametrize("jobs", (0, -4))
-    def test_jobs(self, jobs):
+    def test_jobs(self, jobs, capsys):
         with pytest.raises(ValueError, match="jobs"):
             ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), jobs=jobs)
-        with pytest.raises(ValueError, match="jobs"):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "BK1", "--algos", "bbpgmo", "--jobs", str(jobs)])
+        assert exc.value.code == 2
+        assert "jobs must be at least 1" in capsys.readouterr().err
 
     def test_quadratic_token_needs_n(self):
         spec = ExperimentSpec(problem="quadratic", algorithms=("bbpgmo",), trials=1)
@@ -561,9 +563,12 @@ class TestCLI:
         assert "n=10 m=3" in capsys.readouterr().out
 
     def test_run_list(self, capsys):
-        assert main(["run", "--list"]) == 0
-        listed = capsys.readouterr().out.split()
-        assert "BK1" in listed and "markowitz" in listed
+        """``run -h`` lists the registry keys in --problem's help."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "-h"])
+        assert exc.value.code == 0
+        helped = capsys.readouterr().out
+        assert "BK1" in helped and "markowitz" in helped
 
     @staticmethod
     def _args_file(path, lines):
@@ -630,9 +635,31 @@ class TestCLI:
         assert exc.value.code == 2
         assert message in capsys.readouterr().err
 
-    def test_missing_problem_rejected(self):
-        with pytest.raises(ValueError, match="problem is required"):
+    def test_missing_problem_rejected(self, capsys):
+        with pytest.raises(SystemExit) as exc:
             main(["run", "--algos", "bbpgmo"])
+        assert exc.value.code == 2
+        assert "the following arguments are required: --problem" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, message",
+        ((["--problem", "nope"], "unknown problem 'nope'; available: BK1"),
+         (["--trials", "0"], "trials must be positive"),
+         (["--d-tol", "nan"], "need 0 < d_tol < inf"),
+         (["--algos", "foo"], "unknown algorithm 'foo'"),
+         (["--problem", "quadratic:n=2.5"],
+          "invalid int value '2.5' for 'n' in 'quadratic:n=2.5'")),
+        ids=("unknown_problem", "trials", "d_tol", "unknown_algorithm", "token_value"),
+    )
+    def test_invalid_campaign_is_a_usage_error(self, flags, message, capsys):
+        """A campaign that cannot start exits 2 with the usage line and the
+        reason, as a malformed flag does; exit 1 is left to hard failures."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "BK1", "--algos", "bbpgmo", *flags])
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bench run")
+        assert f"bench run: error: {message}" in err
 
     def test_hard_failures_exit_code(self, bad_gradient_problem, capsys):
         code = main(
@@ -670,9 +697,9 @@ def test_package_import_defers_bench():
         "assert ExperimentSpec is bench.ExperimentSpec is moprox.ExperimentSpec"
     )
     subprocess.run([sys.executable, "-c", probe], env=env, check=True)
-    listed = subprocess.run(
+    helped = subprocess.run(
         [sys.executable, "-W", "error::RuntimeWarning", "-m", "moprox.bench",
-         "run", "--list"],
+         "run", "-h"],
         env=env, check=True, capture_output=True, text=True,
     )
-    assert "markowitz" in listed.stdout.split()
+    assert "markowitz" in helped.stdout
