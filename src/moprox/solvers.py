@@ -247,8 +247,12 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     non-descent direction for a non-critical iterate. A capped dual solve
     is still usable when its best direction carries the descent certificate
     or has ||d|| <= d_tol, so that the caller stops there; otherwise this
-    returns None and the caller must abort with dual_failure.
+    returns None and the caller must abort with dual_failure. So does an
+    overflowed grad f_i / alpha_i (a tiny alpha), which no dual can use.
     """
+    if not np.isfinite(inp.scaled_grads).all():
+        warnings.append("scaled gradients grad f_i / alpha_i are not finite")
+        return None
     res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
     for _ in range(4):
         if res.capped or res.d_norm <= cfg.d_tol:

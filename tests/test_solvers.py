@@ -339,6 +339,26 @@ class TestStopsThatReturnAStatus:
         np.testing.assert_array_equal(report.F, [np.nan, np.nan])
         assert report.counters == EvalCounters()
 
+    @pytest.mark.parametrize(
+        "problem, x0",
+        ((get_problem("markowitz"), np.full(8, 1 / 8)),
+         (random_quadratic(QuadraticSpec(n=4), 0), np.zeros(4)),
+         (random_quadratic(QuadraticSpec(n=4, xl=None, xu=None), 0), np.zeros(4))),
+        ids=("simplex", "bounds", "unbounded"),
+    )
+    def test_overflowing_scaled_gradients(self, problem, x0):
+        """ell = 1e-320 makes grad f_i / alpha_i overflow to inf: the solve
+        ends in dual_failure at k = 0 with no dual solved, not in a raising
+        projection, a false critical point on a box face or a line search
+        over NaN trial points."""
+        with np.errstate(over="ignore"):
+            report = solve(problem, x0, SolverConfig(algorithm="pgmo_ls", ell=1e-320))
+        assert report.status == "dual_failure"
+        assert report.iterations == 0
+        assert report.warnings == ["scaled gradients grad f_i / alpha_i are not finite"]
+        assert report.counters.prox_evals == 0
+        np.testing.assert_array_equal(report.x, x0)
+
     @pytest.mark.parametrize("mode", ("bbpgmo", "pgmo_ls"))
     def test_armijo_trial_outside_the_domain(self, mode):
         """f1 = sqrt(x), f2 = sqrt(x) + x from x0 = 0.2: trials at x < 0 give a
