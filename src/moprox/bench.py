@@ -22,7 +22,7 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from .exceptions import UnknownProblemError
-from .prox import SimplexIndicator
+from .prox import BoxIndicator, SimplexIndicator
 from .solvers import SolverConfig, solve
 from .svg import scatter_svg
 from .testproblems import (
@@ -137,12 +137,16 @@ def _campaign_problem(spec):
 
 def _sample_start(problem, rng):
     """A trial's start: Dirichlet on the simplex kind, else uniform in the
-    bounds; ValueError for a problem with neither."""
-    if isinstance(problem.nonsmooth, SimplexIndicator):
+    bounds or, without them, in the box kind's box, which must be finite."""
+    kind = problem.nonsmooth
+    if isinstance(kind, SimplexIndicator):
         return rng.dirichlet(np.ones(problem.n))
-    if problem.bounds is None:
-        raise ValueError("start sampling needs bounds or the simplex kind")
-    return rng.uniform(*problem.bounds)
+    if problem.bounds is None and not isinstance(kind, BoxIndicator):
+        raise ValueError("start sampling needs bounds, the box kind or the simplex kind")
+    lo, hi = problem.bounds or (kind.lower, kind.upper)
+    if not np.isfinite([lo, hi]).all():
+        raise ValueError("start sampling needs a finite box")
+    return rng.uniform(lo, hi)
 
 
 def _run_trial(spec, configs, trial, problem=None):

@@ -2,6 +2,7 @@
 
 import csv
 import dataclasses
+import hashlib
 import os
 import subprocess
 import sys
@@ -23,6 +24,7 @@ from moprox.bench import (
 )
 from moprox.exceptions import UnknownProblemError
 from moprox.problems import MCOProblem, SmoothComponent
+from moprox.prox import BoxIndicator
 from moprox.svg import scatter_svg
 
 # the perfbench quad_m4 instance, registered on first use
@@ -259,6 +261,37 @@ class TestCampaign:
         for trial_reports in summary.reports:
             report = trial_reports["bbpgmo"]
             assert not report.x0_projected  # Dirichlet starts are feasible
+
+    @pytest.mark.parametrize("jobs", (1, 2))
+    def test_box_kind_problem_samples_its_box(self, jobs):
+        """A problem without bounds whose kind is a box draws each start
+        uniformly in that box, and its campaign runs; an infinite box is
+        refused before any solve."""
+        key = "bench-test-box-kind"
+
+        def factory(upper=1.0):
+            qspec = testproblems.QuadraticSpec(n=3, xl=None, xu=None, g_kind="zero")
+            problem = testproblems.random_quadratic(qspec, 2)
+            box = BoxIndicator((-1.0, -0.5, 0.0), (upper,) * 3)
+            return dataclasses.replace(problem, nonsmooth=box)
+
+        testproblems.register_problem(key, factory)
+        testproblems.register_problem(f"{key}-inf", lambda: factory(np.inf))
+        try:
+            spec = ExperimentSpec(problem=key, algorithms=("bbpgmo", "pgmo_ls"),
+                                  trials=3, seed=4, jobs=jobs)
+            summary = run_campaign(spec)
+            with pytest.raises(ValueError, match="start sampling needs a finite box"):
+                run_campaign(dataclasses.replace(spec, problem=f"{key}-inf"))
+        finally:
+            del testproblems._REGISTRY[key], testproblems._REGISTRY[f"{key}-inf"]
+        assert summary.hard_failures == 0
+        for trial, trial_reports in enumerate(summary.reports):
+            rng = np.random.default_rng(_child_seed(spec, trial + 1))
+            x0 = rng.uniform((-1.0, -0.5, 0.0), (1.0,) * 3)
+            hashes = {r["x0_hash"] for r in summary.raw if r["trial"] == trial}
+            assert hashes == {hashlib.sha1(x0.tobytes()).hexdigest()[:12]}
+            assert not any(r.x0_projected for r in trial_reports.values())
 
     def test_child_seed_matches_full_spawn(self):
         for seed in (0, 5, 123456789):
