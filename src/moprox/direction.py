@@ -26,7 +26,8 @@ recovered as d = prox(x - u) - x. Each dual point is one DirectionResult.
 
 The dual is minimized by Frank-Wolfe with exact segment minimization (the
 directional derivative is piecewise linear in lambda for every supported
-nonsmooth kind, so a sign bisection plus one secant step is exact). For two
+nonsmooth kind, so a sign bisection plus one secant step is exact, and
+Newton steps on a piece locate the sign change first). For two
 objectives the whole simplex is one segment and the solve reduces to a single
 bracketed root find on [0, 1]. With three or more objectives, pairwise
 mass-exchange steps provide the certificate and global progress, while a
@@ -184,30 +185,77 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     """Exact minimization of omega along lam + eta step, eta in [0, eta_max].
 
     phi'(eta) = <grad omega(lam_eta), step> = -<q(lam_eta), step> is
-    piecewise linear and nondecreasing (omega is convex); sign bisection
-    with a secant finish locates its root. Each probe is one dual point.
+    piecewise linear and nondecreasing (omega is convex). The eta returned
+    is that of a sign bisection of [0, eta_max] to width tol with a secant
+    finish; each probe of phi' is one dual point, kept by its eta.
+
+    Newton steps on the current piece (phi'' = step' H step with the
+    face-Newton Hessian, exact on a piece) first locate the sign change,
+    each landing a quarter tol past the predicted root, so two probes on
+    one piece bracket it within tol / 2. When the Newton point leaves the
+    bracket (lo, hi) of strictly signed probes, or the curvature is not
+    positive, a secant step or, every other time, the midpoint is probed.
+    The bisection is then replayed: a midpoint <= lo is taken as negative
+    and one >= hi as positive without a probe, any other is probed, and
+    the final ends are probed if their signs were taken. When the computed
+    phi' is monotone every taken sign is the one a probe would give, so
+    (a, ha, b, hb), and eta, have the bytes of the plain bisection.
+    Roundoff can make phi' non-monotone; when the end probes then fail
+    ha < 0 < hb, the replay runs again taking nothing: the plain bisection
+    over the kept probes.
     """
+    tol = 1e-12 * max(1.0, eta_max)
+    probes = {}
 
     def slope(eta):
-        return -float(DirectionResult(inp, lam + eta * step, counters).q.dot(step))
+        if eta not in probes:
+            point = DirectionResult(inp, lam + eta * step, counters)
+            probes[eta] = (-float(point.q.dot(step)), point)
+        return probes[eta][0]
 
-    ha = slope0
-    if ha >= 0.0:
+    if slope0 >= 0.0:
         return 0.0
-    hb = slope(eta_max)
-    if hb <= 0.0:
+    hmax = slope(eta_max)
+    if hmax <= 0.0:
         return eta_max
-    a, b = 0.0, eta_max
-    while b - a > 1e-12 * max(1.0, eta_max):
-        mid = 0.5 * (a + b)
-        hm = slope(mid)
-        if hm < 0.0:
-            a, ha = mid, hm
-        elif hm > 0.0:
-            b, hb = mid, hm
-        else:
-            return mid
-    return _secant(a, ha, b, hb)
+    lo, hlo, hi, hhi, eta = 0.0, slope0, eta_max, hmax, eta_max
+    chord = True
+    for _ in range(16):  # bounds the locate only; the replay ends any bracket
+        if hi - lo <= tol:
+            break
+        h, point = probes[eta]
+        H = inp.kind.dual_hessian(inp.scaled_grads, point.p, inp.alphas)
+        curv = float(step.dot(H.dot(step)))
+        eta = eta - h / curv - math.copysign(0.25 * tol, h) if curv > 0.0 else math.nan
+        if not lo < eta < hi:
+            eta = _secant(lo, hlo, hi, hhi) if chord else 0.5 * (lo + hi)
+            chord = not chord
+        h = slope(eta)
+        if h < 0.0:
+            lo, hlo = eta, h
+        elif h > 0.0:
+            hi, hhi = eta, h
+
+    for lo, hi in ((lo, hi), (0.0, eta_max)):
+        a, ha, b, hb = 0.0, slope0, eta_max, hmax
+        while b - a > tol:
+            mid = 0.5 * (a + b)
+            if mid <= lo:
+                a, ha = mid, None
+            elif mid >= hi:
+                b, hb = mid, None
+            else:
+                hm = slope(mid)
+                if hm < 0.0:
+                    a, ha = mid, hm
+                elif hm > 0.0:
+                    b, hb = mid, hm
+                else:
+                    return mid
+        ha = slope(a) if ha is None else ha
+        hb = slope(b) if hb is None else hb
+        if ha < 0.0 < hb:
+            return _secant(a, ha, b, hb)
 
 
 def _newton_face_step(inp, counters, probe):

@@ -545,7 +545,7 @@ class TestDualSolveFailure:
             outcomes.append(([a.tobytes() for a in (res.d, res.lam)],
                              np.float64(res.fw_gap).tobytes(), counters.prox_evals))
         assert outcomes[0] == outcomes[1]
-        assert outcomes[0][2] == 47
+        assert outcomes[0][2] == 12
 
 
 def _m3_inputs(k, count, seed):
@@ -645,6 +645,129 @@ class TestCarriedNewtonPoint:
                     omega = DirectionResult(inp, lam + end * step).omega
                     assert at <= omega + 1e-12 * max(1.0, abs(omega))
         assert searched > 20
+
+
+def _bisection_segment(inp, counters, lam, step, eta_max, slope0):
+    """The pairwise segment search as it was before the located replay: a
+    sign bisection of [0, eta_max] probing every midpoint, then one secant
+    step. The oracle for the bytes of eta. It builds its dual points through
+    the module, so a patched DirectionResult reaches it too."""
+
+    def slope(eta):
+        return -float(direction.DirectionResult(inp, lam + eta * step, counters).q.dot(step))
+
+    ha = slope0
+    if ha >= 0.0:
+        return 0.0
+    hb = slope(eta_max)
+    if hb <= 0.0:
+        return eta_max
+    a, b = 0.0, eta_max
+    while b - a > 1e-12 * max(1.0, eta_max):
+        mid = 0.5 * (a + b)
+        hm = slope(mid)
+        if hm < 0.0:
+            a, ha = mid, hm
+        elif hm > 0.0:
+            b, hb = mid, hm
+        else:
+            return mid
+    return direction._secant(a, ha, b, hb)
+
+
+def _segment_calls(k, count, seed, monkeypatch):
+    """Arguments of every pairwise segment search that cold, random-warm and
+    vertex-warm m >= 3 solves of the seeded inputs of kind k make."""
+    calls = []
+    search = direction._segment_minimize
+
+    def recorded(inp, counters, lam, step, eta_max, slope0):
+        calls.append((inp, lam.copy(), step.copy(), eta_max, slope0))
+        return search(inp, counters, lam, step, eta_max, slope0)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(direction, "_segment_minimize", recorded)
+        for rng, inp in _m3_inputs(k, count, seed):
+            for warm in (None, rng.dirichlet(np.ones(inp.m)),
+                         np.eye(inp.m)[int(rng.integers(inp.m))]):
+                frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
+    return calls
+
+
+def _eta_and_probes(search, inp, lam, step, eta_max, slope0):
+    counters = EvalCounters()
+    eta = search(inp, counters, lam, step, eta_max, slope0)
+    return np.float64(eta).tobytes(), counters.prox_evals
+
+
+class TestSegmentReplay:
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_same_eta_as_the_bisection(self, k, monkeypatch):
+        """Over every segment search of cold and warm m >= 3 solves, the
+        located replay returns the bisection's eta byte for byte, for less
+        than half of its probes in total."""
+        calls = _segment_calls(k, 20, 150 + k, monkeypatch)
+        assert len(calls) > 20
+        probes = {_bisection_segment: 0, _segment_minimize: 0}
+        for args in calls:
+            etas = set()
+            for search in probes:
+                eta, count = _eta_and_probes(search, *args)
+                etas.add(eta)
+                probes[search] += count
+            assert len(etas) == 1
+        assert 2 * probes[_segment_minimize] < probes[_bisection_segment]
+
+    def test_non_monotone_slope_still_matches(self, monkeypatch):
+        """A slope that roundoff makes non-monotone: the sign of phi' is
+        flipped at one end of the bisection's final bracket, a point the
+        replay may have passed with its sign taken unprobed. The search
+        still returns the bisection's eta on those slopes, byte for byte:
+        either its replay probes the flipped point on the way, or its end
+        probes catch the flip and the replay runs again taking nothing. Runs
+        whose probes include every probe of the bisection are those reruns;
+        the others still probe less than the bisection."""
+        calls = [args for k in range(4) for args in _segment_calls(k, 8, 170 + k, monkeypatch)]
+        probed = []
+
+        class Recorded(DirectionResult):
+            def __init__(self, inp, lam, counters=None):
+                super().__init__(inp, lam, counters)
+                probed.append((lam.tobytes(), self.q))
+
+        flipped = set()
+
+        class Flipped(Recorded):
+            def __init__(self, inp, lam, counters=None):
+                super().__init__(inp, lam, counters)
+                if lam.tobytes() in flipped:
+                    self.q = -self.q
+
+        runs = reruns = fewer = 0
+        for inp, lam, step, eta_max, slope0 in calls:
+            monkeypatch.setattr(direction, "DirectionResult", Recorded)
+            probed.clear()
+            _bisection_segment(inp, None, lam, step, eta_max, slope0)
+            signs = [(key, -float(q.dot(step))) for key, q in probed[1:]]
+            ends = [next((key for key, h in reversed(signs) if h < 0.0), None),
+                    next((key for key, h in reversed(signs) if h > 0.0), None)]
+            monkeypatch.setattr(direction, "DirectionResult", Flipped)
+            for end in ends:
+                if end is None:
+                    continue
+                flipped.clear()
+                flipped.add(end)
+                probed.clear()
+                want = _eta_and_probes(_bisection_segment, inp, lam, step, eta_max, slope0)
+                expected = {key for key, _ in probed}
+                probed.clear()
+                got = _eta_and_probes(_segment_minimize, inp, lam, step, eta_max, slope0)
+                assert got[0] == want[0]
+                runs += 1
+                reruns += expected <= {key for key, _ in probed}
+                fewer += got[1] < want[1]
+        assert runs > 40
+        assert reruns > 0 and fewer > 0
 
 
 class TestDualPointsKeepLambda:
