@@ -260,7 +260,10 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
         need = 0.05 * res.d_norm**2
         if res.fw_gap <= need:
             break
-        res = frank_wolfe_solve(inp, counters, warm_lambda=res.lam, gap_tol=need)
+        warm = res.lam
+        res = frank_wolfe_solve(inp, counters, warm_lambda=warm, gap_tol=need)
+        if res.lam.tobytes() == warm.tobytes():
+            break  # the next pass gets the same lambda and gap_tol: a replay
     if not res.capped:
         return res
     dd = float(np.dot(res.d, res.d))

@@ -483,6 +483,36 @@ class TestStopsThatReturnAStatus:
         assert report.status in ("critical_point", "line_search_failure")
         assert problem.is_feasible(report.x)
 
+    @pytest.mark.parametrize(
+        "mode, status, iterations, prox_evals",
+        (("pgmo_mu", "line_search_failure", 0, 86), ("bbpgmo", "critical_point", 1, 118)),
+    )
+    def test_no_dual_resolve_replays_another(self, mode, status, iterations, prox_evals,
+                                             monkeypatch):
+        """On the instance above an m = 2 dual ends at float resolution far
+        above its gap target, so a re-solve at the tighter target returns the
+        multiplier it started from, byte for byte. The next re-solve would
+        get that multiplier and the same target again and only replay it, so
+        the re-solves end there: no two dual solves of one iterate get the
+        same warm multiplier and target (the prox calls were 212 for pgmo_mu
+        and 199 for bbpgmo when each ran all four re-solves)."""
+        problem = _linear_simplex_problem((1e5, -1e5, 0.0, 0.0), (0.0, 1e5, -1e5, 0.0))
+        inputs = []
+        dual_solve = solvers.frank_wolfe_solve
+
+        def recorded(inp, counters, warm_lambda=None, gap_tol=direction.GAP_TOL):
+            warm = None if warm_lambda is None else warm_lambda.tobytes()
+            inputs.append((inp, warm, gap_tol))
+            return dual_solve(inp, counters, warm_lambda=warm_lambda, gap_tol=gap_tol)
+
+        monkeypatch.setattr(solvers, "frank_wolfe_solve", recorded)
+        report = solve(problem, np.full(4, 0.25), SolverConfig(algorithm=mode))
+        assert (report.status, report.iterations) == (status, iterations)
+        assert report.counters.prox_evals == prox_evals
+        keys = [(id(inp), warm, gap_tol) for inp, warm, gap_tol in inputs]
+        assert len(inputs) > 1
+        assert len(set(keys)) == len(keys)
+
     @pytest.mark.parametrize("mode", ["pgmo_fixed", "pgmo_mu", "pgmo_separate"])
     def test_projection_of_one_large_gradient_component(self, mode):
         """With c1 = c2 = (0, 0, 0, 3e5) the first trial point projects
