@@ -61,7 +61,9 @@ class SubproblemInput:
     def __init__(self, x, grads, alphas, kind):
         self.x, self.grads, self.alphas, self.kind = x, grads, alphas, kind
         self.m = grads.shape[0]
-        self.scaled_grads = grads / alphas[:, None]
+        # a tiny alpha overflows to inf, which the caller reports as a status
+        with np.errstate(over="ignore"):
+            self.scaled_grads = grads / alphas[:, None]
         self._sgT = self.scaled_grads.T
         self._prox = kind.prox
         self._gdiff = kind.model_change(x, self.m)

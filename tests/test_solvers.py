@@ -5,6 +5,7 @@ import functools
 import gc
 import pickle
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -351,13 +352,23 @@ class TestStopsThatReturnAStatus:
         ends in dual_failure at k = 0 with no dual solved, not in a raising
         projection, a false critical point on a box face or a line search
         over NaN trial points."""
-        with np.errstate(over="ignore"):
-            report = solve(problem, x0, SolverConfig(algorithm="pgmo_ls", ell=1e-320))
+        report = solve(problem, x0, SolverConfig(algorithm="pgmo_ls", ell=1e-320))
         assert report.status == "dual_failure"
         assert report.iterations == 0
         assert report.warnings == ["scaled gradients grad f_i / alpha_i are not finite"]
         assert report.counters.prox_evals == 0
         np.testing.assert_array_equal(report.x, x0)
+
+    def test_overflowing_scaled_gradients_warn_nothing(self):
+        """The overflow of grad f_i / alpha_i is reported as the status and
+        its warning, not as numpy's RuntimeWarning: with every RuntimeWarning
+        an error, markowitz at ell = 1e-320 still returns dual_failure."""
+        problem = get_problem("markowitz")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            report = solve(problem, np.full(8, 1 / 8),
+                           SolverConfig(algorithm="pgmo_ls", ell=1e-320))
+        assert report.status == "dual_failure"
 
     @pytest.mark.parametrize("mode", ("bbpgmo", "pgmo_ls"))
     def test_armijo_trial_outside_the_domain(self, mode):
