@@ -207,7 +207,7 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     over the kept probes.
     """
     tol = 1e-12 * max(1.0, eta_max)
-    probes = {}
+    probes = {0.0: (slope0, None)}
 
     def slope(eta):
         if eta not in probes:
@@ -217,10 +217,9 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
 
     if slope0 >= 0.0:
         return 0.0
-    hmax = slope(eta_max)
-    if hmax <= 0.0:
+    if slope(eta_max) <= 0.0:
         return eta_max
-    lo, hlo, hi, hhi, eta = 0.0, slope0, eta_max, hmax, eta_max
+    lo, hi, eta = 0.0, eta_max, eta_max
     chord = True
     for _ in range(16):  # bounds the locate only; the replay ends any bracket
         if hi - lo <= tol:
@@ -230,32 +229,26 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
         curv = float(step.dot(H.dot(step)))
         eta = eta - h / curv - math.copysign(0.25 * tol, h) if curv > 0.0 else math.nan
         if not lo < eta < hi:
-            eta = _secant(lo, hlo, hi, hhi) if chord else 0.5 * (lo + hi)
+            eta = _secant(lo, slope(lo), hi, slope(hi)) if chord else 0.5 * (lo + hi)
             chord = not chord
         h = slope(eta)
         if h < 0.0:
-            lo, hlo = eta, h
+            lo = eta
         elif h > 0.0:
-            hi, hhi = eta, h
+            hi = eta
 
     for lo, hi in ((lo, hi), (0.0, eta_max)):
-        a, ha, b, hb = 0.0, slope0, eta_max, hmax
+        a, b = 0.0, eta_max
         while b - a > tol:
             mid = 0.5 * (a + b)
-            if mid <= lo:
-                a, ha = mid, None
-            elif mid >= hi:
-                b, hb = mid, None
+            hm = -1.0 if mid <= lo else 1.0 if mid >= hi else slope(mid)
+            if hm < 0.0:
+                a = mid
+            elif hm > 0.0:
+                b = mid
             else:
-                hm = slope(mid)
-                if hm < 0.0:
-                    a, ha = mid, hm
-                elif hm > 0.0:
-                    b, hb = mid, hm
-                else:
-                    return mid
-        ha = slope(a) if ha is None else ha
-        hb = slope(b) if hb is None else hb
+                return mid
+        ha, hb = slope(a), slope(b)
         if ha < 0.0 < hb:
             return _secant(a, ha, b, hb)
 
