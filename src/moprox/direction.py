@@ -303,11 +303,10 @@ def _newton_face_step(inp, counters, probe):
     return None
 
 
-def frank_wolfe_solve(inp, counters=None, warm_lambda=None, gap_tol=GAP_TOL,
-                      max_iters=MAX_ITERS):
+def frank_wolfe_solve(inp, counters=None, warm_lambda=None, gap_tol=GAP_TOL):
     """Solve the dual over the simplex; returns a DirectionResult.
 
-    With three or more objectives the loop stops at gap_tol, after max_iters
+    With three or more objectives the loop stops at gap_tol, after MAX_ITERS
     iterations, or when lambda repeats byte for byte (the rest would replay
     it); when the best gap ends above 100x gap_tol, the best point returned
     is marked ``capped``. A warm-start lambda has its negative entries
@@ -325,7 +324,7 @@ def frank_wolfe_solve(inp, counters=None, warm_lambda=None, gap_tol=GAP_TOL,
         lam = np.full(m, 1.0 / m)
 
     best, seen, newton = None, set(), None
-    for _ in range(max_iters):
+    for _ in range(MAX_ITERS):
         # lam is the loop's only state, so a repeat would only replay
         # iterations already run
         key = lam.tobytes()

@@ -2,11 +2,11 @@
 
 A trial t is accepted when every objective satisfies
 
-    F_i(x + t d) - F_i(x) <= t * sigma * rhs_i,
+    F_i(x + t d) - F_i(x) <= t * SIGMA * rhs_i,
 
 where rhs_i is the model decrease of the direction subproblem (strictly
 negative for a descent direction). Trials start at the feasible cap t_cap
-(1 unless box bounds bind) and shrink by gamma.
+(1 unless box bounds bind) and shrink by GAMMA, at most MAX_BACKTRACKS times.
 
 An internal module: ``solve()`` passes float arrays, a point inside the box
 and a cap t_cap >= 1e-12, so nothing here checks them again.
@@ -17,6 +17,10 @@ from __future__ import annotations
 import numpy as np
 
 from .exceptions import EvaluationError, LineSearchError
+
+SIGMA = 1e-4  # sufficient decrease fraction
+GAMMA = 0.5  # backtracking factor
+MAX_BACKTRACKS = 60
 
 
 def max_feasible_step(x, d, lower, upper):
@@ -31,12 +35,11 @@ def max_feasible_step(x, d, lower, upper):
     return max(0.0, float(ratios.min(initial=1.0)))  # +0.0 when blocked
 
 
-def armijo_search(problem, x, d, F_at_x, rhs, cfg, t_cap=1.0, counters=None):
+def armijo_search(problem, x, d, F_at_x, rhs, t_cap=1.0, counters=None):
     """Returns (t, F_new, backtracks); raises LineSearchError on exhaustion.
 
     ``backtracks`` counts rejected trials; every trial costs one F evaluation
     on the counters. A trial with a nonfinite F is rejected like any other.
-    ``cfg`` is a ``SolverConfig``: sigma, gamma and max_backtracks are read.
     """
     # a capped dual accepted within the descent slack can hand over a model
     # decrease >= 0 in some component
@@ -47,13 +50,13 @@ def armijo_search(problem, x, d, F_at_x, rhs, cfg, t_cap=1.0, counters=None):
         )
 
     t = t_cap
-    for backtracks in range(cfg.max_backtracks + 1):
+    for backtracks in range(MAX_BACKTRACKS + 1):
         try:
             F_new = problem.evaluate_F(x + t * d, counters)
         except EvaluationError:
             pass  # nonfinite F (e.g. a trial outside a domain): reject it
         else:
-            if (F_new - F_at_x <= t * cfg.sigma * rhs).all():
+            if (F_new - F_at_x <= t * SIGMA * rhs).all():
                 return t, F_new, backtracks
-        t *= cfg.gamma
-    raise LineSearchError(f"no acceptable step within {cfg.max_backtracks} backtracks")
+        t *= GAMMA
+    raise LineSearchError(f"no acceptable step within {MAX_BACKTRACKS} backtracks")

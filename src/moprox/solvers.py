@@ -56,9 +56,6 @@ class SolverConfig:
     tau: float = 2.0                # abbpgmo inflation factor
     alpha_min: float = 1e-3         # BB clamp [alpha_min, alpha_max]
     alpha_max: float = 1e3
-    sigma: float = 1e-4             # Armijo sufficient decrease fraction
-    gamma: float = 0.5              # Armijo backtracking factor
-    max_backtracks: int = 60
     d_tol: float = 1e-6
     max_iters: int = 500
 
@@ -70,10 +67,6 @@ class SolverConfig:
             raise ValueError("tau must be finite and exceed 1")
         if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
             raise ValueError("need 0 < alpha_min <= alpha_max < inf")
-        if not (0.0 < self.sigma < 1.0 and 0.0 < self.gamma < 1.0):
-            raise ValueError("need sigma, gamma in (0, 1)")
-        if self.max_backtracks < 0:
-            raise ValueError("max_backtracks must be nonnegative")
 
 
 @dataclass
@@ -364,7 +357,7 @@ def solve(problem, x0, cfg=None):
             if mode in _LINE_SEARCH_MODES:
                 try:
                     t, F_new, backtracks = armijo_search(
-                        problem, x, res.d, F, res.model_decrease, cfg, t_cap, counters
+                        problem, x, res.d, F, res.model_decrease, t_cap, counters
                     )
                 except LineSearchError as err:
                     status = "line_search_failure"

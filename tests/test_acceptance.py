@@ -18,6 +18,7 @@ from moprox.direction import (
     SubproblemInput,
     frank_wolfe_solve,
 )
+from moprox.linesearch import GAMMA, SIGMA
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.problems import MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
@@ -184,7 +185,6 @@ def test_criterion_04_descent_certificate(all_summaries):
 
 
 def test_criterion_05_stepsize_floor():
-    ls = SolverConfig()
     rng = np.random.default_rng(77)
     violations = 0
     total = 0
@@ -199,7 +199,7 @@ def test_criterion_05_stepsize_floor():
             for rec in report.trace:
                 floor = min(
                     1.0,
-                    float(np.min(2.0 * ls.gamma * (1.0 - ls.sigma) * rec.alphas / Ls)),
+                    float(np.min(2.0 * GAMMA * (1.0 - SIGMA) * rec.alphas / Ls)),
                 )
                 total += 1
                 violations += rec.t < floor - 1e-12

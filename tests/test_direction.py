@@ -490,11 +490,12 @@ class TestDualValue:
 
 
 class TestDualSolveFailure:
-    def test_iteration_cap_attaches_best_result(self):
+    def test_iteration_cap_attaches_best_result(self, monkeypatch):
         """A starved iteration budget returns the best iterate, capped."""
         rng = np.random.default_rng(61)
         inp = _random_input(rng, n=6, m=4, kind=Zero())
-        res = frank_wolfe_solve(inp, gap_tol=1e-15, max_iters=1)
+        monkeypatch.setattr(direction, "MAX_ITERS", 1)
+        res = frank_wolfe_solve(inp, gap_tol=1e-15)
         assert res.capped
         assert res.d.shape == (6,)
 
@@ -515,7 +516,7 @@ class TestDualSolveFailure:
         assert res.fw_gap == pytest.approx(1e17 / 3, rel=1e-12)
         assert counters.prox_evals == 44
 
-    def test_repeating_multiplier_ends_the_loop(self):
+    def test_repeating_multiplier_ends_the_loop(self, monkeypatch):
         """An m >= 3 solve whose multiplier cycles stops at the first repeat.
 
         Index 340 of the fingerprint tool's box inputs, warm at the vertex
@@ -538,9 +539,9 @@ class TestDualSolveFailure:
         )
         outcomes = []
         for max_iters in (5, MAX_ITERS):
+            monkeypatch.setattr(direction, "MAX_ITERS", max_iters)
             counters = EvalCounters()
-            res = frank_wolfe_solve(inp, counters, warm_lambda=np.eye(4)[2],
-                                    max_iters=max_iters)
+            res = frank_wolfe_solve(inp, counters, warm_lambda=np.eye(4)[2])
             assert res.capped
             outcomes.append(([a.tobytes() for a in (res.d, res.lam)],
                              np.float64(res.fw_gap).tobytes(), counters.prox_evals))
@@ -581,7 +582,7 @@ class TestCarriedNewtonPoint:
         def solve(inp, warm):
             nonlocal calls
             counters = EvalCounters()
-            res = frank_wolfe_solve(inp, counters, warm, max_iters=300)
+            res = frank_wolfe_solve(inp, counters, warm)
             out.append(_result_bytes(res) + [np.float64(-res.omega).tobytes()])
             calls += counters.prox_evals
             return res
@@ -600,6 +601,7 @@ class TestCarriedNewtonPoint:
         copy of its lambda, so that its prox point and omega are computed
         again, m >= 3 solves return the same bytes of d, lambda, fw_gap,
         model_decrease and -omega for strictly more prox calls."""
+        monkeypatch.setattr(direction, "MAX_ITERS", 300)
         reused, reused_calls = self._solve_all(k)
         newton_step = direction._newton_face_step
 
@@ -687,10 +689,11 @@ def _segment_calls(k, count, seed, monkeypatch):
 
     with monkeypatch.context() as patch:
         patch.setattr(direction, "_segment_minimize", recorded)
+        patch.setattr(direction, "MAX_ITERS", 300)
         for rng, inp in _m3_inputs(k, count, seed):
             for warm in (None, rng.dirichlet(np.ones(inp.m)),
                          np.eye(inp.m)[int(rng.integers(inp.m))]):
-                frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
+                frank_wolfe_solve(inp, warm_lambda=warm)
     return calls
 
 
@@ -785,12 +788,13 @@ class TestDualPointsKeepLambda:
                 super().__init__(inp, lam, counters)
 
         monkeypatch.setattr(direction, "DirectionResult", Recorded)
+        monkeypatch.setattr(direction, "MAX_ITERS", 300)
         built = 0
         for rng, inp in _m3_inputs(k, 30, 110 + k):
             for warm in (None, rng.dirichlet(np.ones(inp.m)),
                          np.eye(inp.m)[int(rng.integers(inp.m))]):
                 records.clear()
-                frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
+                frank_wolfe_solve(inp, warm_lambda=warm)
                 assert all(lam.tobytes() == before for lam, before in records)
                 built += len(records)
         assert built > 30 * 3 * 5
@@ -799,17 +803,18 @@ class TestDualPointsKeepLambda:
 class TestDualPointIsOneProx:
     @pytest.mark.parametrize("m", (2, 3))
     @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
-    def test_solved_point_equals_a_fresh_one(self, k, m):
+    def test_solved_point_equals_a_fresh_one(self, k, m, monkeypatch):
         """The dual point a solve returns, cold or warm, is the point its
         lambda makes: a fresh DirectionResult at that lambda has the same
         bytes of u, p, d, q and fw_gap, and fw_gap, set when the point is
         built, is max(max_i q_i - lambda.q, 0)."""
         rng = np.random.default_rng(130 + 10 * m + k)
+        monkeypatch.setattr(direction, "MAX_ITERS", 300)
         for _ in range(25):
             n = int(rng.integers(1, 7))
             inp = _random_input(rng, n=n, m=m, kind=_kinds_for(rng, n, m)[k])
             for warm in (None, rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))]):
-                res = frank_wolfe_solve(inp, warm_lambda=warm, max_iters=300)
+                res = frank_wolfe_solve(inp, warm_lambda=warm)
                 fresh = DirectionResult(inp, res.lam)
                 assert "fw_gap" in vars(fresh)
                 for name in ("u", "p", "d", "q"):

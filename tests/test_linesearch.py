@@ -4,9 +4,14 @@ import numpy as np
 import pytest
 
 from moprox.exceptions import LineSearchError
-from moprox.linesearch import armijo_search, max_feasible_step
+from moprox.linesearch import (
+    GAMMA,
+    MAX_BACKTRACKS,
+    SIGMA,
+    armijo_search,
+    max_feasible_step,
+)
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
-from moprox.solvers import SolverConfig
 
 
 def _quadratic_problem(curvatures):
@@ -109,14 +114,13 @@ class TestArmijoSearch:
         d = -x  # direction from the subproblem with alpha = L = 1
         F = problem.evaluate_F(x)
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
-        t, F_new, backtracks = armijo_search(problem, x, d, F, rhs, SolverConfig())
+        t, F_new, backtracks = armijo_search(problem, x, d, F, rhs)
         assert t == 1.0
         assert backtracks == 0
         np.testing.assert_allclose(F_new, [0.0], atol=1e-15)
 
     def test_stepsize_floor(self):
-        """Accepted t never falls below 2 gamma (1 - sigma) alpha / L."""
-        cfg = SolverConfig()
+        """Accepted t never falls below 2 GAMMA (1 - SIGMA) alpha / L."""
         rng = np.random.default_rng(18)
         for L in (1.0, 10.0, 100.0):
             problem = _quadratic_problem([L])
@@ -127,29 +131,21 @@ class TestArmijoSearch:
                 alpha = rng.uniform(1e-2, 1e2)
                 d = -problem.jacobian(x)[0] / alpha
                 rhs = np.array([float(problem.jacobian(x)[0] @ d)])
-                t, _F, _b = armijo_search(
-                    problem, x, d, problem.evaluate_F(x), rhs, cfg
-                )
-                floor = min(1.0, 2.0 * cfg.gamma * (1.0 - cfg.sigma) * alpha / L)
+                t, _F, _b = armijo_search(problem, x, d, problem.evaluate_F(x), rhs)
+                floor = min(1.0, 2.0 * GAMMA * (1.0 - SIGMA) * alpha / L)
                 assert t >= floor - 1e-12
 
     def test_ascent_direction_rejected(self):
         problem = _quadratic_problem([1.0])
         x = np.array([1.0, 0.0])
         with pytest.raises(LineSearchError):
-            armijo_search(
-                problem, x, x.copy(), problem.evaluate_F(x), np.array([1.0]),
-                SolverConfig(),
-            )
+            armijo_search(problem, x, x.copy(), problem.evaluate_F(x), np.array([1.0]))
 
     def test_zero_rhs_rejected(self):
         problem = _quadratic_problem([1.0])
         x = np.array([1.0, 0.0])
         with pytest.raises(LineSearchError):
-            armijo_search(
-                problem, x, -x, problem.evaluate_F(x), np.array([0.0]),
-                SolverConfig(),
-            )
+            armijo_search(problem, x, -x, problem.evaluate_F(x), np.array([0.0]))
 
     def test_every_trial_counts_one_feval(self):
         problem = _quadratic_problem([50.0])
@@ -158,8 +154,7 @@ class TestArmijoSearch:
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
         counters = EvalCounters()
         t, _F, backtracks = armijo_search(
-            problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(),
-            counters=counters,
+            problem, x, d, problem.evaluate_F(x), rhs, counters=counters
         )
         assert backtracks > 0
         assert counters.F_evals == backtracks + 1
@@ -176,8 +171,7 @@ class TestArmijoSearch:
         counters = EvalCounters()
         with np.errstate(invalid="ignore"):
             t, F, backtracks = armijo_search(
-                problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(),
-                counters=counters,
+                problem, x, d, problem.evaluate_F(x), rhs, counters=counters
             )
         assert (t, backtracks) == (0.5, 1)
         np.testing.assert_allclose(F, [0.5])
@@ -190,24 +184,19 @@ class TestArmijoSearch:
         d = -x
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
         t, _F, backtracks = armijo_search(
-            problem, x, d, problem.evaluate_F(x), rhs, SolverConfig(), t_cap=0.375
+            problem, x, d, problem.evaluate_F(x), rhs, t_cap=0.375
         )
         assert t == 0.375
         assert backtracks == 0
 
     def test_exhaustion_raises_with_context(self):
-        cfg = SolverConfig(max_backtracks=3)
+        """A direction 1e31 times the exact step -x / L needs about 82
+        halvings, more than the MAX_BACKTRACKS = 60 the search makes."""
         problem = _quadratic_problem([1e6])
         x = np.array([1.0, 0.0])
-        d = -1e3 * x
+        d = -1e25 * x
         rhs = np.array([float(problem.jacobian(x)[0] @ d)])
-        with pytest.raises(LineSearchError, match="within 3 backtracks"):
-            armijo_search(problem, x, d, problem.evaluate_F(x), rhs, cfg)
-
-    def test_config_validation(self):
-        with pytest.raises(ValueError):
-            SolverConfig(sigma=0.0)
-        with pytest.raises(ValueError):
-            SolverConfig(gamma=1.0)
-        with pytest.raises(ValueError):
-            SolverConfig(max_backtracks=-1)
+        counters = EvalCounters()
+        with pytest.raises(LineSearchError, match="within 60 backtracks"):
+            armijo_search(problem, x, d, problem.evaluate_F(x), rhs, counters=counters)
+        assert counters.F_evals == MAX_BACKTRACKS + 1 == 61

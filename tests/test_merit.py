@@ -1,11 +1,9 @@
 """Tests for the merit functions against closed forms and scaling laws."""
 
-import functools
-
 import numpy as np
 import pytest
 
-from moprox import direction, merit
+from moprox import direction
 from moprox.exceptions import DualSolveError, EvaluationError
 from moprox.merit import merit_gap, weak_pareto_gap_grid
 from moprox.problems import MCOProblem, SmoothComponent
@@ -114,10 +112,7 @@ class TestCappedDual:
         (1, 0), (0, 1), (-1, 2) at x = 0 at the uniform multiplier, gap 1:
         a merit priced from that point would be wrong, so merit_gap refuses
         it."""
-        monkeypatch.setattr(
-            merit, "frank_wolfe_solve",
-            functools.partial(direction.frank_wolfe_solve, max_iters=1),
-        )
+        monkeypatch.setattr(direction, "MAX_ITERS", 1)
         comps = tuple(
             SmoothComponent(
                 value=lambda x, c=np.array(c): float(np.dot(c, x)),

@@ -1,7 +1,6 @@
 """Tests for the solver loop: mode semantics, monotonicity, trace integrity."""
 
 import dataclasses
-import functools
 import gc
 import pickle
 import tracemalloc
@@ -12,6 +11,7 @@ import pytest
 
 from moprox import direction, solvers
 from moprox.bench import ExperimentSpec, run_campaign
+from moprox.linesearch import MAX_BACKTRACKS
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
 from moprox.solvers import SolverConfig, TraceRecord, solve
@@ -382,7 +382,7 @@ class TestStopsThatReturnAStatus:
         assert report.status == "line_search_failure"
         assert 0.0 <= report.x[0] < 1e-6
         trials = sum(rec.backtracks + 1 for rec in report.trace)
-        assert report.counters.F_evals == trials + cfg.max_backtracks + 1
+        assert report.counters.F_evals == trials + MAX_BACKTRACKS + 1
 
     @pytest.mark.parametrize("x0", (0.2, 2.0))
     @pytest.mark.parametrize("mode", ("pgmo_fixed", "pgmo_separate"))
@@ -584,16 +584,13 @@ class TestStopsThatReturnAStatus:
 class TestCappedDualSolve:
     """One Frank-Wolfe iteration leaves an m = 3 dual at the uniform
     multiplier, so a dual whose optimum lies elsewhere is capped. The cap is
-    set on the name solve() calls the dual solver through."""
+    the dual solver's MAX_ITERS, which it reads at each call."""
 
     CAPPED = SolverConfig(algorithm="pgmo_ls")
 
     @pytest.fixture(autouse=True)
     def _one_dual_iteration(self, monkeypatch):
-        monkeypatch.setattr(
-            solvers, "frank_wolfe_solve",
-            functools.partial(direction.frank_wolfe_solve, max_iters=1),
-        )
+        monkeypatch.setattr(direction, "MAX_ITERS", 1)
 
     def test_certified_direction_is_used(self):
         """f_i = <c_i, x> on the box [0, 1]^2 from x0 = (0, 0.5): the uniform
