@@ -42,15 +42,18 @@ def _scaled_weights(problem, alphas, ell=1.0):
 
 def merit_gap(problem, x, alphas, ell=1.0, counters=None):
     """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
-    Raises ValueError unless ell > 0, beta is m finite positive values and x
-    lies in the domain of g, EvaluationError for a nonfinite gradient and
-    DualSolveError when the dual solve ends capped."""
+    Raises ValueError unless ell > 0, beta is m finite positive values, x
+    lies in the domain of g and every grad f_i / beta_i is finite;
+    EvaluationError for a nonfinite gradient and DualSolveError when the
+    dual solve ends capped."""
     beta = _scaled_weights(problem, alphas, ell)
     x = np.asarray(x, dtype=float)
     grads = problem.jacobian(x, counters)  # checks x's shape, grads finite
     if not problem.nonsmooth.contains(x):
         raise ValueError("base point lies outside the domain of g")
     inp = SubproblemInput(x=x, grads=grads, alphas=beta, kind=problem.nonsmooth)
+    if not np.isfinite(inp.scaled_grads).all():  # a tiny beta_i overflows it
+        raise ValueError("scaled gradients grad f_i / beta_i are not finite")
     res = frank_wolfe_solve(inp, counters)
     if res.capped:
         raise DualSolveError(f"dual gap {res.fw_gap:.3e} above 100x tolerance")

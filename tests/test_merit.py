@@ -6,7 +6,7 @@ import pytest
 from moprox import direction
 from moprox.exceptions import DualSolveError, EvaluationError
 from moprox.merit import merit_gap, weak_pareto_gap_grid
-from moprox.problems import MCOProblem, SmoothComponent
+from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import SimplexIndicator
 from moprox.solvers import SolverConfig, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
@@ -98,6 +98,21 @@ class TestInputValidation:
             problem.jacobian(np.zeros(2))
         with pytest.raises(EvaluationError, match="nonfinite gradient"):
             merit_gap(problem, np.zeros(2), np.ones(1))
+
+    def test_overflowing_scaled_gradients_rejected(self):
+        """beta = (1e-320, 1) is finite and positive, yet grad f_1 / 1e-320
+        overflows. merit_gap refuses it before any dual point, on BK1 (which
+        returned NaN) and on an m = 3 l1 quadratic (where LAPACK also
+        complained), instead of pricing the merit from infinite gradients."""
+        l1_quadratic = random_quadratic(QuadraticSpec(n=3, n_objectives=3), seed=2)
+        for problem, x in ((get_problem("BK1"), np.array([1.0, 2.0])),
+                           (l1_quadratic, np.zeros(3))):
+            counters = EvalCounters()
+            alphas = np.ones(problem.m)
+            alphas[0] = 1e-320
+            with pytest.raises(ValueError, match="not finite"):
+                merit_gap(problem, x, alphas, counters=counters)
+            assert counters.prox_evals == 0
 
     def test_infeasible_base_point_rejected(self):
         comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.ones(2))
