@@ -134,8 +134,8 @@ class WeightedL1(_Kind):
 
     def __post_init__(self):
         c = tuple(float(ci) for ci in self.coeffs)
-        if any(ci < 0 for ci in c):
-            raise ValueError("l1 coefficients must be nonnegative")
+        if not all(0.0 <= ci < np.inf for ci in c):  # a NaN fails too
+            raise ValueError("l1 coefficients must be finite and nonnegative")
         object.__setattr__(self, "coeffs", c)
         # the tuple serves eq, hash and repr; the methods read this array
         arr = np.array(c)

@@ -219,6 +219,13 @@ class TestKinds:
         with pytest.raises(ValueError, match="nonnegative"):
             WeightedL1(coeffs=(1.0, -0.5))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_weighted_l1_nonfinite_coefficient_rejected(self, bad):
+        """A NaN coefficient passed the sign check and ended a solve in
+        line_search_failure; an infinite one made the prox warn."""
+        with pytest.raises(ValueError, match="finite and nonnegative"):
+            WeightedL1(coeffs=(bad, 1.0))
+
     def test_simplex_indicator(self):
         s = SimplexIndicator()
         assert s.contains(np.array([0.25, 0.75]))
