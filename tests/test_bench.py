@@ -681,12 +681,21 @@ class TestCLI:
          (["--d-tol", "nan"], "need 0 < d_tol < inf"),
          (["--algos", "foo"], "unknown algorithm 'foo'"),
          (["--problem", "quadratic:n=2.5"],
-          "invalid int value '2.5' for 'n' in 'quadratic:n=2.5'")),
-        ids=("unknown_problem", "trials", "d_tol", "unknown_algorithm", "token_value"),
+          "invalid int value '2.5' for 'n' in 'quadratic:n=2.5'"),
+         (["--problem", "markowitz", "--algos", "pgmo_separate,bbpgmo", "--trials", "2"],
+          "pgmo_separate needs finite positive Lipschitz constants"),
+         (["--algos", "pgmo_fixed:ell=0.5", "--trials", "2"],
+          "pgmo_fixed needs ell > L_max / 2"),
+         (["--algos", "pgmo_ls:ell=-1", "--trials", "2"],
+          "pgmo_ls needs finite positive ell")),
+        ids=("unknown_problem", "trials", "d_tol", "unknown_algorithm", "token_value",
+             "mode_needs_constants", "fixed_ell_too_small", "nonpositive_ell"),
     )
     def test_invalid_campaign_is_a_usage_error(self, flags, message, capsys):
         """A campaign that cannot start exits 2 with the usage line and the
-        reason, as a malformed flag does; exit 1 is left to hard failures."""
+        reason, as a malformed flag does; exit 1 is left to hard failures.
+        A mode its problem cannot run is such a campaign: markowitz's return
+        objective has L = 0, and BK1 refuses ell = 0.5 for pgmo_fixed."""
         with pytest.raises(SystemExit) as exc:
             main(["run", "--problem", "BK1", "--algos", "bbpgmo", *flags])
         assert exc.value.code == 2
