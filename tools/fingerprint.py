@@ -1,8 +1,8 @@
 """Byte-identity fingerprint of a checkout's solver outputs.
 
-Prints one line per recorded perfbench campaign seed (31 lines), one per
-nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines) and
-one per exported campaign (2 lines):
+Prints 38 lines: one per recorded perfbench campaign seed (31 lines), one
+per nonsmooth kind over seeded random ``frank_wolfe_solve`` calls (4 lines),
+one per exported campaign (2 lines) and one for the stress recipe:
 
 * a campaign line covers every SolveReport field and every trace record
   field except the wall times and the ``f_evals`` counter (a fixed multiple
@@ -17,11 +17,16 @@ one per exported campaign (2 lines):
 * an export line covers every file ``export_results`` writes for one
   seeded campaign of all six modes: the CSVs without their ``time_ms`` and
   ``time_ms_mean`` columns, and the SVGs. BK1 draws both scatters, the
-  three-objective ``quadratic:n=3,m=3`` only the variable-space one.
+  three-objective ``quadratic:n=3,m=3`` only the variable-space one;
+* the stress line hashes the SolveReports of ``solve()`` at
+  ``max_iters=100`` in every mode of ``STRESS_MODES`` on the problems of
+  ``_stress_problem`` for seeds 0-199 without 5, as a campaign line hashes
+  its reports. Unlike the recorded campaigns, these reach capped duals: the
+  certified branch, the d_tol-capped stop and ``dual_failure``.
 
 Each line holds two sha256 values, then its label and total prox-call count;
 a kind line ends with the number of its 1,600 solves that ended capped
-(``res.capped``). A checkout whose ``frank_wolfe_solve`` raises
+(``res.capped``), the stress line with its status counts. A checkout whose ``frank_wolfe_solve`` raises
 ``DualSolveError`` instead is fingerprinted with its own copy of this tool,
 which hashes such a solve the same way.
 The first (iterates) hashes all of the above but the prox-call counts, the
@@ -36,8 +41,10 @@ are equal; one that only removes work passes when the first column is::
     diff old.txt new.txt
     diff <(cut -d' ' -f1 old.txt) <(cut -d' ' -f1 new.txt)
 
-The campaigns come from ROOT's ``perfbench/workloads.py``, which is imported
-and not changed. A full run takes about three minutes on one core of a 2-core box.
+The campaigns come from ROOT's ``perfbench/workloads.py`` and the stress
+recipe from ROOT's ``tests/test_acceptance.py``; both are imported and not
+changed. A full run takes about three and a half minutes on one core of a
+2-core box, 30 s of it the stress line.
 
 Words after ROOT keep only the lines whose label contains one of them; the
 other lines are not computed. An m >= 3 change, which only the quad_m4
@@ -55,6 +62,7 @@ import itertools
 import os
 import sys
 import tempfile
+from collections import Counter
 from collections.abc import Sequence
 
 import numpy as np
@@ -199,16 +207,36 @@ def export_hashes(filters=()):
         yield label, h, work, ""
 
 
+def stress_hashes(acceptance, filters=()):
+    from moprox import SolverConfig, solve
+
+    if not _wanted("stress", filters):
+        return
+    h, work, statuses = hashlib.sha256(), [], Counter()
+    for seed in range(200):
+        if seed == 5:
+            continue
+        problem, x0 = acceptance._stress_problem(seed)
+        for mode in acceptance.STRESS_MODES:
+            report = solve(problem, x0, SolverConfig(algorithm=mode, max_iters=100))
+            statuses[report.status] += 1
+            _feed(h, report, work)
+    counts = ", ".join(f"{status} {k}" for status, k in statuses.most_common())
+    yield "stress", h, work, f"  {counts}"
+
+
 def main(argv):
     root = os.path.abspath(argv[1] if len(argv) > 1 else
                            os.path.join(os.path.dirname(__file__), os.pardir))
-    sys.path[:0] = [os.path.join(root, "src"), os.path.join(root, "perfbench")]
+    sys.path[:0] = [os.path.join(root, d) for d in ("src", "perfbench", "tests")]
+    import test_acceptance
     import workloads
 
     filters = argv[2:]
     for label, h, work, tail in itertools.chain(campaign_hashes(workloads, filters),
                                                 kind_hashes(filters),
-                                                export_hashes(filters)):
+                                                export_hashes(filters),
+                                                stress_hashes(test_acceptance, filters)):
         w = hashlib.sha256()
         _feed(w, work, None)
         print(f"{h.hexdigest()} {w.hexdigest()}  {label}  prox {sum(work)}{tail}",
