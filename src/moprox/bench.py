@@ -23,8 +23,7 @@ import numpy as np
 
 from .exceptions import UnknownProblemError
 from .prox import BoxIndicator, SimplexIndicator
-from . import solvers
-from .solvers import SolverConfig, solve
+from .solvers import SolverConfig, _canonical_mode, _fixed_alphas, solve
 from .svg import scatter_svg
 from .testproblems import (
     QuadraticSpec,
@@ -196,7 +195,7 @@ def run_campaign(spec):
     }
     problem = _campaign_problem(spec)
     for cfg in configs.values():  # solve()'s own check of each mode's alphas
-        solvers._fixed_alphas(problem, solvers._canonical_mode(cfg.algorithm), cfg)
+        _fixed_alphas(problem, _canonical_mode(cfg.algorithm), cfg)
 
     if spec.jobs > 1:
         # each worker builds the problem itself: its callables need not pickle

@@ -26,9 +26,9 @@ one per exported campaign (2 lines) and one for the stress recipe:
 
 Each line holds two sha256 values, then its label and total prox-call count;
 a kind line ends with the number of its 1,600 solves that ended capped
-(``res.capped``), the stress line with its status counts. A checkout whose ``frank_wolfe_solve`` raises
-``DualSolveError`` instead is fingerprinted with its own copy of this tool,
-which hashes such a solve the same way.
+(``res.capped``), the stress line with its status counts. A checkout whose
+``frank_wolfe_solve`` raises ``DualSolveError`` instead is fingerprinted
+with its own copy of this tool, which hashes such a solve the same way.
 The first (iterates) hashes all of the above but the prox-call counts, the
 second (work) hashes those counts in the order they were produced (for an
 export line, the ``prox_evals`` column of ``runs.csv``).
