@@ -187,9 +187,8 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     """Exact minimization of omega along lam + eta step, eta in [0, eta_max].
 
     phi'(eta) = <grad omega(lam_eta), step> = -<q(lam_eta), step> is
-    piecewise linear and nondecreasing (omega is convex). The eta returned
-    is that of a sign bisection of [0, eta_max] to width tol with a secant
-    finish; each probe of phi' is one dual point, kept by its eta.
+    piecewise linear and nondecreasing (omega is convex); each probe of
+    phi' is one dual point, kept by its eta.
 
     Newton steps on the current piece (phi'' = step' H step with the
     face-Newton Hessian, exact on a piece) first locate the sign change,
@@ -197,14 +196,8 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
     one piece bracket it within tol / 2. When the Newton point leaves the
     bracket (lo, hi) of strictly signed probes, or the curvature is not
     positive, a secant step or, every other time, the midpoint is probed.
-    The bisection is then replayed: a midpoint <= lo is taken as negative
-    and one >= hi as positive without a probe, any other is probed, and
-    the final ends are probed if their signs were taken. When the computed
-    phi' is monotone every taken sign is the one a probe would give, so
-    (a, ha, b, hb), and eta, have the bytes of the plain bisection.
-    Roundoff can make phi' non-monotone; when the end probes then fail
-    ha < 0 < hb, the replay runs again taking nothing: the plain bisection
-    over the kept probes.
+    The located bracket is then bisected to width tol; eta is a midpoint
+    where phi' is exactly 0, else the secant root through the final ends.
     """
     tol = 1e-12 * max(1.0, eta_max)
     probes = {0.0: (slope0, None)}
@@ -221,7 +214,7 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
         return eta_max
     lo, hi, eta = 0.0, eta_max, eta_max
     chord = True
-    for _ in range(16):  # bounds the locate only; the replay ends any bracket
+    for _ in range(16):  # bounds the locate only; the bisection ends any bracket
         if hi - lo <= tol:
             break
         h, point = probes[eta]
@@ -236,21 +229,16 @@ def _segment_minimize(inp, counters, lam, step, eta_max, slope0):
             lo = eta
         elif h > 0.0:
             hi = eta
-
-    for lo, hi in ((lo, hi), (0.0, eta_max)):
-        a, b = 0.0, eta_max
-        while b - a > tol:
-            mid = 0.5 * (a + b)
-            hm = -1.0 if mid <= lo else 1.0 if mid >= hi else slope(mid)
-            if hm < 0.0:
-                a = mid
-            elif hm > 0.0:
-                b = mid
-            else:
-                return mid
-        ha, hb = slope(a), slope(b)
-        if ha < 0.0 < hb:
-            return _secant(a, ha, b, hb)
+    while hi - lo > tol:
+        mid = 0.5 * (lo + hi)
+        h = slope(mid)
+        if h < 0.0:
+            lo = mid
+        elif h > 0.0:
+            hi = mid
+        else:
+            return mid
+    return _secant(lo, slope(lo), hi, slope(hi))
 
 
 def _newton_face_step(inp, counters, probe):

@@ -440,8 +440,8 @@ class TestCampaign:
         [
             ("markowitz", ("bbpgmo", "pgmo_fixed"), 3, 1, (1206, 1222, 8788)),
             ("quadratic:n=2", ("bbpgmo", "pgmo_separate", "pgmo_mu"), 20, 5, (624, 624, 2361)),
-            (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 1652)),
-            (_QUAD_M4, ("pgmo_ls",), 4, 5, (128, 784, 736)),
+            (_QUAD_M4, ("bbpgmo", "abbpgmo", "pgmo_ls"), 3, 5, (247, 899, 1541)),
+            (_QUAD_M4, ("pgmo_ls",), 4, 5, (128, 784, 692)),
         ],
         ids=("markowitz", "quadratic_n2", "quad_m4", "quad_m4_cycling_dual"),
     )
