@@ -49,8 +49,9 @@ def main():
     print("\nrecovered d       ", np.round(d_again, 6))
     print("matches           ", bool(np.allclose(d_again, res.d, atol=1e-12)))
 
-    # at a Pareto-critical point the subproblem returns d = 0: the origin
-    # is critical here because the gradients point in opposite directions
+    # at a Pareto-critical point the subproblem returns d = 0: the midpoint
+    # of the two centers is critical because the gradients there point in
+    # opposite directions
     x_crit = np.array([2.0, 0.5])
     grads_crit = np.stack([x_crit - c for c in centers])
     res_crit = frank_wolfe_solve(

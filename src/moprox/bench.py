@@ -13,6 +13,7 @@ import argparse
 import csv
 import functools
 import hashlib
+import numbers
 import os
 import sys
 import time
@@ -47,6 +48,9 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
+        for name in ("trials", "jobs", "max_iters"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be positive")
         if not self.algorithms:
@@ -198,8 +202,9 @@ def run_campaign(spec):
         _fixed_alphas(problem, _canonical_mode(cfg.algorithm), cfg)
 
     if spec.jobs > 1:
-        # each worker builds the problem itself: its callables need not pickle
-        with ProcessPoolExecutor(max_workers=spec.jobs) as pool:
+        # each worker builds the problem itself: its callables need not pickle;
+        # the pool forks all its workers at once, so none beyond the trials
+        with ProcessPoolExecutor(max_workers=min(spec.jobs, spec.trials)) as pool:
             outcomes = list(
                 pool.map(functools.partial(_run_trial, spec, configs), range(spec.trials))
             )

@@ -25,6 +25,7 @@ differs also where x0_j - 1e-4 rounds back to x0_j (|x0_j| >= 2^40).
 from __future__ import annotations
 
 import math
+import numbers
 import time
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -61,6 +62,8 @@ class SolverConfig:
 
     def __post_init__(self):
         _canonical_mode(self.algorithm)
+        if not isinstance(self.max_iters, numbers.Integral):
+            raise ValueError("max_iters must be an integer")
         if not 0.0 < self.d_tol < math.inf or self.max_iters < 1:
             raise ValueError("need 0 < d_tol < inf and max_iters >= 1")
         if not 1.0 < self.tau < math.inf:
@@ -213,12 +216,15 @@ def _fixed_alphas(problem, mode, cfg):
 
 def _prepare_start(problem, x0):
     """x0 projected onto the domain of g and clipped to the bounds; ValueError
-    if that leaves it outside the domain. Later iterates are convex steps
-    between feasible points, clipped to the bounds: none is checked again."""
+    for a nonfinite x0 or one that this leaves outside the domain. Later
+    iterates are convex steps between feasible points, clipped to the
+    bounds: none is checked again."""
     kind = problem.nonsmooth
     x = np.array(x0, dtype=float, copy=True)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},)")
+    if not np.isfinite(x).all():
+        raise ValueError("x0 must be finite")
     projected = not kind.contains(x)
     if projected:
         x = kind.project(x)

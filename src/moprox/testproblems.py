@@ -45,8 +45,6 @@ class QuadraticSpec:
     n_objectives: int = 2
     diag_low: float = 1.0
     diag_high: float = 100.0
-    b_low: float = -10.0
-    b_high: float = 10.0
     xl: float | None = -2.0     # None -> unbounded
     xu: float | None = 2.0
     g_kind: str = "l1"          # "l1" (coefficients 1/n) or "zero"
@@ -67,7 +65,7 @@ def random_quadratic(spec, seed):
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     n, m = spec.n, spec.n_objectives
     diags = rng.uniform(spec.diag_low, spec.diag_high, size=(m, n))
-    bs = rng.uniform(spec.b_low, spec.b_high, size=(m, n))
+    bs = rng.uniform(-10.0, 10.0, size=(m, n))
     smooth = tuple(_quadratic_component(diags[i], bs[i]) for i in range(m))
     if spec.g_kind == "l1":
         kind = WeightedL1(coeffs=(1.0 / n,) * m)

@@ -172,6 +172,14 @@ class TestSpecValidation:
         assert exc.value.code == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("name", ("trials", "jobs", "max_iters"))
+    @pytest.mark.parametrize("value", (2.5, np.inf, np.nan, np.float64(3.0)))
+    def test_non_integer_counts(self, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), **{name: value})
+        spec = ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), **{name: np.int64(3)})
+        assert getattr(spec, name) == 3
+
     def test_quadratic_token_needs_n(self):
         spec = ExperimentSpec(problem="quadratic", algorithms=("bbpgmo",), trials=1)
         with pytest.raises(ValueError, match="n=<dim>"):
@@ -409,6 +417,38 @@ class TestCampaign:
             rows = list(csv.reader(fh))
         assert rows[0][-1] == "error" and rows[3][-1] == "RuntimeError: poisoned start"
         assert {row[-1] for row in rows[1:3] + rows[5:]} == {""}
+
+    def test_pool_has_no_more_workers_than_trials(self, monkeypatch):
+        """The pool forks all its workers at its first submit, so --jobs
+        above --trials would fork idle interpreters. A fake pool records
+        the size it is asked for and maps in this process; none is
+        started."""
+        sizes = []
+
+        class InProcessPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, items):
+                return map(fn, items)
+
+        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        spec = ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), trials=2, seed=1)
+        serial = run_campaign(spec)
+        pooled = run_campaign(ExperimentSpec(**{**vars(spec), "jobs": 64}))
+        assert sizes == [2]
+
+        def untimed(rows):
+            return [{k: v for k, v in r.items() if k != "time_ms"} for r in rows]
+
+        assert untimed(pooled.raw) == untimed(serial.raw)
+        assert pooled.pareto == serial.pareto
 
     def test_jobs_do_not_change_a_raising_campaign(self, poisoned_start_problem):
         spec = ExperimentSpec(

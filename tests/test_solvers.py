@@ -247,6 +247,15 @@ class TestModePrerequisites:
             with pytest.raises(ValueError, match="tau must be finite"):
                 SolverConfig(tau=tau)
 
+    @pytest.mark.parametrize("max_iters", (2.5, np.inf, np.nan, np.float64(3.0), "3"))
+    def test_non_integer_max_iters_rejected(self, max_iters):
+        """A count that is not an integer is refused where the config is
+        built; it used to raise TypeError from range() after F(x0) and the
+        Jacobian had been evaluated. Numpy integers are integers."""
+        with pytest.raises(ValueError, match="max_iters must be an integer"):
+            SolverConfig(max_iters=max_iters)
+        assert SolverConfig(max_iters=np.int64(3)).max_iters == 3
+
     @pytest.mark.parametrize("d_tol", (np.nan, np.inf))
     def test_nonfinite_d_tol_rejected(self, d_tol):
         """A NaN d_tol passed a d_tol <= 0 check and ended BK1 from (1, 2)
@@ -273,6 +282,36 @@ class TestModePrerequisites:
     def test_wrong_x0_shape(self):
         with pytest.raises(ValueError, match="x0"):
             solve(_diag_quadratic([[1.0, 1.0]]), np.ones(3))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    @pytest.mark.parametrize("name", ("BK1", "quadratic", "markowitz"))
+    def test_nonfinite_x0_rejected_before_evaluating(self, name, bad):
+        """A NaN or infinite start entry is refused before F or a gradient
+        is evaluated, whatever the problem's box or kind: it used to end BK1
+        and an unbounded quadratic in evaluation_failure, and to raise from
+        the simplex projection on markowitz."""
+        if name == "quadratic":
+            problem = random_quadratic(QuadraticSpec(n=3, xl=None, xu=None), 0)
+        else:
+            problem = get_problem(name)
+        calls = []
+
+        def recorded(fn):
+            def call(x):
+                calls.append(fn)
+                return fn(x)
+            return call
+
+        problem = dataclasses.replace(problem, smooth=tuple(
+            dataclasses.replace(c, value=recorded(c.value), gradient=recorded(c.gradient))
+            for c in problem.smooth
+        ))
+        x0 = np.full(problem.n, 1.0 / problem.n)
+        x0[-1] = bad
+        for mode in ("bbpgmo", "pgmo_ls"):
+            with pytest.raises(ValueError, match="x0 must be finite"):
+                solve(problem, x0, SolverConfig(algorithm=mode))
+        assert calls == []
 
 
 class TestTermination:
