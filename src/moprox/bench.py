@@ -48,11 +48,13 @@ class ExperimentSpec:
     jobs: int = 1
 
     def __post_init__(self):
-        for name in ("trials", "jobs", "max_iters"):
+        for name in ("trials", "jobs", "max_iters", "seed"):
             if not isinstance(getattr(self, name), numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
         if self.trials < 1:
             raise ValueError("trials must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be nonnegative")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         if self.jobs < 1:
@@ -233,7 +235,8 @@ def run_campaign(spec):
 
         def _mean(key, rows=included):
             vals = [r[key] for r in rows]
-            return float(np.nanmean(vals)) if vals else float("nan")
+            # nanmean warns when no value is a number (every solve stopped at k = 0)
+            return float(np.nanmean(vals)) if any(v == v for v in vals) else float("nan")
 
         rows.append(
             {

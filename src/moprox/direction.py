@@ -78,8 +78,9 @@ class DirectionResult:
     """One dual point: the multiplier ``lam`` (kept without a copy, so nothing
     may change it later), u = sum_i lam_i grad f_i / alpha_i, the prox point
     p = prox(x - u), the direction d = p - x, q_i = model_i / alpha_i at p
-    (the dual gradient is -q) and the Frank-Wolfe gap ``fw_gap``. Building
-    it costs one prox call, counted in ``counters`` when given; ``omega``,
+    (the dual gradient is -q; ``q_list`` is q as floats; a None model change
+    adds nothing) and the Frank-Wolfe gap ``fw_gap``. Building it costs one
+    prox call, counted in ``counters`` when given; ``omega``,
     ``d_norm`` and ``model_decrease`` are computed on first read. When lam
     solves the dual, -omega is the primal optimum. ``capped`` is set on the
     point an m >= 3 solve returns with its gap above 100x its target.
@@ -93,9 +94,13 @@ class DirectionResult:
         if counters is not None:
             counters.prox_evals += 1
         d = p - inp.x
-        q = (inp.grads @ d + inp._gdiff(p)) / inp.alphas
+        q = inp.grads @ d
+        if inp._gdiff is not None:
+            q += inp._gdiff(p)
+        q /= inp.alphas
         self.inp, self.lam, self.u, self.p, self.d, self.q = inp, lam, u, p, d, q
-        self.fw_gap = max(float(np.maximum.reduce(q) - lam.dot(q)), 0.0)
+        self.q_list = ql = q.tolist()  # a NaN in q makes lam.q NaN: max needs no NaN rule
+        self.fw_gap = max(max(ql) - float(lam.dot(q)), 0.0)
 
     @functools.cached_property
     def omega(self):
@@ -143,7 +148,7 @@ def _solve_m2(inp, counters, gap_tol, warm_t=None):
 
     def probe(t):
         pr = DirectionResult(inp, np.array([t, 1.0 - t]), counters)
-        q0, q1 = pr.q.tolist()
+        q0, q1 = pr.q_list
         return pr, q1 - q0
 
     tw = 0.0 if warm_t is None else warm_t
@@ -301,13 +306,15 @@ def frank_wolfe_solve(inp, counters=None, warm_lambda=None, gap_tol=GAP_TOL):
     zeroed and is scaled to sum 1; one without a positive entry starts cold.
     """
     m = inp.m
+    if m == 2:  # the clip and scale below, in floats: -0.0 clips to 0.0, NaN starts cold
+        a, b = (0.0, 0.0) if warm_lambda is None else (
+            w if w > 0.0 or w != w else 0.0 for w in map(float, warm_lambda))
+        return _solve_m2(inp, counters, gap_tol, a / (a + b) if a + b > 0.0 else None)
     lam = None
     if warm_lambda is not None:
         lam = np.maximum(np.asarray(warm_lambda, dtype=float), 0.0)
         s = lam.sum()
         lam = lam / s if s > 0 else None
-    if m == 2:
-        return _solve_m2(inp, counters, gap_tol, None if lam is None else float(lam[0]))
     if lam is None:
         lam = np.full(m, 1.0 / m)
 

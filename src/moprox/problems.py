@@ -141,7 +141,7 @@ class MCOProblem:
                 raise ValueError(
                     f"gradient {i} has shape {gi.shape}, expected ({self.n},)"
                 )
-            if not np.isfinite(gi).all():
+            if not np.logical_and.reduce(np.isfinite(gi)):
                 raise EvaluationError(
                     f"objective {i} returned a nonfinite gradient", objective=i
                 )

@@ -24,7 +24,8 @@ problem accepts no other nonsmooth term. Every kind implements
   float array v, for lam on the unit simplex and finite alphas > 0; it may
   return v itself, so v must be a fresh array;
 * ``model_change(x, m)``: p -> (g_i(p) - g_i(x))_i for prox outputs p, the
-  nonsmooth part of the direction model;
+  nonsmooth part of the direction model, or None when every g_i is
+  constant on its domain, so that the change is zero;
 * ``dual_hessian(V, p, alphas)``: the Hessian of the direction dual on the
   piece of the prox that holds the prox point p (V has rows grad f_i /
   alpha_i). Every prox here is piecewise affine, so it is a Gram matrix,
@@ -76,7 +77,12 @@ def _simplex_threshold(v):
 
 def project_simplex(v):
     """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
-    v0 = v = np.asarray(v, dtype=float)
+    return _project_simplex(np.asarray(v, dtype=float))
+
+
+def _project_simplex(v):
+    """project_simplex of a float array v, which is left unchanged."""
+    v0 = v
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
     v = v - np.add.reduce(v) / v.size
@@ -111,8 +117,7 @@ class _Kind:
         return np.zeros(m) if self.contains(x) else np.full(m, np.inf)
 
     def model_change(self, x, m):
-        zeros = np.zeros(m)
-        return lambda _p: zeros
+        return None
 
 
 @dataclass(frozen=True)
@@ -160,7 +165,7 @@ class WeightedL1(_Kind):
     def dual_hessian(self, V, p, alphas):
         # off the zero set p_j = x_j - u_j - kappa sign(p_j), and the
         # threshold kappa = sum_i lambda_i c_i / alpha_i moves with lambda too
-        S = V + np.outer(self._c / alphas, np.sign(p))
+        S = V + (self._c / alphas)[:, None] * np.sign(p)
         Sf = S[:, p != 0.0]
         return Sf @ Sf.T
 
@@ -192,7 +197,7 @@ class BoxIndicator(_Kind):
             raise ValueError(f"BoxIndicator bounds need n = {n} entries each")
 
     def contains(self, x):
-        return bool((x >= self._lo_tol).all() and (x <= self._hi_tol).all())
+        return bool(np.logical_and.reduce((x >= self._lo_tol) & (x <= self._hi_tol)))
 
     def project(self, x):
         return np.asarray(x, dtype=float).clip(self._lo, self._hi)
@@ -211,7 +216,7 @@ class SimplexIndicator(_Kind):
 
     def contains(self, x):
         return bool(
-            (x >= -_BOX_FEAS_TOL).all()
+            np.logical_and.reduce(x >= -_BOX_FEAS_TOL)
             and abs(float(np.add.reduce(x)) - 1.0) <= _SIMPLEX_FEAS_TOL
         )
 
@@ -219,7 +224,7 @@ class SimplexIndicator(_Kind):
         return project_simplex(x)
 
     def prox(self, lam, alphas, v):
-        return project_simplex(v)
+        return _project_simplex(v)
 
     def dual_hessian(self, V, p, alphas):
         # p is a prox point, so it lies on the simplex and its support is

@@ -249,7 +249,7 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     returns None and the caller must abort with dual_failure. So does an
     overflowed grad f_i / alpha_i (a tiny alpha), which no dual can use.
     """
-    if not np.isfinite(inp.scaled_grads).all():
+    if not np.logical_and.reduce(np.isfinite(inp.scaled_grads), axis=None):
         warnings.append("scaled gradients grad f_i / alpha_i are not finite")
         return None
     res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
@@ -383,7 +383,7 @@ def solve(problem, x0, cfg=None):
                 np.minimum(np.maximum(x_new, bounds[0], out=x_new), bounds[1], out=x_new)
             # true only for nondeterministic objectives: a step lands on p != x
             # or a box face, and Armijo never accepts F(x + t d) = F(x)
-            if not (x_new != x).any():
+            if not np.logical_or.reduce(x_new != x):
                 status = "line_search_failure"
                 warnings.append("accepted step underflowed; iterate unchanged")
                 break

@@ -172,13 +172,20 @@ class TestSpecValidation:
         assert exc.value.code == 2
         assert "jobs must be at least 1" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("name", ("trials", "jobs", "max_iters"))
+    @pytest.mark.parametrize("name", ("trials", "jobs", "max_iters", "seed"))
     @pytest.mark.parametrize("value", (2.5, np.inf, np.nan, np.float64(3.0)))
     def test_non_integer_counts(self, name, value):
         with pytest.raises(ValueError, match=f"{name} must be an integer"):
             ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), **{name: value})
         spec = ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), **{name: np.int64(3)})
         assert getattr(spec, name) == 3
+
+    @pytest.mark.parametrize("seed", (-1, np.int64(-7)))
+    def test_negative_seed(self, seed):
+        """Refused when the spec is built, not by numpy's SeedSequence at
+        the first trial."""
+        with pytest.raises(ValueError, match="seed must be nonnegative"):
+            ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), seed=seed)
 
     def test_quadratic_token_needs_n(self):
         spec = ExperimentSpec(problem="quadratic", algorithms=("bbpgmo",), trials=1)
@@ -466,6 +473,28 @@ class TestCampaign:
         assert pooled.pareto == serial.pareto
         assert pooled.hard_failures == serial.hard_failures == 2
 
+    def test_solves_that_all_stop_at_k0_have_a_nan_stepsize_mean(self):
+        """Every solve of a problem whose gradients vanish is critical at
+        x0, so no trial has a step; the stepsize mean is NaN without numpy's
+        "Mean of empty slice" warning, which this suite turns into an
+        error."""
+        key = "bench-test-flat"
+        flat = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2),
+                               lipschitz=1.0)
+        testproblems.register_problem(key, lambda: MCOProblem(
+            n=2, smooth=(flat, flat), bounds=(np.zeros(2), np.ones(2)), name=key
+        ))
+        try:
+            summary = run_campaign(ExperimentSpec(
+                problem=key, algorithms=("bbpgmo", "pgmo_separate"), trials=3
+            ))
+        finally:
+            del testproblems._REGISTRY[key]
+        assert {r["status"] for r in summary.raw} == {"critical_point"}
+        for row in summary.rows:
+            assert row["iter_mean"] == 0.0
+            assert np.isnan(row["stepsize_mean"])
+
     def test_evaluation_failure_is_hard(self):
         statuses = ("evaluation_failure", "max_iters", "critical_point")
         raw = [{"status": s} for s in statuses]
@@ -718,6 +747,7 @@ class TestCLI:
         "flags, message",
         ((["--problem", "nope"], "unknown problem 'nope'; available: BK1"),
          (["--trials", "0"], "trials must be positive"),
+         (["--seed", "-1"], "seed must be nonnegative"),
          (["--d-tol", "nan"], "need 0 < d_tol < inf"),
          (["--algos", "foo"], "unknown algorithm 'foo'"),
          (["--problem", "quadratic:n=2.5"],
@@ -728,7 +758,7 @@ class TestCLI:
           "pgmo_fixed needs ell > L_max / 2"),
          (["--algos", "pgmo_ls:ell=-1", "--trials", "2"],
           "pgmo_ls needs finite positive ell")),
-        ids=("unknown_problem", "trials", "d_tol", "unknown_algorithm", "token_value",
+        ids=("unknown_problem", "trials", "seed", "d_tol", "unknown_algorithm", "token_value",
              "mode_needs_constants", "fixed_ell_too_small", "nonpositive_ell"),
     )
     def test_invalid_campaign_is_a_usage_error(self, flags, message, capsys):

@@ -21,7 +21,7 @@ from moprox.direction import (
     frank_wolfe_solve,
 )
 from moprox.problems import EvalCounters
-from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
+from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero, project_simplex
 from moprox.testproblems import QuadraticSpec, random_quadratic
 
 
@@ -813,3 +813,133 @@ class TestDualPointIsOneProx:
                 assert np.float64(res.fw_gap).tobytes() == np.float64(fresh.fw_gap).tobytes()
                 gap = max(float(np.maximum.reduce(res.q) - res.lam.dot(res.q)), 0.0)
                 assert res.fw_gap == gap
+
+
+def _unfused_point(inp, lam):
+    """u, p, d, q and fw_gap of the dual point at lam, each by its plain
+    expression: the prox through project_simplex for the simplex kind, a
+    zero model change added for the constant kinds, q divided out of
+    place, and fw_gap through np.maximum.reduce. The oracle for the
+    in-place q and the float gap of DirectionResult."""
+    kind = inp.kind
+    u = inp.scaled_grads.T @ lam
+    v = inp.x - u
+    p = project_simplex(v) if isinstance(kind, SimplexIndicator) else kind.prox(
+        lam, inp.alphas, v)
+    d = p - inp.x
+    if isinstance(kind, WeightedL1):
+        nx1 = float(np.add.reduce(np.abs(inp.x)))
+        gdiff = np.array(kind.coeffs) * (float(np.add.reduce(np.abs(p))) - nx1)
+    else:
+        gdiff = np.zeros(inp.m)
+    q = (inp.grads @ d + gdiff) / inp.alphas
+    return u, p, d, q, max(float(np.maximum.reduce(q) - lam.dot(q)), 0.0)
+
+
+def _point_bytes(u, p, d, q, fw_gap):
+    """The arrays' bytes and the gap's float.hex: both tell -0.0 from 0.0;
+    float.hex leaves out a NaN's sign, which np.maximum.reduce sets by the
+    NaN's position in q."""
+    return [a.tobytes() for a in (u, p, d, q)] + [float(fw_gap).hex()]
+
+
+class TestLeanDualPoint:
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_bytes_of_the_unfused_expressions(self, k):
+        """Every field of a dual point has the bytes of the plain
+        expressions, -0.0 included, for m = 1..5 at a random, a vertex and
+        a sparse multiplier. Box inputs at the upper corner pushed outward
+        have d = 0 with negative gradients, so any -0.0 that adding zeros
+        would have turned into +0.0 shows; q_list is q as floats."""
+        rng = np.random.default_rng(150 + k)
+        checked = 0
+        for m in range(1, 6):
+            for _ in range(12):
+                n = int(rng.integers(1, 7))
+                kind = _kinds_for(rng, n, m)[k]
+                inp = _random_input(rng, n=n, m=m, kind=kind)
+                if k == 2 and rng.uniform() < 0.3:
+                    inp = SubproblemInput(x=np.full(n, 1.5), grads=-np.abs(inp.grads),
+                                          alphas=inp.alphas, kind=kind)
+                sparse = rng.dirichlet(np.ones(m)) * (rng.uniform(size=m) < 0.6)
+                sparse = sparse / sparse.sum() if sparse.sum() > 0 else np.eye(m)[0]
+                for lam in (rng.dirichlet(np.ones(m)), np.eye(m)[int(rng.integers(m))],
+                            sparse):
+                    point = DirectionResult(inp, lam)
+                    fields = (point.u, point.p, point.d, point.q, point.fw_gap)
+                    assert _point_bytes(*fields) == _point_bytes(*_unfused_point(inp, lam))
+                    assert point.q_list == point.q.tolist()
+                    checked += 1
+        assert checked == 5 * 12 * 3
+
+    @pytest.mark.parametrize(
+        "kind, grads, lam",
+        ((Zero(), [[1e200], [1.0]], [0.5, 0.5]),    # q = (-inf, -5e199): gap inf
+         (Zero(), [[1e200], [1e200]], [0.0, 1.0]),  # q = (-inf, -inf): lam.q nan
+         (BoxIndicator((-1.0,), (1.0,)), [[np.inf], [1.0]], [0.5, 0.5]),  # q = (nan, 0)
+         (BoxIndicator((-1.0,), (1.0,)), [[1.0], [np.inf]], [0.5, 0.5])), # q = (0, nan)
+        ids=("inf_gap", "nan_dot", "nan_first", "nan_last"),
+    )
+    def test_nonfinite_q_has_the_gap_of_the_array_max(self, kind, grads, lam):
+        """Python's max of a list skips a NaN that follows a number, where
+        np.maximum.reduce returns it; fw_gap still matches the array
+        expression, since a NaN in q makes lam.q NaN too. At the box's
+        lower corner d = 0, and inf * 0 puts the NaN in q."""
+        inp = SubproblemInput(x=np.array([-1.0]), grads=np.array(grads),
+                              alphas=np.ones(2), kind=kind)
+        lam = np.array(lam)
+        with np.errstate(all="ignore"):
+            point = DirectionResult(inp, lam)
+            oracle = _unfused_point(inp, lam)
+        assert not np.isfinite(point.q).all()
+        fields = (point.u, point.p, point.d, point.q, point.fw_gap)
+        assert _point_bytes(*fields) == _point_bytes(*oracle)
+        assert not math.isfinite(point.fw_gap)
+
+
+def _array_warm_t(warm):
+    """The m = 2 warm t by the m >= 3 array clip and scale: None for a cold
+    start."""
+    lam = np.maximum(np.asarray(warm, dtype=float), 0.0)
+    s = lam.sum()
+    return float((lam / s)[0]) if s > 0 else None
+
+
+class TestWarmMultiplierM2:
+    WARM = (
+        [0.3, 0.7], np.array([2.0, 6.0]), np.array([0.25, 0.75], dtype=np.float32),
+        [1.0, -0.5], [-0.2, 0.4], [-0.0, 1.0], [1.0, -0.0], [math.nan, 1.0],
+        [0.5, math.nan], [0.0, 0.0], [-0.0, -0.0], [-1.0, -2.0], [1.0, 0.0], [0.0, 1.0],
+        np.array([1e-300, 3e-300]),
+    )
+
+    @pytest.mark.parametrize("k", range(4), ids=("zero", "l1", "box", "simplex"))
+    def test_same_warm_t_and_solve_as_the_array_clip(self, k, monkeypatch):
+        """frank_wolfe_solve hands _solve_m2 the warm t of the array clip
+        and scale bit for bit (float.hex tells -0.0 from 0.0), or None
+        where it starts cold, and the solve then costs the same prox calls
+        and returns the same bytes as _solve_m2 given that t directly."""
+        solve_m2 = direction._solve_m2
+        seen = []
+
+        def spy(inp, counters, gap_tol, warm_t=None):
+            seen.append(warm_t)
+            return solve_m2(inp, counters, gap_tol, warm_t)
+
+        monkeypatch.setattr(direction, "_solve_m2", spy)
+        rng = np.random.default_rng(160 + k)
+        for _ in range(5):
+            n = int(rng.integers(1, 7))
+            inp = _random_input(rng, n=n, m=2, kind=_kinds_for(rng, n, 2)[k])
+            for warm in self.WARM:
+                seen.clear()
+                counters = EvalCounters()
+                res = frank_wolfe_solve(inp, counters=counters, warm_lambda=warm)
+                expected = _array_warm_t(warm)
+                [t] = seen
+                assert (t is None) == (expected is None), warm
+                if t is not None:
+                    assert type(t) is float and t.hex() == expected.hex(), warm
+                ref, calls = _m2_solve_counted(solve_m2, inp, expected)
+                assert counters.prox_evals == calls
+                assert _result_bytes(res) == _result_bytes(ref)
