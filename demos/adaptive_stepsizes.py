@@ -51,9 +51,9 @@ def main():
         print(f"  mean stepsize   {report.stepsize_mean:.3f}")
 
         print("  iter   alpha_1      alpha_2      t")
-        for rec in recs[:6]:
+        for k, rec in enumerate(recs[:6]):
             a1, a2 = rec.alphas
-            print(f"  {rec.k:>4}   {a1:<10.4g}   {a2:<10.4g}   {rec.t:.4f}")
+            print(f"  {k:>4}   {a1:<10.4g}   {a2:<10.4g}   {rec.t:.4f}")
         print()
 
     # both land on the Pareto set; the adaptive run never cuts a step, it

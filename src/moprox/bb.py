@@ -6,12 +6,12 @@ stepsize alpha_i:
 
 * <s, y_i> > 0  : alpha_i = clamp(<s, y_i> / <s, s>)      (secant curvature)
 * <s, y_i> < 0  : alpha_i = clamp(||y_i|| / ||s||)        (magnitude fallback)
-* <s, y_i> ~ 0  : alpha_i = alpha_min                      (flat objective)
+* <s, y_i> ~ 0  : alpha_i = ALPHA_MIN                      (flat objective)
 
-where clamp(.) projects onto [alpha_min, alpha_max]. The zero test is
-relative: |<s, y_i>| <= 1e-14 ||s|| ||y_i||, so it is scale invariant and
-catches exactly-linear objectives (y_i = 0). A curvature that is NaN also
-gets alpha_min, so every alpha lies in [alpha_min, alpha_max].
+where clamp(.) projects onto [ALPHA_MIN, ALPHA_MAX] = [1e-3, 1e3]. The zero
+test is relative: |<s, y_i>| <= 1e-14 ||s|| ||y_i||, so it is scale invariant
+and catches exactly-linear objectives (y_i = 0). A curvature that is NaN also
+gets ALPHA_MIN, so every alpha lies in [ALPHA_MIN, ALPHA_MAX].
 
 An internal module: ``solve()`` checks the iterates and gradients where they
 enter, so ``bb_stepsizes`` checks nothing.
@@ -21,14 +21,15 @@ from __future__ import annotations
 
 import numpy as np
 
+ALPHA_MIN = 1e-3  # the clamp of every BB stepsize
+ALPHA_MAX = 1e3
 _ZERO_CURVATURE_REL = 1e-14
 
 
-def bb_stepsizes(x_prev, grads_prev, x, grads, cfg):
+def bb_stepsizes(x_prev, grads_prev, x, grads):
     """(m,) array of alpha_i from the secant pair (x_prev, grads_prev) ->
     (x, grads): float arrays with x != x_prev, which ``solve()`` guarantees
-    (it stops before a step that leaves the iterate unchanged); ``cfg`` is a
-    ``SolverConfig``, read for its clamp alpha_min, alpha_max."""
+    (it stops before a step that leaves the iterate unchanged)."""
     s = x - x_prev
     ss = float(np.dot(s, s))
     s_norm = np.sqrt(ss)
@@ -36,7 +37,7 @@ def bb_stepsizes(x_prev, grads_prev, x, grads, cfg):
     sy = Y @ s
     y_norms = np.sqrt(np.einsum("ij,ij->i", Y, Y))
 
-    lo, hi = cfg.alpha_min, cfg.alpha_max
+    lo, hi = ALPHA_MIN, ALPHA_MAX
     alphas = np.full(sy.size, lo)  # flat or NaN curvature
     near_zero = np.abs(sy) <= _ZERO_CURVATURE_REL * s_norm * y_norms
     positive = (sy > 0.0) & ~near_zero

@@ -44,8 +44,8 @@ import math
 import numpy as np
 
 
-# tight enough that alpha_max * gap stays below descent-certificate
-# tolerances even at the 1e3 stepsize clamp
+# tight enough that alpha * gap stays below descent-certificate tolerances
+# even at the BB clamp's ALPHA_MAX = 1e3
 GAP_TOL = 1e-12
 MAX_ITERS = 2000  # m >= 3 cap; the loop also ends when lambda repeats
 

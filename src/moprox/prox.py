@@ -18,8 +18,8 @@ problem accepts no other nonsmooth term. Every kind implements
 * ``check_size(n, m)``: raise ValueError unless the kind fits n variables
   and m objectives;
 * ``g_values(x, m)``: (g_1(x), ..., g_m(x)), +inf outside an indicator's set;
-* ``contains(x)`` and ``project(x)``: membership in, and the closest point
-  of, the domain of g;
+* ``contains(x)``: membership in the domain of g, which is all of R^n for
+  Zero and WeightedL1;
 * ``prox(lam, alphas, v)``: the prox of sum_i (lam_i / alphas_i) g_i at the
   float array v, for lam on the unit simplex and finite alphas > 0; it may
   return v itself, so v must be a fresh array;
@@ -30,6 +30,9 @@ problem accepts no other nonsmooth term. Every kind implements
   piece of the prox that holds the prox point p (V has rows grad f_i /
   alpha_i). Every prox here is piecewise affine, so it is a Gram matrix,
   exact on the piece.
+
+The two indicator kinds also implement ``project(x)``, the closest point of
+their set, which ``solve()`` applies to a start outside it.
 """
 
 from __future__ import annotations
@@ -109,9 +112,6 @@ class _Kind:
 
     def contains(self, x):
         return True
-
-    def project(self, x):
-        return x
 
     def g_values(self, x, m):
         return np.zeros(m) if self.contains(x) else np.full(m, np.inf)

@@ -55,8 +55,6 @@ class SolverConfig:
     algorithm: str = "bbpgmo"
     ell: float | None = None        # pgmo_ls / pgmo_fixed stepsize parameter
     tau: float = 2.0                # abbpgmo inflation factor
-    alpha_min: float = 1e-3         # BB clamp [alpha_min, alpha_max]
-    alpha_max: float = 1e3
     d_tol: float = 1e-6
     max_iters: int = 500
 
@@ -68,13 +66,10 @@ class SolverConfig:
             raise ValueError("need 0 < d_tol < inf and max_iters >= 1")
         if not 1.0 < self.tau < math.inf:
             raise ValueError("tau must be finite and exceed 1")
-        if not (0.0 < self.alpha_min <= self.alpha_max < math.inf):
-            raise ValueError("need 0 < alpha_min <= alpha_max < inf")
 
 
 @dataclass
 class TraceRecord:
-    k: int
     d_norm: float
     t: float
     alphas: np.ndarray
@@ -99,37 +94,36 @@ class Trace(Sequence):
     few arrays however long its solve ran.
     """
 
-    __slots__ = ("_ints", "_floats", "_vectors", "x", "inflations")
+    __slots__ = ("backtracks", "_floats", "_vectors", "x", "inflations")
 
-    def __init__(self, ints, floats, vectors, x, inflations=None):
-        # (2, k) k and backtracks; (4, k) d_norm, t, fw_gap and time_s;
-        # (4, k, m) alphas, lam, F and model_decrease
-        self._ints, self._floats, self._vectors = ints, floats, vectors
+    def __init__(self, backtracks, floats, vectors, x, inflations=None):
+        # (4, k) d_norm, t, fw_gap and time_s; (4, k, m) alphas, lam, F and
+        # model_decrease
+        self.backtracks, self._floats, self._vectors = backtracks, floats, vectors
         self.x, self.inflations = x, inflations
-        for block in (ints, floats, vectors, x, inflations):
+        for block in (backtracks, floats, vectors, x, inflations):
             if block is not None:
                 block.flags.writeable = False
 
     @classmethod
     def from_rows(cls, rows, n, m, adaptive):
-        """Pack one (k, backtracks, d_norm, t, fw_gap, time_s, alphas, lam,
-        F, model_decrease, x, inflations) tuple per iteration; inflations are
+        """Pack one (backtracks, d_norm, t, fw_gap, time_s, alphas, lam, F,
+        model_decrease, x, inflations) tuple per iteration; inflations are
         kept only when ``adaptive``."""
         k = len(rows)
-        cols = list(zip(*rows)) or [()] * 12
+        cols = list(zip(*rows)) or [()] * 11
         return cls(
-            np.array(cols[0:2], dtype=int).reshape(2, k),
-            np.array(cols[2:6], dtype=float).reshape(4, k),
-            np.array(cols[6:10], dtype=float).reshape(4, k, m),
-            np.array(cols[10], dtype=float).reshape(k, n),
-            np.array(cols[11], dtype=int).reshape(k, m) if adaptive else None,
+            np.array(cols[0], dtype=int),
+            np.array(cols[1:5], dtype=float).reshape(4, k),
+            np.array(cols[5:9], dtype=float).reshape(4, k, m),
+            np.array(cols[9], dtype=float).reshape(k, n),
+            np.array(cols[10], dtype=int).reshape(k, m) if adaptive else None,
         )
 
     def __reduce__(self):
-        return Trace, (self._ints, self._floats, self._vectors, self.x, self.inflations)
+        return Trace, (self.backtracks, self._floats, self._vectors, self.x,
+                       self.inflations)
 
-    k = property(lambda self: self._ints[0])
-    backtracks = property(lambda self: self._ints[1])
     d_norm = property(lambda self: self._floats[0])
     t = property(lambda self: self._floats[1])
     fw_gap = property(lambda self: self._floats[2])
@@ -146,12 +140,12 @@ class Trace(Sequence):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # negative indices; IndexError past the end
-        k, backtracks = self._ints[:, i].tolist()
         d_norm, t, fw_gap, time_s = self._floats[:, i].tolist()
         alphas, lam, F, model_decrease = self._vectors[:, i]
         inflations = None if self.inflations is None else self.inflations[i]
-        return TraceRecord(k, d_norm, t, alphas, lam, self.x[i], F, fw_gap,
-                           model_decrease, backtracks, inflations, time_s)
+        return TraceRecord(d_norm, t, alphas, lam, self.x[i], F, fw_gap,
+                           model_decrease, int(self.backtracks[i]), inflations,
+                           time_s)
 
 
 @dataclass
@@ -160,12 +154,14 @@ class SolveReport:
     #              dual_failure | evaluation_failure
     x: np.ndarray
     F: np.ndarray
-    iterations: int
     counters: EvalCounters
     trace: Trace
     total_time: float
     warnings: list
-    x0_projected: bool
+
+    @property
+    def iterations(self):
+        return len(self.trace)
 
     @property
     def stepsize_mean(self):
@@ -215,26 +211,24 @@ def _fixed_alphas(problem, mode, cfg):
 
 
 def _prepare_start(problem, x0):
-    """x0 projected onto the domain of g and clipped to the bounds; ValueError
-    for a nonfinite x0 or one that this leaves outside the domain. Later
-    iterates are convex steps between feasible points, clipped to the
-    bounds: none is checked again."""
+    """x0 projected onto the domain of g (only the indicator kinds, which
+    define ``project``, have points outside it) and clipped to the bounds;
+    ValueError for a nonfinite x0 or one that this leaves outside the
+    domain. Later iterates are convex steps between feasible points, clipped
+    to the bounds: none is checked again."""
     kind = problem.nonsmooth
     x = np.array(x0, dtype=float, copy=True)
     if x.shape != (problem.n,):
         raise ValueError(f"x0 must have shape ({problem.n},)")
     if not np.isfinite(x).all():
         raise ValueError("x0 must be finite")
-    projected = not kind.contains(x)
-    if projected:
+    if not kind.contains(x):
         x = kind.project(x)
     if problem.bounds is not None:
-        clipped = np.clip(x, *problem.bounds)
-        projected |= bool((clipped != x).any())
-        x = clipped
+        x = np.clip(x, *problem.bounds)
     if not kind.contains(x):
         raise ValueError("base point lies outside the domain of g")
-    return x, projected
+    return x
 
 
 def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
@@ -293,7 +287,7 @@ def solve(problem, x0, cfg=None):
     started = time.perf_counter()
     counters = EvalCounters()
 
-    x, x0_projected = _prepare_start(problem, x0)
+    x = _prepare_start(problem, x0)
     alphas_fixed = _fixed_alphas(problem, mode, cfg)
     bounds = problem.bounds
     rows = []  # one tuple per iteration, packed into the Trace at the end
@@ -312,10 +306,10 @@ def solve(problem, x0, cfg=None):
         if alphas_fixed is None:
             x_prev = x - np.maximum(_X_MINUS_OFFSET, np.abs(np.spacing(x)))
             grads_prev = problem.jacobian(x_prev, counters)
-        for k in range(cfg.max_iters):
+        for _ in range(cfg.max_iters):
             iter_started = time.perf_counter()
             if alphas_fixed is None:
-                alphas = bb_stepsizes(x_prev, grads_prev, x, grads, cfg)
+                alphas = bb_stepsizes(x_prev, grads_prev, x, grads)
             else:
                 alphas = alphas_fixed
             inflations = np.zeros(problem.m, dtype=int) if mode == "abbpgmo" else None
@@ -395,7 +389,7 @@ def solve(problem, x0, cfg=None):
             warm_lambda = res.lam
             x, F, grads = x_new, F_new, grads_new
             rows.append((
-                k, backtracks, res.d_norm, t, res.fw_gap,
+                backtracks, res.d_norm, t, res.fw_gap,
                 time.perf_counter() - iter_started,
                 alphas, res.lam, F, res.model_decrease, x, inflations,
             ))
@@ -407,12 +401,10 @@ def solve(problem, x0, cfg=None):
         status=status or "max_iters",
         x=x,
         F=F,
-        iterations=len(rows),
         counters=counters,
         trace=Trace.from_rows(rows, problem.n, problem.m, mode == "abbpgmo"),
         total_time=time.perf_counter() - started,
         warnings=warnings,
-        x0_projected=x0_projected,
     )
 
 

@@ -12,6 +12,7 @@ from collections import Counter
 import numpy as np
 import pytest
 
+from moprox import bb
 from moprox.bench import ExperimentSpec, run_campaign
 from moprox.direction import (
     DirectionResult,
@@ -542,7 +543,7 @@ def test_criterion_09_adaptive_stepsize_bound():
         with np.errstate(divide="ignore"):
             caps = np.where(
                 curved,
-                np.ceil(np.log(np.maximum(Ls, cfg.alpha_min) / cfg.alpha_min)
+                np.ceil(np.log(np.maximum(Ls, bb.ALPHA_MIN) / bb.ALPHA_MIN)
                         / np.log(cfg.tau)) + 1,
                 0,
             )
@@ -667,7 +668,7 @@ def test_criterion_11_solve_stress_battery():
                     and np.array_equal(report.F, problem.evaluate_F(report.x))):
                 violations.append(f"{where}: final point infeasible or F stale")
             if mode in ("pgmo_ls", "pgmo_mu", "bbpgmo"):
-                start = _prepare_start(problem, x0)[0]
+                start = _prepare_start(problem, x0)
                 F = np.vstack([problem.evaluate_F(start), report.trace.F])
                 if (np.diff(F, axis=0) > 1e-9 * np.abs(F[:-1])).any():
                     violations.append(f"{where}: an objective increased")

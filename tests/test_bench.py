@@ -3,6 +3,7 @@
 import csv
 import dataclasses
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -273,9 +274,13 @@ class TestCampaign:
             problem="markowitz", algorithms=("bbpgmo",), trials=2, seed=1
         )
         summary = run_campaign(spec)
-        for trial_reports in summary.reports:
-            report = trial_reports["bbpgmo"]
-            assert not report.x0_projected  # Dirichlet starts are feasible
+        problem = testproblems.get_problem("markowitz")
+        for trial in range(2):
+            rng = np.random.default_rng(_child_seed(spec, trial + 1))
+            x0 = rng.dirichlet(np.ones(8))
+            assert problem.is_feasible(x0)  # Dirichlet starts are feasible
+            (row,) = (r for r in summary.raw if r["trial"] == trial)
+            assert row["x0_hash"] == hashlib.sha1(x0.tobytes()).hexdigest()[:12]
 
     @pytest.mark.parametrize("jobs", (1, 2))
     def test_box_kind_problem_samples_its_box(self, jobs):
@@ -301,12 +306,12 @@ class TestCampaign:
         finally:
             del testproblems._REGISTRY[key], testproblems._REGISTRY[f"{key}-inf"]
         assert summary.hard_failures == 0
-        for trial, trial_reports in enumerate(summary.reports):
+        for trial in range(3):
             rng = np.random.default_rng(_child_seed(spec, trial + 1))
             x0 = rng.uniform((-1.0, -0.5, 0.0), (1.0,) * 3)
             hashes = {r["x0_hash"] for r in summary.raw if r["trial"] == trial}
             assert hashes == {hashlib.sha1(x0.tobytes()).hexdigest()[:12]}
-            assert not any(r.x0_projected for r in trial_reports.values())
+            assert factory().is_feasible(x0)
 
     def test_child_seed_matches_full_spawn(self):
         for seed in (0, 5, 123456789):
@@ -609,6 +614,27 @@ class TestExport:
         finite = scatter_svg({"a": ([1.0, 2.0], [3.0, 4.0]), "b": ([], [])}, "F1", "F2", "t")
         assert svg == finite
 
+    def test_svg_coordinates_finite_on_degenerate_ranges(self):
+        """One point at 1e17, where the 0.05 padding is lost below one ulp,
+        and two points whose span overflows: every coordinate written is
+        finite, each point is drawn inside the axes, and no tick label reads
+        inf or nan (at 4 digits, MAX_FLOAT itself shows as 1.798e+308)."""
+        for xs, ys in (([1e17], [2.0]), ([-1.7e308, 1.7e308], [2.0, 3.0])):
+            root = ElementTree.fromstring(scatter_svg({"a": (xs, ys)}, "F1", "F2", "t"))
+            coords = [float(value) for el in root.iter() for name, value in el.attrib.items()
+                      if name in ("x", "y", "x1", "x2", "y1", "y2", "cx", "cy")]
+            assert coords and all(math.isfinite(c) for c in coords)
+            points = [el for el in root.iter("{http://www.w3.org/2000/svg}circle")
+                      if el.get("r") == "3"]
+            assert len(points) == len(xs)
+            for el in points:
+                assert 64.0 <= float(el.get("cx")) <= 490.0
+                assert 40.0 <= float(el.get("cy")) <= 424.0
+            ticks = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                     if el.get("font-size") == "11"]
+            assert len(ticks) == 10
+            assert not any("inf" in t or "nan" in t for t in ticks)
+
     def test_svg_escapes_text(self):
         """Title, axis and legend labels holding &, < or > give well-formed
         XML that reads back as the original text."""
@@ -772,6 +798,34 @@ class TestCLI:
         err = capsys.readouterr().err
         assert err.startswith("usage: bench run")
         assert f"bench run: error: {message}" in err
+
+    def test_start_sampling_without_a_box_is_a_usage_error(self, capsys):
+        """A problem with the Zero kind and no bounds gives a trial no set to
+        draw its start from: ``bench run`` exits 2 with the reason before
+        any solve evaluates it."""
+        key = "bench-test-no-box"
+        calls = []
+
+        def factory():
+            comp = SmoothComponent(
+                value=lambda x: calls.append("F") or 0.5 * float(np.dot(x, x)),
+                gradient=lambda x: calls.append("grad") or x.copy(),
+                lipschitz=1.0,
+            )
+            return MCOProblem(n=2, smooth=(comp, comp), name=key)
+
+        testproblems.register_problem(key, factory)
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--problem", key, "--algos", "bbpgmo", "--trials", "2"])
+        finally:
+            del testproblems._REGISTRY[key]
+        assert exc.value.code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("usage: bench run")
+        assert ("bench run: error: start sampling needs bounds, the box kind or "
+                "the simplex kind") in err
+        assert calls == []
 
     def test_hard_failures_exit_code(self, bad_gradient_problem, capsys):
         code = main(

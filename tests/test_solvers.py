@@ -9,12 +9,12 @@ import warnings
 import numpy as np
 import pytest
 
-from moprox import direction, solvers
+from moprox import bb, direction, solvers
 from moprox.bench import ExperimentSpec, run_campaign
 from moprox.linesearch import MAX_BACKTRACKS
 from moprox.problems import EvalCounters, MCOProblem, SmoothComponent
 from moprox.prox import BoxIndicator, SimplexIndicator
-from moprox.solvers import SolverConfig, TraceRecord, solve
+from moprox.solvers import SolverConfig, TraceRecord, _prepare_start, solve
 from moprox.testproblems import QuadraticSpec, get_problem, random_quadratic
 
 ALL_MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
@@ -170,20 +170,18 @@ class TestDeterminism:
             np.testing.assert_array_equal(ra.alphas, rb.alphas)
             np.testing.assert_array_equal(ra.F, rb.F)
 
-    def test_clamped_bb_equals_constant_stepsize_mode(self):
-        """alpha_min = alpha_max = c forces every BB branch to c, so the
-        trajectory must match pgmo_ls with ell = c step for step."""
+    def test_clamped_bb_equals_constant_stepsize_mode(self, monkeypatch):
+        """A clamp ALPHA_MIN = ALPHA_MAX = c forces every BB branch to c, so
+        the trajectory must match pgmo_ls with ell = c step for step."""
         spec = QuadraticSpec(n=5, n_objectives=2)
         problem_a = random_quadratic(spec, seed=7)
         problem_b = random_quadratic(spec, seed=7)
         x0 = np.full(5, 0.9)
         c = 30.0
         a = solve(problem_a, x0, SolverConfig(algorithm="pgmo_ls", ell=c))
-        b = solve(
-            problem_b,
-            x0,
-            SolverConfig(algorithm="bbpgmo", alpha_min=c, alpha_max=c),
-        )
+        monkeypatch.setattr(bb, "ALPHA_MIN", c)
+        monkeypatch.setattr(bb, "ALPHA_MAX", c)
+        b = solve(problem_b, x0, SolverConfig(algorithm="bbpgmo"))
         assert a.status == b.status
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.x, b.x)
@@ -201,6 +199,19 @@ class TestModePrerequisites:
         problem = get_problem("markowitz")  # linear objective has mu = 0
         with pytest.raises(ValueError, match="strong convexity"):
             solve(problem, np.full(8, 0.125), SolverConfig(algorithm="pgmo_mu"))
+
+    def test_pgmo_mu_needs_every_modulus(self):
+        """A component without a strong convexity modulus leaves pgmo_mu no
+        alpha for its objective: refused before any evaluation."""
+        with_mu, calls = _recording_problem(mu=1.0)
+        without = dataclasses.replace(with_mu.smooth[1], strong_mu=None)
+        problem = MCOProblem(n=2, smooth=(with_mu.smooth[0], without))
+        assert problem.strong_moduli() is None
+        with pytest.raises(
+            ValueError, match="pgmo_mu needs finite positive strong convexity moduli"
+        ):
+            solve(problem, np.ones(2), SolverConfig(algorithm="pgmo_mu"))
+        assert calls == []
 
     def test_pgmo_separate_needs_lipschitz(self):
         comp = SmoothComponent(
@@ -336,18 +347,16 @@ class TestTermination:
         assert report.status == "line_search_failure"
         assert report.warnings
 
-    def test_x0_projection_flag(self):
+    def test_infeasible_start_is_projected(self):
+        """A start off the simplex is projected onto it, and the solve runs
+        from there; a start inside the domain and the bounds is kept."""
         problem = get_problem("markowitz")
-        report = solve(
-            problem,
-            np.full(8, 3.0),
-            SolverConfig(algorithm="bbpgmo", max_iters=2),
-        )
-        assert report.x0_projected
-        inside = solve(
-            get_problem("BK1"), np.zeros(2), SolverConfig(algorithm="bbpgmo", max_iters=2)
-        )
-        assert not inside.x0_projected
+        x0 = np.full(8, 3.0)
+        np.testing.assert_array_equal(_prepare_start(problem, x0), np.full(8, 0.125))
+        report = solve(problem, x0, SolverConfig(algorithm="bbpgmo", max_iters=2))
+        assert report.iterations == 2 and problem.is_feasible(report.x)
+        inside = np.array([0.5, -2.0])
+        np.testing.assert_array_equal(_prepare_start(get_problem("BK1"), inside), inside)
 
 
 class TestStopsThatReturnAStatus:
@@ -752,8 +761,7 @@ class TestTraceIntegrity:
         report = solve(problem, np.full(4, 1.1), cfg)
         assert report.status == "critical_point"
         assert report.iterations == len(report.trace)
-        for pos, rec in enumerate(report.trace):
-            assert rec.k == pos
+        for rec in report.trace:
             assert rec.d_norm > cfg.d_tol
             assert rec.t > 0.0
             assert rec.backtracks >= 0
@@ -790,7 +798,7 @@ class TestTraceIntegrity:
             if column is None and name == "inflations":
                 continue
             assert column.shape == shapes.get(name, (k,)), name
-            ints = name in ("k", "backtracks", "inflations")
+            ints = name in ("backtracks", "inflations")
             assert column.dtype == (int if ints else float), name
             assert not column.flags.writeable, name
 
@@ -819,7 +827,6 @@ class TestTraceIntegrity:
         rows = list(trace)
         assert len(rows) == len(trace) > 2
         for pos, rec in enumerate(rows):
-            assert type(rec.k) is int and rec.k == pos
             assert type(rec.backtracks) is int and type(rec.d_norm) is float
             for name in TRACE_FIELDS:
                 column = getattr(trace, name)
@@ -831,7 +838,7 @@ class TestTraceIntegrity:
                           *zip(trace[:2], rows[:2])):
             for name in TRACE_FIELDS:
                 np.testing.assert_array_equal(getattr(got, name), getattr(want, name))
-        assert len(trace[:2]) == 2 and trace[-1].k == len(trace) - 1
+        assert len(trace[:2]) == 2
         with pytest.raises(IndexError):
             trace[len(trace)]
 
