@@ -57,9 +57,8 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # bench's names load on first use: bench imports argparse, csv, hashlib
-    # and a process pool, and ``python -m moprox.bench`` warns if the package
-    # imported it already
+    # bench's names load on first use: bench imports argparse and hashlib,
+    # and ``python -m moprox.bench`` warns if the package imported it already
     if name in ("ExperimentSpec", "ExperimentSummary", "export_results",
                 "run_campaign"):
         from . import bench

@@ -10,14 +10,12 @@ campaign reproduces the result files byte for byte except wall-clock columns.
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import hashlib
 import numbers
 import os
 import sys
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -25,7 +23,6 @@ import numpy as np
 from .exceptions import UnknownProblemError
 from .prox import BoxIndicator, SimplexIndicator
 from .solvers import SolverConfig, _canonical_mode, _fixed_alphas, solve
-from .svg import scatter_svg
 from .testproblems import (
     QuadraticSpec,
     available_problems,
@@ -70,13 +67,30 @@ class ExperimentSummary:
     m: int
     rows: list                 # one dict per algorithm (the summary table)
     raw: list                  # one dict per (trial, algorithm)
-    pareto: list               # final objective vectors per (trial, algorithm)
     reports: list = field(repr=False, default_factory=list)
     # reports[trial][algo] -> SolveReport, kept for diagnostics
 
     @property
     def hard_failures(self):
         return sum(1 for r in self.raw if r["status"] in _HARD_FAILURES)
+
+    @property
+    def pareto(self):
+        """One row per solve that returned, built from ``reports`` on each
+        read: trial, algo, F1..Fm and, for n = 2, x1 and x2. A solve that
+        raised has no final point and no row."""
+        rows = []
+        for trial, trial_reports in enumerate(self.reports):
+            for token in self.spec.algorithms:
+                report = trial_reports.get(token)
+                if report is None:
+                    continue
+                row = {"trial": trial, "algo": token}
+                row.update((f"F{i}", float(v)) for i, v in enumerate(report.F, start=1))
+                if self.n == 2:
+                    row.update((f"x{j}", float(v)) for j, v in enumerate(report.x, start=1))
+                rows.append(row)
+        return rows
 
 
 def _parse_token(token, converters, what):
@@ -204,8 +218,11 @@ def run_campaign(spec):
         _fixed_alphas(problem, _canonical_mode(cfg.algorithm), cfg)
 
     if spec.jobs > 1:
+        # imported here, so that a jobs=1 campaign never loads multiprocessing;
         # each worker builds the problem itself: its callables need not pickle;
         # the pool forks all its workers at once, so none beyond the trials
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=min(spec.jobs, spec.trials)) as pool:
             outcomes = list(
                 pool.map(functools.partial(_run_trial, spec, configs), range(spec.trials))
@@ -215,17 +232,6 @@ def run_campaign(spec):
 
     raw = [row for rows, _ in outcomes for row in rows]
     reports = [trial_reports for _, trial_reports in outcomes]
-    pareto = []  # a solve that raised has no final point
-    for trial, trial_reports in enumerate(reports):
-        for token in spec.algorithms:
-            report = trial_reports.get(token)
-            if report is None:
-                continue
-            row = {"trial": trial, "algo": token}
-            row.update((f"F{i}", float(v)) for i, v in enumerate(report.F, start=1))
-            if problem.n == 2:
-                row.update((f"x{j}", float(v)) for j, v in enumerate(report.x, start=1))
-            pareto.append(row)
 
     rows = []
     for token in spec.algorithms:
@@ -255,7 +261,6 @@ def run_campaign(spec):
         m=problem.m,
         rows=rows,
         raw=raw,
-        pareto=pareto,
         reports=reports,
     )
 
@@ -264,6 +269,8 @@ def _write_csv(path, rows):
     """One CSV row per dict. The header holds every key in the order of first
     appearance (only a raising solve's row has ``error``); a row without a
     key leaves its cell empty, and no rows make an empty file."""
+    import csv  # only exports write CSV; a campaign alone does not load it
+
     header = list(dict.fromkeys(key for row in rows for key in row))
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
@@ -276,12 +283,15 @@ def _write_csv(path, rows):
 
 def export_results(summary, out_dir):
     """Write summary/runs/pareto CSVs plus scatter SVGs; returns the paths."""
+    from .svg import scatter_svg  # only exports draw; a campaign alone does not load it
+
     os.makedirs(out_dir, exist_ok=True)
     written = []
+    pareto = summary.pareto  # built from the reports on each read
 
-    # the row dicts built by run_campaign and _run_trial fix the column order
+    # the row dicts built by run_campaign, _run_trial and pareto fix the column order
     for name, rows in (("summary.csv", summary.rows), ("runs.csv", summary.raw),
-                       ("pareto.csv", summary.pareto)):
+                       ("pareto.csv", pareto)):
         path = os.path.join(out_dir, name)
         _write_csv(path, rows)
         written.append(path)
@@ -300,7 +310,7 @@ def export_results(summary, out_dir):
     for stem, xkey, ykey, title in scatters:
         series = {}
         for token in summary.spec.algorithms:
-            pts = [r for r in summary.pareto if r["algo"] == token]
+            pts = [r for r in pareto if r["algo"] == token]
             series[token] = ([r[xkey] for r in pts], [r[ykey] for r in pts])
         path = os.path.join(out_dir, f"pareto_{stem}.svg")
         with open(path, "w") as fh:

@@ -61,7 +61,9 @@ class SubproblemInput:
     def __init__(self, x, grads, alphas, kind):
         self.x, self.grads, self.alphas, self.kind = x, grads, alphas, kind
         self.m = grads.shape[0]
-        # a tiny alpha overflows to inf, which the caller reports as a status
+        # a tiny alpha overflows to inf, which the caller reports as a status;
+        # a fresh errstate each time, since one errstate object cannot be
+        # entered twice (numpy raises "Cannot enter `np.errstate` twice")
         with np.errstate(over="ignore"):
             self.scaled_grads = grads / alphas[:, None]
         self._sgT = self.scaled_grads.T

@@ -22,6 +22,7 @@ therefore a lower bound of the true value.
 from __future__ import annotations
 
 import itertools
+import numbers
 
 import numpy as np
 
@@ -43,11 +44,13 @@ def _scaled_weights(problem, alphas, ell=1.0):
 def merit_gap(problem, x, alphas, ell=1.0, counters=None):
     """Regularized gap merit w(x) via one dual solve at beta = ell * alphas.
     Raises ValueError unless ell > 0, beta is m finite positive values, x
-    lies in the domain of g and every grad f_i / beta_i is finite;
-    EvaluationError for a nonfinite gradient and DualSolveError when the
-    dual solve ends capped."""
+    is finite and lies in the domain of g and every grad f_i / beta_i is
+    finite; EvaluationError for a nonfinite gradient and DualSolveError when
+    the dual solve ends capped."""
     beta = _scaled_weights(problem, alphas, ell)
     x = np.asarray(x, dtype=float)
+    if not np.isfinite(x).all():  # as solve() refuses a nonfinite x0
+        raise ValueError("x must be finite")
     grads = problem.jacobian(x, counters)  # checks x's shape, grads finite
     if not problem.nonsmooth.contains(x):
         raise ValueError("base point lies outside the domain of g")
@@ -70,6 +73,8 @@ def weak_pareto_gap_grid(problem, x, alphas, lower, upper, resolution=101):
     """
     if problem.n > 3:
         raise ValueError("grid scan is limited to n <= 3")
+    if not isinstance(resolution, numbers.Integral):
+        raise ValueError("resolution must be an integer")
     if resolution < 2:
         raise ValueError("resolution must be at least 2")
     alphas = _scaled_weights(problem, alphas)

@@ -15,6 +15,7 @@ Families
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -50,6 +51,9 @@ class QuadraticSpec:
     g_kind: str = "l1"          # "l1" (coefficients 1/n) or "zero"
 
     def __post_init__(self):
+        for name in ("n", "n_objectives"):
+            if not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.n < 1 or self.n_objectives < 1:
             raise ValueError("need n >= 1 and n_objectives >= 1")
         if self.diag_low <= 0 or self.diag_low > self.diag_high:

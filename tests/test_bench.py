@@ -1,5 +1,6 @@
 """Tests for campaign execution, CSV/SVG export, and the bench CLI."""
 
+import concurrent.futures
 import csv
 import dataclasses
 import hashlib
@@ -450,7 +451,8 @@ class TestCampaign:
             def map(self, fn, items):
                 return map(fn, items)
 
-        monkeypatch.setattr(bench, "ProcessPoolExecutor", InProcessPool)
+        # run_campaign imports the pool from concurrent.futures when jobs > 1
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InProcessPool)
         spec = ExperimentSpec(problem="BK1", algorithms=("bbpgmo",), trials=2, seed=1)
         serial = run_campaign(spec)
         pooled = run_campaign(ExperimentSpec(**{**vars(spec), "jobs": 64}))
@@ -505,7 +507,7 @@ class TestCampaign:
         raw = [{"status": s} for s in statuses]
         summary = ExperimentSummary(
             spec=ExperimentSpec(problem="BK1", algorithms=("bbpgmo",)),
-            problem_name="BK1", n=2, m=2, rows=[], raw=raw, pareto=[],
+            problem_name="BK1", n=2, m=2, rows=[], raw=raw,
         )
         assert summary.hard_failures == 1
 
@@ -613,6 +615,23 @@ class TestExport:
         assert ">b</text>" in svg
         finite = scatter_svg({"a": ([1.0, 2.0], [3.0, 4.0]), "b": ([], [])}, "F1", "F2", "t")
         assert svg == finite
+
+    def test_svg_with_no_finite_point(self):
+        """When no point is finite the axes fall back to [0, 1]: the output
+        still parses, keeps one legend entry per series and draws no data
+        circle (data circles have r = 3, legend markers r = 4)."""
+        nan, inf = float("nan"), float("inf")
+        svg = scatter_svg(
+            {"a": ([nan, inf], [1.0, 2.0]), "b": ([3.0], [-inf]), "c": ([], [])},
+            "F1", "F2", "t",
+        )
+        root = ElementTree.fromstring(svg)
+        circles = list(root.iter("{http://www.w3.org/2000/svg}circle"))
+        assert [el.get("r") for el in circles] == ["4", "4", "4"]
+        legend = [el.text for el in root.iter("{http://www.w3.org/2000/svg}text")
+                  if el.get("font-size") == "12"]
+        assert legend == ["a", "b", "c"]
+        assert "nan" not in svg and "inf" not in svg
 
     def test_svg_coordinates_finite_on_degenerate_ranges(self):
         """One point at 1e17, where the 0.05 padding is lost below one ulp,
@@ -848,6 +867,22 @@ class TestCLI:
             main(["verify"])
         assert exc.value.code == 2
         assert "invalid choice: 'verify'" in capsys.readouterr().err
+
+
+def test_one_process_campaign_loads_no_pool_and_no_exporters():
+    """A jobs=1 campaign starts no pool and writes no file, so after it
+    neither multiprocessing nor concurrent.futures' process module, nor
+    csv or moprox.svg, is loaded in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.dirname(os.path.dirname(moprox.__file__)))
+    probe = (
+        "import sys; from moprox import ExperimentSpec, run_campaign; "
+        "run_campaign(ExperimentSpec(problem='BK1', algorithms=('bbpgmo',), trials=2)); "
+        "print(sorted({'multiprocessing', 'concurrent.futures.process', 'csv', "
+        "'moprox.svg'} & set(sys.modules)))"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], env=env, check=True,
+                          capture_output=True, text=True)
+    assert done.stdout.strip() == "[]"
 
 
 def test_package_import_defers_bench():

@@ -114,6 +114,22 @@ class TestInputValidation:
                 merit_gap(problem, x, alphas, counters=counters)
             assert counters.prox_evals == 0
 
+    def test_nonfinite_point_rejected(self):
+        """x is refused as solve() refuses a nonfinite x0. On a Zero-kind
+        problem with linear objectives the gradients stay finite, so
+        x = (nan, 0) returned nan and x = (inf, 0) warned "invalid value
+        encountered in subtract"; now neither is evaluated."""
+        linear = tuple(
+            SmoothComponent(value=lambda x, c=c: float(c @ x), gradient=lambda x, c=c: c)
+            for c in (np.array([1.0, 0.0]), np.array([0.0, 1.0]))
+        )
+        problem = MCOProblem(n=2, smooth=linear)
+        for x in ([np.nan, 0.0], [np.inf, 0.0]):
+            counters = EvalCounters()
+            with pytest.raises(ValueError, match="x must be finite"):
+                merit_gap(problem, np.array(x), np.ones(2), counters=counters)
+            assert counters.grad_evals == counters.prox_evals == 0
+
     def test_infeasible_base_point_rejected(self):
         comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.ones(2))
         problem = MCOProblem(n=2, smooth=(comp,), nonsmooth=SimplexIndicator())
@@ -226,6 +242,11 @@ class TestGridGap:
         with pytest.raises(ValueError, match="resolution"):
             weak_pareto_gap_grid(
                 small, np.zeros(2), np.ones(2), -5.0, 10.0, resolution=1
+            )
+        # a float count once failed inside np.linspace with numpy's TypeError
+        with pytest.raises(ValueError, match="resolution must be an integer"):
+            weak_pareto_gap_grid(
+                small, np.zeros(2), np.ones(2), -5.0, 10.0, resolution=2.5
             )
 
     def test_alphas_checked_as_in_merit_gap(self):

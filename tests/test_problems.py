@@ -286,6 +286,12 @@ class TestBundledProblems:
             QuadraticSpec(n=2, xl=-2.0, xu=None)
         with pytest.raises(ValueError):
             QuadraticSpec(n=2, g_kind="l2")
+        # float counts once built and then failed inside random_quadratic
+        with pytest.raises(ValueError, match="n must be an integer"):
+            QuadraticSpec(n=2.5)
+        with pytest.raises(ValueError, match="n_objectives must be an integer"):
+            QuadraticSpec(n=2, n_objectives=2.0)
+        assert QuadraticSpec(n=np.int64(2)).n == 2
 
     def test_quadratic_curvature_matches_constants(self):
         """The declared L_i and mu_i bracket every directional curvature."""
