@@ -22,7 +22,7 @@ import numpy as np
 
 from .exceptions import UnknownProblemError
 from .prox import BoxIndicator, SimplexIndicator
-from .solvers import SolverConfig, _canonical_mode, _fixed_alphas, solve
+from .solvers import SolverConfig, _fixed_alphas, solve
 from .testproblems import (
     QuadraticSpec,
     available_problems,
@@ -52,6 +52,8 @@ class ExperimentSpec:
             raise ValueError("trials must be positive")
         if self.seed < 0:
             raise ValueError("seed must be nonnegative")
+        if isinstance(self.algorithms, str):
+            raise ValueError("algorithms must be a tuple of tokens, e.g. ('bbpgmo',)")
         if not self.algorithms:
             raise ValueError("need at least one algorithm")
         if self.jobs < 1:
@@ -215,7 +217,7 @@ def run_campaign(spec):
     }
     problem = _campaign_problem(spec)
     for cfg in configs.values():  # solve()'s own check of each mode's alphas
-        _fixed_alphas(problem, _canonical_mode(cfg.algorithm), cfg)
+        _fixed_alphas(problem, cfg)
 
     if spec.jobs > 1:
         # imported here, so that a jobs=1 campaign never loads multiprocessing;
@@ -335,6 +337,9 @@ def _print_summary(summary, elapsed):
 
 
 def _cmd_run(args, error):
+    # refused before the campaign runs, not by makedirs after it
+    if args.out and os.path.exists(args.out) and not os.path.isdir(args.out):
+        error(f"--out {args.out} exists and is not a directory")
     # unset options fall back to ExperimentSpec's defaults; run_campaign raises
     # only before its first solve, so ``error`` (usage, exit 2) gets bad input
     given = {f.name: getattr(args, f.name) for f in fields(ExperimentSpec)}

@@ -10,6 +10,7 @@ the nonsmooth terms.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,6 +66,8 @@ class MCOProblem:
     name: str = ""
 
     def __post_init__(self):
+        if not isinstance(self.n, numbers.Integral):
+            raise ValueError("n must be an integer")
         if self.n <= 0:
             raise ValueError("n must be positive")
         if len(self.smooth) == 0:

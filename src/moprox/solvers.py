@@ -16,10 +16,11 @@ abbpgmo         BB, inflated by tau until the  1
                 quadratic upper bound holds
 ==============  =============================  =======================
 
-Fixed steps are capped at the largest box-feasible t; "pgmo_L" is accepted as
-an alias of pgmo_separate. The first BB pair uses the synthetic previous
-iterate x0 - offset with offset_j = max(1e-4, |spacing(x0_j)|), so the pair
-differs also where x0_j - 1e-4 rounds back to x0_j (|x0_j| >= 2^40).
+Fixed steps are capped at the largest box-feasible t; SolverConfig accepts
+"pgmo_L" as an alias and stores it as pgmo_separate. The first BB pair uses
+the synthetic previous iterate x0 - offset with offset_j = max(1e-4,
+|spacing(x0_j)|), so the pair differs also where x0_j - 1e-4 rounds back to
+x0_j (|x0_j| >= 2^40).
 """
 
 from __future__ import annotations
@@ -34,13 +35,19 @@ import numpy as np
 
 from .bb import bb_stepsizes
 from .direction import SubproblemInput, frank_wolfe_solve
-from .exceptions import EvaluationError, LineSearchError
+from .exceptions import DualSolveError, EvaluationError, LineSearchError
 from .linesearch import armijo_search, max_feasible_step
 from .problems import EvalCounters
 
 _MODES = ("pgmo_ls", "pgmo_fixed", "pgmo_mu", "pgmo_separate", "bbpgmo", "abbpgmo")
 _ALIASES = {"pgmo_L": "pgmo_separate"}
 _LINE_SEARCH_MODES = ("pgmo_ls", "pgmo_mu", "bbpgmo")
+# the errors that end a solve with a status; each one's text becomes a warning
+_FAILURE_STATUS = {
+    DualSolveError: "dual_failure",
+    LineSearchError: "line_search_failure",
+    EvaluationError: "evaluation_failure",
+}
 # slack for accepting a soft-failed dual solve: the per-objective descent
 # certificate model_i <= -alpha_i ||d||^2 must hold within this tolerance
 _DESCENT_SLACK = 1e-8
@@ -52,14 +59,19 @@ _ABB_CHECK_SLACK = 1e-12
 
 @dataclass(frozen=True)
 class SolverConfig:
-    algorithm: str = "bbpgmo"
+    algorithm: str = "bbpgmo"       # stored as its canonical mode
     ell: float | None = None        # pgmo_ls / pgmo_fixed stepsize parameter
     tau: float = 2.0                # abbpgmo inflation factor
     d_tol: float = 1e-6
     max_iters: int = 500
 
     def __post_init__(self):
-        _canonical_mode(self.algorithm)
+        mode = _ALIASES.get(self.algorithm, self.algorithm)
+        if mode not in _MODES:
+            raise ValueError(
+                f"unknown algorithm {self.algorithm!r}; choose from {sorted(_MODES)}"
+            )
+        object.__setattr__(self, "algorithm", mode)
         if not isinstance(self.max_iters, numbers.Integral):
             raise ValueError("max_iters must be an integer")
         if not 0.0 < self.d_tol < math.inf or self.max_iters < 1:
@@ -170,18 +182,11 @@ class SolveReport:
         return float(np.mean(self.trace.t))
 
 
-def _canonical_mode(name):
-    mode = _ALIASES.get(name, name)
-    if mode not in _MODES:
-        raise ValueError(f"unknown algorithm {name!r}; choose from {sorted(_MODES)}")
-    return mode
-
-
-def _fixed_alphas(problem, mode, cfg):
+def _fixed_alphas(problem, cfg):
     """Constant alpha vector for the non-BB modes, with prerequisite checks;
     the one place, once per solve, where it is checked finite and positive.
     It is read-only, so every iteration can share it."""
-    m = problem.m
+    m, mode = problem.m, cfg.algorithm
     if mode == "pgmo_ls":
         alphas, what = np.full(m, 1.0 if cfg.ell is None else float(cfg.ell)), "ell"
     elif mode == "pgmo_fixed":
@@ -240,12 +245,11 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
     non-descent direction for a non-critical iterate. A capped dual solve
     is still usable when its best direction carries the descent certificate
     or has ||d|| <= d_tol, so that the caller stops there; otherwise this
-    returns None and the caller must abort with dual_failure. So does an
-    overflowed grad f_i / alpha_i (a tiny alpha), which no dual can use.
+    raises DualSolveError. So does an overflowed grad f_i / alpha_i (a tiny
+    alpha), which no dual can use.
     """
     if not np.logical_and.reduce(np.isfinite(inp.scaled_grads), axis=None):
-        warnings.append("scaled gradients grad f_i / alpha_i are not finite")
-        return None
+        raise DualSolveError("scaled gradients grad f_i / alpha_i are not finite")
     res = frank_wolfe_solve(inp, counters, warm_lambda=warm_lambda)
     for _ in range(4):
         if res.capped or res.d_norm <= cfg.d_tol:
@@ -270,8 +274,7 @@ def _solve_direction(inp, cfg, counters, warnings, warm_lambda=None):
         # d(lambda) = 0 at any lambda certifies criticality
         warnings.append(f"dual solve capped with gap {res.fw_gap:.2e}; ||d|| <= d_tol")
         return res
-    warnings.append(f"dual gap {res.fw_gap:.3e} above 100x tolerance")
-    return None
+    raise DualSolveError(f"dual gap {res.fw_gap:.3e} above 100x tolerance")
 
 
 def solve(problem, x0, cfg=None):
@@ -283,12 +286,12 @@ def solve(problem, x0, cfg=None):
     raises ValueError before any evaluation.
     """
     cfg = cfg or SolverConfig()
-    mode = _canonical_mode(cfg.algorithm)
+    mode = cfg.algorithm
     started = time.perf_counter()
     counters = EvalCounters()
 
     x = _prepare_start(problem, x0)
-    alphas_fixed = _fixed_alphas(problem, mode, cfg)
+    alphas_fixed = _fixed_alphas(problem, cfg)
     bounds = problem.bounds
     rows = []  # one tuple per iteration, packed into the Trace at the end
     warnings = []
@@ -296,9 +299,9 @@ def solve(problem, x0, cfg=None):
     warm_lambda = None
     F = np.full(problem.m, np.nan)  # reported when F(x0) cannot be evaluated
 
-    # an EvaluationError ends the solve at the last accepted iterate: x0 when
-    # F or the Jacobian fails there, or when the BB modes' synthetic
-    # predecessor lies outside a smooth part's domain
+    # an error of _FAILURE_STATUS ends the solve at the last accepted iterate;
+    # an EvaluationError leaves x0 when F or the Jacobian fails there, or when
+    # the BB modes' synthetic predecessor lies outside a smooth part's domain
     try:
         f = problem.smooth_values(x)  # smooth parts; only abbpgmo keeps them current
         F = f + problem.g_values(x)
@@ -323,9 +326,6 @@ def solve(problem, x0, cfg=None):
                 res = _solve_direction(
                     inp, cfg, counters, warnings, warm_lambda=warm_lambda
                 )
-                if res is None:
-                    status = "dual_failure"
-                    break
                 if res.d_norm <= cfg.d_tol:
                     status = "critical_point"
                     break
@@ -355,14 +355,9 @@ def solve(problem, x0, cfg=None):
 
             backtracks = 0
             if mode in _LINE_SEARCH_MODES:
-                try:
-                    t, F_new, backtracks = armijo_search(
-                        problem, x, res.d, F, res.model_decrease, t_cap, counters
-                    )
-                except LineSearchError as err:
-                    status = "line_search_failure"
-                    warnings.append(str(err))
-                    break
+                t, F_new, backtracks = armijo_search(
+                    problem, x, res.d, F, res.model_decrease, t_cap, counters
+                )
                 x_new = x + t * res.d
             else:
                 t = t_cap
@@ -378,9 +373,7 @@ def solve(problem, x0, cfg=None):
             # true only for nondeterministic objectives: a step lands on p != x
             # or a box face, and Armijo never accepts F(x + t d) = F(x)
             if not np.logical_or.reduce(x_new != x):
-                status = "line_search_failure"
-                warnings.append("accepted step underflowed; iterate unchanged")
-                break
+                raise LineSearchError("accepted step underflowed; iterate unchanged")
 
             # a failing gradient leaves the last accepted x, F and grads
             grads_new = problem.jacobian(x_new, counters)
@@ -393,8 +386,8 @@ def solve(problem, x0, cfg=None):
                 time.perf_counter() - iter_started,
                 alphas, res.lam, F, res.model_decrease, x, inflations,
             ))
-    except EvaluationError as err:
-        status = "evaluation_failure"
+    except tuple(_FAILURE_STATUS) as err:
+        status = next(s for cls, s in _FAILURE_STATUS.items() if isinstance(err, cls))
         warnings.append(str(err))
 
     return SolveReport(

@@ -56,8 +56,8 @@ class QuadraticSpec:
                 raise ValueError(f"{name} must be an integer")
         if self.n < 1 or self.n_objectives < 1:
             raise ValueError("need n >= 1 and n_objectives >= 1")
-        if self.diag_low <= 0 or self.diag_low > self.diag_high:
-            raise ValueError("need 0 < diag_low <= diag_high")
+        if not 0.0 < self.diag_low <= self.diag_high < np.inf:  # a NaN fails
+            raise ValueError("need 0 < diag_low <= diag_high < inf")
         if (self.xl is None) != (self.xu is None):
             raise ValueError("give both bounds or neither")
         if self.g_kind not in ("l1", "zero"):
@@ -189,7 +189,12 @@ def available_problems():
 
 
 def register_problem(key, factory):
-    """Add a zero-argument factory under a new key."""
+    """Add a zero-argument factory under a new key. A campaign reads every
+    ``quadratic[:...]`` token as the random family, so no such key is taken."""
+    if not isinstance(key, str):
+        raise ValueError("key must be a string")
+    if key.partition(":")[0] == "quadratic":
+        raise ValueError(f"key {key!r} names the random quadratic family")
     if key in _REGISTRY:
         raise ValueError(f"key {key!r} is already registered")
     _REGISTRY[key] = factory

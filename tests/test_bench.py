@@ -164,6 +164,9 @@ class TestSpecValidation:
     def test_algorithms(self):
         with pytest.raises(ValueError):
             ExperimentSpec(problem="BK1", algorithms=())
+        # a string once split into one-letter tokens: "unknown algorithm 'b'"
+        with pytest.raises(ValueError, match="algorithms must be a tuple of tokens"):
+            ExperimentSpec(problem="BK1", algorithms="bbpgmo")
 
     @pytest.mark.parametrize("jobs", (0, -4))
     def test_jobs(self, jobs, capsys):
@@ -701,6 +704,20 @@ class TestCLI:
         assert "problem BK1" in printed
         assert "bbpgmo" in printed
         assert (out_dir / "summary.csv").exists()
+
+    def test_out_naming_a_file_is_a_usage_error(self, tmp_path, capsys):
+        """An --out that names an existing file exits 2 with its path before
+        the campaign runs, not with makedirs' traceback after it."""
+        out = tmp_path / "taken.txt"
+        out.write_text("keep")
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--problem", "BK1", "--algos", "bbpgmo", "--trials", "2",
+                  "--out", str(out)])
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert f"bench run: error: --out {out} exists and is not a directory" in captured.err
+        assert "problem BK1" not in captured.out
+        assert out.read_text() == "keep"
 
     def test_quadratic_token_sets_the_objective_count(self, capsys):
         """quadratic:n=10,m=3 runs a campaign on a three-objective instance."""

@@ -123,6 +123,12 @@ class TestMCOProblem:
             MCOProblem(n=0, smooth=())
         with pytest.raises(ValueError):
             MCOProblem(n=2, smooth=(), nonsmooth=WeightedL1(coeffs=(1.0,)))
+        # a float n once built and then failed inside numpy or at the x0 check
+        comp = SmoothComponent(value=lambda x: 0.0, gradient=lambda x: np.zeros(2))
+        for n in (np.float64(2.0), 2.5):
+            with pytest.raises(ValueError, match="n must be an integer"):
+                MCOProblem(n=n, smooth=(comp,))
+        assert MCOProblem(n=np.int64(2), smooth=(comp,)).n == 2
 
     def test_unknown_nonsmooth_kind_rejected(self):
         """A user-written l1 term with g_values and prox is refused: the
@@ -292,6 +298,11 @@ class TestBundledProblems:
         with pytest.raises(ValueError, match="n_objectives must be an integer"):
             QuadraticSpec(n=2, n_objectives=2.0)
         assert QuadraticSpec(n=np.int64(2)).n == 2
+        # a NaN or infinite diagonal range once failed inside numpy's uniform
+        for bad in ({"diag_low": float("nan")}, {"diag_high": float("nan")},
+                    {"diag_high": np.inf}, {"diag_low": 5.0, "diag_high": 2.0}):
+            with pytest.raises(ValueError, match="need 0 < diag_low <= diag_high < inf"):
+                QuadraticSpec(n=2, **bad)
 
     def test_quadratic_curvature_matches_constants(self):
         """The declared L_i and mu_i bracket every directional curvature."""
@@ -355,6 +366,21 @@ class TestRegistry:
             from moprox import testproblems
 
             del testproblems._REGISTRY["tmp-registry-entry"]
+
+    @pytest.mark.parametrize("key", ("quadratic", "quadratic:n=3"))
+    def test_register_refuses_quadratic_tokens(self, key):
+        """A campaign reads such a key as the random family, never as the
+        registered factory."""
+        with pytest.raises(ValueError, match="names the random quadratic family"):
+            register_problem(key, bk1)
+        assert key not in available_problems()
+
+    def test_register_refuses_a_non_string_key(self):
+        """A campaign names its problem by a string token, and one other key
+        type in the registry would break the sort of available_problems()."""
+        with pytest.raises(ValueError, match="key must be a string"):
+            register_problem(5, bk1)
+        assert all(isinstance(key, str) for key in available_problems())
 
 
 class TestCovarianceRepair:

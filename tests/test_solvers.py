@@ -127,6 +127,10 @@ class TestBasicConvergence:
         b = solve(problem, x0, SolverConfig(algorithm="pgmo_separate"))
         assert a.iterations == b.iterations
         np.testing.assert_array_equal(a.x, b.x)
+        # the config holds the canonical mode; an unknown one is named as given
+        assert SolverConfig(algorithm="pgmo_L").algorithm == "pgmo_separate"
+        with pytest.raises(ValueError, match="unknown algorithm 'pgmo_l'"):
+            SolverConfig(algorithm="pgmo_l")
 
 
 class TestMonotonicity:
