@@ -30,8 +30,11 @@ from .testproblems import (
     random_quadratic,
 )
 
-# "exception": a solve raised (say from a user callable); its row holds the text
-_HARD_FAILURES = ("line_search_failure", "dual_failure", "evaluation_failure", "exception")
+# any other status is a hard failure: a solver failure status, or "exception"
+# when the solve raised (say from a user callable), whose row holds the text
+_CLEAN_STOPS = ("critical_point", "max_iters")
+# quadratic token keys that are not the names of their QuadraticSpec fields
+_QUADRATIC_FIELDS = {"m": "n_objectives", "g": "g_kind"}
 
 
 @dataclass(frozen=True)
@@ -74,7 +77,7 @@ class ExperimentSummary:
 
     @property
     def hard_failures(self):
-        return sum(1 for r in self.raw if r["status"] in _HARD_FAILURES)
+        return sum(1 for r in self.raw if r["status"] not in _CLEAN_STOPS)
 
     @property
     def pareto(self):
@@ -127,18 +130,14 @@ def algo_config(token, d_tol=SolverConfig.d_tol, max_iters=SolverConfig.max_iter
 
 
 def _parse_quadratic_token(token):
-    _, fields = _parse_token(
+    """The QuadraticSpec of the token's given fields; the rest keep the
+    spec's defaults."""
+    _, given = _parse_token(
         token, {"n": int, "m": int, "xl": float, "xu": float, "g": str}, "quadratic fields"
     )
-    if "n" not in fields:
+    if "n" not in given:
         raise ValueError("quadratic problems need n=<dim>, e.g. quadratic:n=10")
-    return QuadraticSpec(
-        n=fields["n"],
-        n_objectives=fields.get("m", 2),
-        xl=fields.get("xl", -2.0),
-        xu=fields.get("xu", 2.0),
-        g_kind=fields.get("g", "l1"),
-    )
+    return QuadraticSpec(**{_QUADRATIC_FIELDS.get(k, k): v for k, v in given.items()})
 
 
 def _child_seed(spec, i):
@@ -238,7 +237,7 @@ def run_campaign(spec):
     rows = []
     for token in spec.algorithms:
         runs = [r for r in raw if r["algo"] == token]
-        included = [r for r in runs if r["status"] not in _HARD_FAILURES]
+        included = [r for r in runs if r["status"] in _CLEAN_STOPS]
         failures = sum(1 for r in runs if r["status"] != "critical_point")
 
         def _mean(key, rows=included):

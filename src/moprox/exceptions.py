@@ -13,12 +13,15 @@ class EvaluationError(RuntimeError):
 
 
 class DualSolveError(RuntimeError):
-    """``merit_gap``'s dual solve ended capped, its gap above 100x target."""
+    """A dual solve failed: ``merit_gap``'s ended capped, its gap above 100x
+    target; or, inside ``solve()``, which maps it to ``dual_failure``, the
+    scaled gradients are not finite or a capped dual is not certified."""
 
 
 class LineSearchError(RuntimeError):
     """Backtracking exhausted its budget without an acceptable step, or the
-    model decrease it was given is not negative in every component."""
+    model decrease it was given is not negative in every component; inside
+    ``solve()`` also an accepted step that left the iterate unchanged."""
 
 
 class UnknownProblemError(KeyError):

@@ -45,18 +45,10 @@ import numpy as np
 # to roundoff, and iterates re-enter these checks after arithmetic.
 _SIMPLEX_FEAS_TOL = 1e-9
 _BOX_FEAS_TOL = 1e-12
-# largest top entry of a mean-centred vector that project_simplex thresholds
-# as it is: above it the mean lies far below the top entries and rounds them
-# (every fingerprint input stays under 106)
+# largest top entry of a mean-centred vector that the simplex projection
+# thresholds as it is: above it the mean lies far below the top entries and
+# rounds them (every fingerprint input stays under 106)
 _CENTRED_TOP_MAX = 1e3
-
-
-def soft_threshold(v, kappa):
-    """Componentwise shrinkage: prox of kappa*||.||_1 at v."""
-    if kappa < 0:
-        raise ValueError("threshold must be nonnegative")
-    v = np.asarray(v, dtype=float)
-    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
 
 def _simplex_threshold(v):
@@ -78,13 +70,9 @@ def _simplex_threshold(v):
     return theta
 
 
-def project_simplex(v):
-    """Euclidean projection onto {x >= 0, sum x = 1} (sort and threshold)."""
-    return _project_simplex(np.asarray(v, dtype=float))
-
-
 def _project_simplex(v):
-    """project_simplex of a float array v, which is left unchanged."""
+    """Euclidean projection of the float array v onto {x >= 0, sum x = 1}
+    (sort and threshold); v is left unchanged."""
     v0 = v
     # the projection is invariant to uniform shifts; centering first keeps
     # full float resolution when v carries a large common offset
@@ -155,7 +143,10 @@ class WeightedL1(_Kind):
         return self._c * float(np.add.reduce(np.abs(x)))
 
     def prox(self, lam, alphas, v):
-        return soft_threshold(v, float(np.dot(lam / alphas, self._c)))
+        # soft thresholding at kappa = sum_i lam_i c_i / alpha_i, which is
+        # nonnegative: the coefficients are refused below zero when built
+        kappa = float(np.dot(lam / alphas, self._c))
+        return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
 
     def model_change(self, x, m):
         coeffs = self._c
@@ -221,7 +212,7 @@ class SimplexIndicator(_Kind):
         )
 
     def project(self, x):
-        return project_simplex(x)
+        return _project_simplex(np.asarray(x, dtype=float))
 
     def prox(self, lam, alphas, v):
         return _project_simplex(v)

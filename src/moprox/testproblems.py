@@ -197,15 +197,22 @@ def register_problem(key, factory):
         raise ValueError(f"key {key!r} names the random quadratic family")
     if key in _REGISTRY:
         raise ValueError(f"key {key!r} is already registered")
+    if not callable(factory):
+        raise ValueError(f"the factory for {key!r} is not callable")
     _REGISTRY[key] = factory
 
 
 def get_problem(key):
-    """Instantiate a registered problem; unknown keys list the options."""
+    """Instantiate a registered problem; unknown keys list the options, and a
+    factory that returns no MCOProblem raises ValueError."""
     try:
         factory = _REGISTRY[key]
     except KeyError:
         raise UnknownProblemError(
             f"unknown problem {key!r}; available: {', '.join(available_problems())}"
         ) from None
-    return factory()
+    problem = factory()
+    if not isinstance(problem, MCOProblem):
+        raise ValueError(f"the factory for {key!r} returned {type(problem).__name__}, "
+                         "not an MCOProblem")
+    return problem

@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 
 import moprox
-from moprox import bench, testproblems
+from moprox import bench, solvers, testproblems
 from moprox.bench import (
     ExperimentSpec,
     ExperimentSummary,
@@ -216,6 +216,13 @@ class TestSpecValidation:
         with pytest.raises(ValueError, match="invalid int value '2.5' for 'n' in 'quadratic:n=2.5'"):
             run_campaign(spec)
 
+    def test_bare_quadratic_token_keeps_the_spec_defaults(self):
+        """Fields a token leaves out take QuadraticSpec's own defaults, and
+        m and g name n_objectives and g_kind."""
+        assert bench._parse_quadratic_token("quadratic:n=3") == testproblems.QuadraticSpec(n=3)
+        assert bench._parse_quadratic_token("quadratic:n=4,m=3,xl=-1,xu=1,g=zero") == (
+            testproblems.QuadraticSpec(n=4, n_objectives=3, xl=-1.0, xu=1.0, g_kind="zero"))
+
     def test_only_the_quadratic_token_draws_an_instance(self):
         """A registry key that begins with "quadratic" names its registered
         problem, and a token whose name is not exactly "quadratic" is looked
@@ -404,6 +411,16 @@ class TestCampaign:
         summary = run_campaign(spec)
         assert summary.hard_failures == 2
         assert summary.rows[0]["failures"] == 2
+
+    def test_every_solver_failure_status_is_hard(self):
+        """The failure statuses come from the solver's own table, so one it
+        adds is a hard failure too; a raising solve's "exception" is one,
+        and only the two clean stops are not."""
+        failing = [*solvers._FAILURE_STATUS.values(), "exception"]
+        raw = [{"status": s} for s in (*failing, "critical_point", "max_iters")]
+        spec = ExperimentSpec(problem="BK1", algorithms=("bbpgmo",))
+        summary = ExperimentSummary(spec=spec, problem_name="BK1", n=2, m=2, rows=[], raw=raw)
+        assert summary.hard_failures == len(failing) == 4
 
     def test_campaign_survives_a_raising_solve(self, poisoned_start_problem, tmp_path):
         """A solve that raises something other than EvaluationError becomes
@@ -718,6 +735,21 @@ class TestCLI:
         assert f"bench run: error: --out {out} exists and is not a directory" in captured.err
         assert "problem BK1" not in captured.out
         assert out.read_text() == "keep"
+
+    def test_factory_without_a_problem_is_a_usage_error(self, capsys):
+        """A registered factory whose result is not an MCOProblem exits 2
+        naming the key, before any solve, not with an AttributeError."""
+        testproblems.register_problem("tmp-cli-not-a-problem", lambda: "BK1")
+        try:
+            with pytest.raises(SystemExit) as exc:
+                main(["run", "--problem", "tmp-cli-not-a-problem", "--algos", "bbpgmo",
+                      "--trials", "1"])
+        finally:
+            del testproblems._REGISTRY["tmp-cli-not-a-problem"]
+        assert exc.value.code == 2
+        captured = capsys.readouterr()
+        assert "'tmp-cli-not-a-problem' returned str, not an MCOProblem" in captured.err
+        assert "problem " not in captured.out
 
     def test_quadratic_token_sets_the_objective_count(self, capsys):
         """quadratic:n=10,m=3 runs a campaign on a three-objective instance."""

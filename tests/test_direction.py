@@ -21,7 +21,7 @@ from moprox.direction import (
     frank_wolfe_solve,
 )
 from moprox.problems import EvalCounters
-from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero, project_simplex
+from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
 from moprox.testproblems import QuadraticSpec, random_quadratic
 
 
@@ -817,14 +817,14 @@ class TestDualPointIsOneProx:
 
 def _unfused_point(inp, lam):
     """u, p, d, q and fw_gap of the dual point at lam, each by its plain
-    expression: the prox through project_simplex for the simplex kind, a
+    expression: the prox through the projection for the simplex kind, a
     zero model change added for the constant kinds, q divided out of
     place, and fw_gap through np.maximum.reduce. The oracle for the
     in-place q and the float gap of DirectionResult."""
     kind = inp.kind
     u = inp.scaled_grads.T @ lam
     v = inp.x - u
-    p = project_simplex(v) if isinstance(kind, SimplexIndicator) else kind.prox(
+    p = kind.project(v) if isinstance(kind, SimplexIndicator) else kind.prox(
         lam, inp.alphas, v)
     d = p - inp.x
     if isinstance(kind, WeightedL1):

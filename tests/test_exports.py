@@ -1,14 +1,17 @@
 """Tests for the package's public names."""
 
+import inspect
 import pathlib
 import re
 
 import moprox
+from moprox import prox
 
 # internal since solve() became the only boundary of the solver stack;
 # check_jacobian moved into tests/test_problems.py, its only caller; the BB
 # and line-search settings are fields of SolverConfig; the return-history
-# ingest is gone, and the two prox helpers live on in moprox.prox
+# ingest is gone, and the two prox helpers are folded into the kinds'
+# WeightedL1.prox and SimplexIndicator.project
 REMOVED = ("BBMemory", "DegenerateStepError", "FWConfig", "LineSearchError",
            "armijo_search", "bb_stepsizes", "max_feasible_step", "check_jacobian",
            "BBConfig", "LineSearchConfig", "load_returns_table", "project_simplex",
@@ -43,3 +46,16 @@ def test_every_public_name_is_used_outside_the_tests():
     unused = [name for name in moprox.__all__
               if not re.search(rf"(?<!def )(?<!class )\b{name}\b", text)]
     assert not unused, f"public names used only by tests: {unused}"
+
+
+def test_prox_module_exposes_only_its_kinds():
+    """moprox.prox defines no public function: a kind is the only place
+    that knows its prox, so its public names are the four kinds and KINDS.
+    Names it imports (np, dataclass) are not its own."""
+    own = {name for name, obj in vars(prox).items()
+           if not name.startswith("_") and not inspect.ismodule(obj)
+           and getattr(obj, "__module__", prox.__name__) == prox.__name__}
+    assert not [name for name in own if inspect.isfunction(getattr(prox, name))]
+    assert own == {"Zero", "WeightedL1", "BoxIndicator", "SimplexIndicator", "KINDS"}
+    assert prox.KINDS == (prox.Zero, prox.WeightedL1, prox.BoxIndicator,
+                          prox.SimplexIndicator)

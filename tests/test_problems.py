@@ -375,6 +375,22 @@ class TestRegistry:
             register_problem(key, bk1)
         assert key not in available_problems()
 
+    def test_bad_factories_are_refused_naming_the_key(self):
+        """A factory that is not callable is refused at registration, and one
+        whose result is not an MCOProblem when it is called; they failed
+        with a TypeError and an AttributeError deep in a campaign."""
+        from moprox import testproblems
+
+        with pytest.raises(ValueError, match="'tmp-not-callable' is not callable"):
+            register_problem("tmp-not-callable", 5)
+        assert "tmp-not-callable" not in available_problems()
+        register_problem("tmp-not-a-problem", lambda: "BK1")
+        try:
+            with pytest.raises(ValueError, match="'tmp-not-a-problem' returned str"):
+                get_problem("tmp-not-a-problem")
+        finally:
+            del testproblems._REGISTRY["tmp-not-a-problem"]
+
     def test_register_refuses_a_non_string_key(self):
         """A campaign names its problem by a string token, and one other key
         type in the registry would break the sort of available_problems()."""

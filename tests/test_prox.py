@@ -5,14 +5,20 @@ import itertools
 import numpy as np
 import pytest
 
-from moprox.prox import (
-    BoxIndicator,
-    SimplexIndicator,
-    WeightedL1,
-    Zero,
-    project_simplex,
-    soft_threshold,
-)
+from moprox.prox import BoxIndicator, SimplexIndicator, WeightedL1, Zero
+
+_project = SimplexIndicator().project
+
+
+def _shrink(v, kappa):
+    """The closed form of the prox of kappa * ||.||_1 at v."""
+    return np.sign(v) * np.maximum(np.abs(v) - kappa, 0.0)
+
+
+def _l1_prox(v, kappa):
+    """The prox of kappa * ||.||_1 at v through WeightedL1 with one
+    objective and lam = alpha = (1,)."""
+    return WeightedL1((kappa,)).prox(np.ones(1), np.ones(1), np.array(v, dtype=float))
 
 
 def _simplex_qp_oracle(v):
@@ -48,23 +54,19 @@ def _simplex_qp_oracle(v):
 class TestSoftThreshold:
     def test_known_values(self):
         """prox of 0.5*||.||_1 at (0.3, -0.7, 1.2) is (0, -0.2, 0.7)."""
-        out = soft_threshold([0.3, -0.7, 1.2], 0.5)
+        out = _l1_prox([0.3, -0.7, 1.2], 0.5)
         np.testing.assert_allclose(out, [0.0, -0.2, 0.7], atol=1e-15)
 
     def test_zero_threshold_is_identity(self):
         v = np.array([1.5, -2.0, 0.0])
-        np.testing.assert_array_equal(soft_threshold(v, 0.0), v)
-
-    def test_negative_threshold_rejected(self):
-        with pytest.raises(ValueError):
-            soft_threshold([1.0], -0.1)
+        np.testing.assert_array_equal(_l1_prox(v, 0.0), v)
 
     def test_shrinks_toward_zero(self):
         rng = np.random.default_rng(11)
         for _ in range(50):
             v = rng.normal(size=6) * 3.0
             kappa = rng.uniform(0.0, 2.0)
-            out = soft_threshold(v, kappa)
+            out = _l1_prox(v, kappa)
             assert np.all(np.abs(out) <= np.abs(v) + 1e-15)
             assert np.all(out * v >= 0.0)
 
@@ -72,12 +74,12 @@ class TestSoftThreshold:
 class TestProjectSimplex:
     def test_symmetric_point(self):
         """All-equal input projects to the barycenter."""
-        out = project_simplex([0.6, 0.6, 0.6])
+        out = _project([0.6, 0.6, 0.6])
         np.testing.assert_allclose(out, np.full(3, 1.0 / 3.0), atol=1e-15)
 
     def test_feasible_point_is_fixed(self):
         x = np.array([0.2, 0.5, 0.3])
-        np.testing.assert_allclose(project_simplex(x), x, atol=1e-12)
+        np.testing.assert_allclose(_project(x), x, atol=1e-12)
 
     def test_matches_active_set_oracle(self):
         rng = np.random.default_rng(3)
@@ -85,7 +87,7 @@ class TestProjectSimplex:
             n = rng.integers(2, 5)
             v = rng.normal(size=n) * rng.uniform(0.5, 5.0)
             np.testing.assert_allclose(
-                project_simplex(v), _simplex_qp_oracle(v), atol=1e-10
+                _project(v), _simplex_qp_oracle(v), atol=1e-10
             )
 
     def test_matches_active_set_oracle_up_to_n8(self):
@@ -94,7 +96,7 @@ class TestProjectSimplex:
         for _ in range(50):
             v = rng.normal(size=rng.integers(5, 9)) * 10.0
             np.testing.assert_allclose(
-                project_simplex(v), _simplex_qp_oracle(v), atol=1e-10
+                _project(v), _simplex_qp_oracle(v), atol=1e-10
             )
 
     def test_uniform_shift_invariance(self):
@@ -105,8 +107,8 @@ class TestProjectSimplex:
             v = rng.normal(size=8)
             c = rng.uniform(-1e4, 1e4)
             np.testing.assert_allclose(
-                project_simplex(v + c),
-                project_simplex(v),
+                _project(v + c),
+                _project(v),
                 atol=32.0 * eps * (1.0 + abs(c)),
             )
 
@@ -115,13 +117,13 @@ class TestProjectSimplex:
         for _ in range(200):
             u = rng.normal(size=6) * 2.0
             v = rng.normal(size=6) * 2.0
-            lhs = np.linalg.norm(project_simplex(u) - project_simplex(v))
+            lhs = np.linalg.norm(_project(u) - _project(v))
             assert lhs <= np.linalg.norm(u - v) + 1e-12
 
     def test_output_feasible(self):
         rng = np.random.default_rng(6)
         for _ in range(200):
-            x = project_simplex(rng.normal(size=7) * 10.0)
+            x = _project(rng.normal(size=7) * 10.0)
             assert np.all(x >= 0.0)
             assert abs(x.sum() - 1.0) <= 1e-9
 
@@ -147,31 +149,31 @@ class TestProjectSimplex:
                 v = rng.normal(size=n) * rng.uniform(0.1, 10.0)
                 cases += [v, v + 1e6, np.round(v)]  # offset, then ties
         for v in cases:
-            assert np.array_equal(project_simplex(v), wrapper_form(v))
+            assert np.array_equal(_project(v), wrapper_form(v))
 
     def test_spread_beyond_float_resolution(self):
         """When the mean-centred copy has a top entry above 1e3, or resolves
         no threshold (a spread of 2**53 or more), the projection is taken
         after shifting by the maximum, which keeps the top entries exact."""
-        np.testing.assert_array_equal(project_simplex([1e17, -1e17, 0.0, 0.0]), [1, 0, 0, 0])
-        np.testing.assert_array_equal(project_simplex([1e17, 1e17, -1e17, 0.0]), [0.5, 0.5, 0, 0])
+        np.testing.assert_array_equal(_project([1e17, -1e17, 0.0, 0.0]), [1, 0, 0, 0])
+        np.testing.assert_array_equal(_project([1e17, 1e17, -1e17, 0.0]), [0.5, 0.5, 0, 0])
         # one very negative entry: the mean rounds off, or absorbs, the three
         # top entries (centred, -3e15 gave [0.5, 0.25, 0.25, 0] and -3e16 a
         # point off the simplex)
         for low in (-3e13, -3e15, -3e16, -3e17):
             np.testing.assert_allclose(
-                project_simplex([0.5, 0.3, 0.2, low]), [0.5, 0.3, 0.2, 0.0], rtol=0, atol=1e-15
+                _project([0.5, 0.3, 0.2, low]), [0.5, 0.3, 0.2, 0.0], rtol=0, atol=1e-15
             )
         with np.errstate(over="ignore", invalid="ignore"):  # the centring sum overflows
-            np.testing.assert_array_equal(project_simplex([1.7e308, 1.7e308]), [0.5, 0.5])
-            np.testing.assert_array_equal(project_simplex([1.7e308, -1.7e308]), [1, 0])
+            np.testing.assert_array_equal(_project([1.7e308, 1.7e308]), [0.5, 0.5])
+            np.testing.assert_array_equal(_project([1.7e308, -1.7e308]), [1, 0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_nonfinite_input_rejected(self, bad):
         v = np.zeros(3)
         v[1] = bad
         with np.errstate(invalid="ignore"), pytest.raises(ValueError, match="finite"):
-            project_simplex(v)
+            _project(v)
 
 
 class TestKinds:
@@ -186,7 +188,7 @@ class TestKinds:
         kind = WeightedL1(coeffs=(0.5, 0.25))
         w = np.array([2.0, 4.0])
         v = np.array([3.0, -0.5, 1.9])
-        expect = soft_threshold(v, 0.5 * 2.0 + 0.25 * 4.0)
+        expect = _shrink(v, 0.5 * 2.0 + 0.25 * 4.0)
         np.testing.assert_allclose(kind.prox(w, np.ones(2), v), expect, atol=1e-15)
 
     def test_weighted_l1_g_values(self):
@@ -251,7 +253,7 @@ class TestKinds:
             assert Zero().prox(lam, alphas, v) is v
             kappa = sum(li * ci / ai for li, ci, ai in zip(lam, l1.coeffs, alphas))
             np.testing.assert_allclose(
-                l1.prox(lam, alphas, v), soft_threshold(v, kappa), rtol=0, atol=1e-14
+                l1.prox(lam, alphas, v), _shrink(v, kappa), rtol=0, atol=1e-14
             )
 
     def test_g_values_broadcasts_shared_value(self):
